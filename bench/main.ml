@@ -34,9 +34,9 @@ let header title =
   Printf.printf "================================================================\n%!"
 
 let time_it f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = !Cr_obs.Clock.now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, !Cr_obs.Clock.now () -. t0)
 
 let agm ?(paper = false) ~k ?(seed = 1) apsp =
   let params = if paper then Params.paper ~k ~seed () else Params.scaled ~k ~seed () in
@@ -1303,7 +1303,7 @@ let d2 () =
         let config = { Server.default_config with Server.nc } in
         let srv = Server.create ~config d (Server.Unix_path sock) in
         let dom = Domain.spawn (fun () -> Server.run srv) in
-        let t0 = Unix.gettimeofday () in
+        let t0 = !Cr_obs.Clock.now () in
         (* one closed-loop domain per client; client 0 interleaves the
            mutation trace among its queries, the rest only query.  A
            netchaos cut (EOF mid-response) is absorbed by reconnecting:
@@ -1346,10 +1346,10 @@ let d2 () =
             (fun line ->
               let rec go attempts =
                 if attempts > 0 then begin
-                  let t1 = Unix.gettimeofday () in
+                  let t1 = !Cr_obs.Clock.now () in
                   match round_trip line with
                   | Some _ ->
-                      let t2 = Unix.gettimeofday () in
+                      let t2 = !Cr_obs.Clock.now () in
                       lats := (t2 -. t0, 1e3 *. (t2 -. t1)) :: !lats
                   | None ->
                       incr cuts;
@@ -1366,7 +1366,7 @@ let d2 () =
         in
         let doms = List.init clients (fun cid -> Domain.spawn (fun () -> client cid)) in
         let per_client = List.map Domain.join doms in
-        let wall_s = Unix.gettimeofday () -. t0 in
+        let wall_s = !Cr_obs.Clock.now () -. t0 in
         (* drain the repair backlog before reading repair percentiles:
            a fast client run can finish before the first batch lands *)
         (match Daemon.sync d with
@@ -1558,7 +1558,7 @@ let o1 () =
       let pairs =
         Experiment.default_pairs ~allow_short:true ~seed:182 apsp ~count:(min queries 2000)
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = !Cr_obs.Clock.now () in
       let ok = ref 0 in
       let sum = ref 0.0 in
       let smax = ref 0.0 in
@@ -1579,7 +1579,7 @@ let o1 () =
                 sum := !sum +. s;
                 if s > !smax then smax := s))
         pairs;
-      let wall = Unix.gettimeofday () -. t0 in
+      let wall = !Cr_obs.Clock.now () -. t0 in
       let np = Array.length pairs in
       let mean = if !ok = 0 then 0.0 else !sum /. float_of_int !ok in
       T.add_row table
@@ -1644,10 +1644,10 @@ let () =
               None)
         requested
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = !Cr_obs.Clock.now () in
   List.iter
     (fun (name, f) ->
       let (), dt = time_it f in
       Printf.printf "[%s finished in %.1fs]\n%!" name dt)
     to_run;
-  Printf.printf "\nall experiments done in %.1fs\n" (Unix.gettimeofday () -. t0)
+  Printf.printf "\nall experiments done in %.1fs\n" (!Cr_obs.Clock.now () -. t0)

@@ -36,6 +36,8 @@ module Apsp = Cr_graph.Apsp
 module Gio = Cr_graph.Gio
 module Cover = Cr_cover.Sparse_cover
 module T = Cr_util.Ascii_table
+module Engine = Cr_engine.Engine
+module Workload = Cr_engine.Workload
 open Compact_routing
 open Cmdliner
 
@@ -432,12 +434,100 @@ let resilience_cmd =
       const run $ seed_arg $ k_arg $ workload_arg $ graph_file_arg $ aspect_arg $ schemes_arg
       $ pairs_n $ rates_arg $ model_arg $ ttl_arg $ retries_arg $ json_arg)
 
+(* ---------- shared serving flags ---------- *)
+
+(* The serving flags of serve, oracle, chaos and daemon, defined and
+   validated once.  A command names the flags it has: the default
+   preset of --guards (which brings --chaos along) and the help text of
+   --domains, --cache and --cache-mode; --dist is on or off.  A flag a
+   command lacks is not defined and keeps its default.  Out-of-range
+   numbers fail in their converters and unknown presets in [make]:
+   either way a usage error and exit 2, on every command alike. *)
+type serving = {
+  guards : string;  (* guard preset name, as given *)
+  policy : Cr_guard.Policy.t;
+  chaos : Cr_guard.Chaos.t;
+  budget : float;
+  chaos_seed : int;
+  domains : int;
+  cache : int;
+  cache_mode : Engine.cache_mode;
+  dist : Workload.dist;
+}
+
+(* [conv] restricted to values >= [lo] *)
+let at_least conv lo =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when v >= lo -> Ok v
+    | Ok _ -> Error (`Msg (Format.asprintf "%s is below the minimum %a" s (Arg.conv_printer conv) lo))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let result_conv of_string to_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (of_string s)),
+      fun fmt v -> Format.pp_print_string fmt (to_string v) )
+
+let serving_term ?guards ?domains ?cache_mode ?(dist = false) ~cache () =
+  let defined doc default arg = match doc with Some doc -> arg doc | None -> Term.const default in
+  let guards_arg, chaos_arg =
+    match guards with
+    | None -> (Term.const "off", Term.const "none")
+    | Some default ->
+        ( Arg.(value & opt string default
+               & info [ "guards" ] ~docv:"G" ~doc:"Guard preset: off, serving or strict."),
+          Arg.(value & opt string "none"
+               & info [ "chaos" ] ~docv:"C" ~doc:"Chaos preset: none, crash, stall, flaky or storm.") )
+  in
+  let budget_arg =
+    Arg.(value & opt (at_least float 0.0) 0.25
+         & info [ "budget" ] ~docv:"S" ~doc:"Batch deadline budget in seconds for the strict guard preset.")
+  in
+  let chaos_seed_arg =
+    Arg.(value & opt int 42
+         & info [ "chaos-seed" ] ~docv:"SEED" ~doc:"Seed of the deterministic fault plans.")
+  in
+  let default_domains = Cr_util.Domain_pool.default_domains () in
+  let domains_arg =
+    defined domains default_domains (fun doc ->
+        Arg.(value & opt (at_least int 1) default_domains & info [ "domains" ] ~docv:"N" ~doc))
+  in
+  let cache_arg = Arg.(value & opt (at_least int 0) 0 & info [ "cache" ] ~docv:"C" ~doc:cache) in
+  let cache_mode_arg =
+    defined cache_mode Engine.Lane (fun doc ->
+        Arg.(value
+             & opt (result_conv Engine.cache_mode_of_string Engine.cache_mode_to_string) Engine.Lane
+             & info [ "cache-mode" ] ~docv:"M" ~doc))
+  in
+  let zipf = Workload.Zipf 1.1 in
+  let dist_arg =
+    if not dist then Term.const zipf
+    else
+      Arg.(value & opt (result_conv Workload.dist_of_string Workload.dist_to_string) zipf
+           & info [ "dist" ] ~docv:"D" ~doc:"Query distribution: uniform, zipf (exponent 1.1) or zipf:S.")
+  in
+  let make guards chaos budget chaos_seed domains cache cache_mode dist =
+    if cache_mode = Engine.Shared && cache = 0 then Error "--cache-mode shared needs --cache > 0"
+    else
+      match
+        ( Cr_guard.Policy.preset_of_string ~batch_budget_s:budget guards,
+          Cr_guard.Chaos.preset_of_string ~seed:chaos_seed chaos )
+      with
+      | Ok policy, Ok chaos ->
+          Ok { guards; policy; chaos; budget; chaos_seed; domains; cache; cache_mode; dist }
+      | Error msg, _ | _, Error msg -> Error msg
+  in
+  Term.term_result'
+    Term.(
+      const make $ guards_arg $ chaos_arg $ budget_arg $ chaos_seed_arg $ domains_arg $ cache_arg
+      $ cache_mode_arg $ dist_arg)
+
 (* ---------- serve ---------- *)
 
 let serve_cmd =
-  let module Workload = Cr_engine.Workload in
   let module Serve = Cr_engine.Serve in
-  let module Pool = Cr_util.Domain_pool in
   let schemes_arg =
     Arg.(value & opt (list string) [ "agm06" ]
          & info [ "schemes" ] ~docv:"LIST" ~doc:"Comma-separated schemes to serve.")
@@ -445,78 +535,17 @@ let serve_cmd =
   let queries_arg =
     Arg.(value & opt int 20000 & info [ "queries" ] ~docv:"Q" ~doc:"Queries per scheme in the closed-loop run.")
   in
-  let dist_conv =
-    Arg.conv
-      ( (fun s -> Result.map_error (fun m -> `Msg m) (Workload.dist_of_string s)),
-        fun fmt d -> Format.pp_print_string fmt (Workload.dist_to_string d) )
-  in
-  let dist_arg =
-    Arg.(value & opt dist_conv (Workload.Zipf 1.1)
-         & info [ "dist" ] ~docv:"D" ~doc:"Query distribution: uniform, zipf (exponent 1.1) or zipf:S.")
-  in
-  let domains_arg =
-    Arg.(value & opt int (Pool.default_domains ())
-         & info [ "domains" ] ~docv:"N" ~doc:"Worker-domain pool width (default min(8, recommended)).")
-  in
-  let cache_arg =
-    Arg.(value & opt int 0 & info [ "cache" ] ~docv:"C" ~doc:"Route-plan cache capacity in entries, per lane (lane mode) or total (shared mode); 0 disables.")
-  in
-  let cache_mode_arg =
-    Arg.(value & opt string "lane"
-         & info [ "cache-mode" ] ~docv:"M"
-             ~doc:"Cache structure: lane (one LRU per domain), shared (one lock-free table for all domains) or off. Results are bit-identical across modes.")
+  let serving =
+    serving_term ~guards:"off" ~domains:"Worker-domain pool width (default min(8, recommended))."
+      ~cache:"Route-plan cache capacity in entries, per lane (lane mode) or total (shared mode); 0 disables."
+      ~cache_mode:"Cache structure: lane (one LRU per domain), shared (one lock-free table for all domains) or off. Results are bit-identical across modes."
+      ~dist:true ()
   in
   let json_arg =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"Write the per-run JSON lines to FILE instead of stdout.")
   in
-  let guards_arg =
-    Arg.(value & opt string "off"
-         & info [ "guards" ] ~docv:"G" ~doc:"Guard preset: off, serving or strict.")
-  in
-  let chaos_arg =
-    Arg.(value & opt string "none"
-         & info [ "chaos" ] ~docv:"C" ~doc:"Chaos preset: none, crash, stall, flaky or storm.")
-  in
-  let budget_arg =
-    Arg.(value & opt float 0.25
-         & info [ "budget" ] ~docv:"S" ~doc:"Batch deadline budget in seconds for the strict guard preset.")
-  in
-  let chaos_seed_arg =
-    Arg.(value & opt int 42
-         & info [ "chaos-seed" ] ~docv:"SEED" ~doc:"Seed of the deterministic fault plans.")
-  in
-  let run seed k workload graph_file aspect schemes queries dist domains cache cache_mode
-      guards chaos budget chaos_seed json =
-    if domains < 1 then (
-      Printf.eprintf "crt: --domains must be >= 1\n";
-      exit 1);
-    if cache < 0 then (
-      Printf.eprintf "crt: --cache must be >= 0\n";
-      exit 1);
-    let cache_mode =
-      match Cr_engine.Engine.cache_mode_of_string cache_mode with
-      | Ok m -> m
-      | Error msg ->
-          Printf.eprintf "crt: --cache-mode: %s\n" msg;
-          exit 2
-    in
-    if cache_mode = Cr_engine.Engine.Shared && cache = 0 then (
-      Printf.eprintf "crt: --cache-mode shared needs --cache > 0\n";
-      exit 2);
-    let policy =
-      match Cr_guard.Policy.preset_of_string ~batch_budget_s:budget guards with
-      | Ok p -> p
-      | Error msg ->
-          Printf.eprintf "crt: %s\n" msg;
-          exit 2
-    in
-    let chaos =
-      match Cr_guard.Chaos.preset_of_string ~seed:chaos_seed chaos with
-      | Ok c -> c
-      | Error msg ->
-          Printf.eprintf "crt: %s\n" msg;
-          exit 2
-    in
+  let run seed k workload graph_file aspect schemes queries
+      { guards; policy; chaos; domains; cache; cache_mode; dist; _ } json =
     install_signal_handlers ();
     let g = load_graph ~seed ~graph_file ~workload ~aspect in
     let apsp = Apsp.compute_parallel g in
@@ -550,8 +579,7 @@ let serve_cmd =
           (Printf.sprintf
              "%s, %d queries (%s), k=%d, domains=%d, cache=%d (%s), guards=%s, chaos=%s"
              wl_label queries (Workload.dist_to_string dist) k domains cache
-             (Cr_engine.Engine.cache_mode_to_string cache_mode) guards
-             (Cr_guard.Chaos.label chaos))
+             (Engine.cache_mode_to_string cache_mode) guards (Cr_guard.Chaos.label chaos))
         [
           ("scheme", T.Left); ("routes/s", T.Right); ("p50 us", T.Right); ("p95 us", T.Right);
           ("p99 us", T.Right); ("hit rate", T.Right); ("ok", T.Right); ("rejected", T.Right);
@@ -569,9 +597,9 @@ let serve_cmd =
             Printf.sprintf "%.1f" (1e6 *. r.Serve.latency.Cr_util.Stats.p99);
             (if r.Serve.cache_capacity = 0 then "-"
              else Printf.sprintf "%.3f" (Serve.hit_rate r));
-            Printf.sprintf "%d/%d" r.Serve.guards.Cr_engine.Engine.ok r.Serve.queries;
+            Printf.sprintf "%d/%d" r.Serve.guards.Engine.ok r.Serve.queries;
             string_of_int (Serve.rejected r);
-            Printf.sprintf "%d/%d" r.Serve.delivered r.Serve.guards.Cr_engine.Engine.ok;
+            Printf.sprintf "%d/%d" r.Serve.delivered r.Serve.guards.Engine.ok;
             T.fmt_float r.Serve.stretch_mean; T.fmt_float r.Serve.stretch_p99;
           ])
       reports;
@@ -587,92 +615,28 @@ let serve_cmd =
        ~doc:"Closed-loop load generator: serve a query workload through the guarded batch engine.")
     Term.(
       const run $ seed_arg $ k_arg $ workload_arg $ graph_file_arg $ aspect_arg $ schemes_arg
-      $ queries_arg $ dist_arg $ domains_arg $ cache_arg $ cache_mode_arg $ guards_arg
-      $ chaos_arg $ budget_arg $ chaos_seed_arg $ json_arg)
+      $ queries_arg $ serving $ json_arg)
 
 (* ---------- oracle ---------- *)
 
 let oracle_cmd =
-  let module Workload = Cr_engine.Workload in
   let module Oserve = Cr_oracle.Oserve in
   let module Po = Cr_oracle.Path_oracle in
   let module So = Cr_oracle.Sparse_oracle in
-  let module Pool = Cr_util.Domain_pool in
   let queries_arg =
     Arg.(value & opt int 20000 & info [ "queries" ] ~docv:"Q" ~doc:"Oracle queries in the closed-loop run.")
   in
-  let dist_conv =
-    Arg.conv
-      ( (fun s -> Result.map_error (fun m -> `Msg m) (Workload.dist_of_string s)),
-        fun fmt d -> Format.pp_print_string fmt (Workload.dist_to_string d) )
-  in
-  let dist_arg =
-    Arg.(value & opt dist_conv (Workload.Zipf 1.1)
-         & info [ "dist" ] ~docv:"D" ~doc:"Query distribution: uniform, zipf (exponent 1.1) or zipf:S.")
-  in
-  let domains_arg =
-    Arg.(value & opt int (Pool.default_domains ())
-         & info [ "domains" ] ~docv:"N" ~doc:"Worker-domain pool width (default min(8, recommended)).")
-  in
-  let cache_arg =
-    Arg.(value & opt int 0 & info [ "cache" ] ~docv:"C" ~doc:"Answer cache capacity in entries, per lane (lane mode) or total (shared mode); 0 disables.")
-  in
-  let cache_mode_arg =
-    Arg.(value & opt string "lane"
-         & info [ "cache-mode" ] ~docv:"M"
-             ~doc:"Cache structure: lane, shared or off. Shared mode keys oracle answers by canonical (min,max) pair, so both directions hit one entry.")
-  in
-  let guards_arg =
-    Arg.(value & opt string "off"
-         & info [ "guards" ] ~docv:"G" ~doc:"Guard preset: off, serving or strict.")
-  in
-  let chaos_arg =
-    Arg.(value & opt string "none"
-         & info [ "chaos" ] ~docv:"C" ~doc:"Chaos preset: none, crash, stall, flaky or storm.")
-  in
-  let budget_arg =
-    Arg.(value & opt float 0.25
-         & info [ "budget" ] ~docv:"S" ~doc:"Batch deadline budget in seconds for the strict guard preset.")
-  in
-  let chaos_seed_arg =
-    Arg.(value & opt int 42
-         & info [ "chaos-seed" ] ~docv:"SEED" ~doc:"Seed of the deterministic fault plans.")
+  let serving =
+    serving_term ~guards:"off" ~domains:"Worker-domain pool width (default min(8, recommended))."
+      ~cache:"Answer cache capacity in entries, per lane (lane mode) or total (shared mode); 0 disables."
+      ~cache_mode:"Cache structure: lane, shared or off. Shared mode keys oracle answers by canonical (min,max) pair, so both directions hit one entry."
+      ~dist:true ()
   in
   let json_arg =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"Write the per-oracle JSON lines to FILE instead of stdout.")
   in
-  let run seed k workload graph_file aspect queries dist domains cache cache_mode guards
-      chaos budget chaos_seed json =
-    if domains < 1 then (
-      Printf.eprintf "crt: --domains must be >= 1\n";
-      exit 1);
-    if cache < 0 then (
-      Printf.eprintf "crt: --cache must be >= 0\n";
-      exit 1);
-    let cache_mode =
-      match Cr_engine.Engine.cache_mode_of_string cache_mode with
-      | Ok m -> m
-      | Error msg ->
-          Printf.eprintf "crt: --cache-mode: %s\n" msg;
-          exit 2
-    in
-    if cache_mode = Cr_engine.Engine.Shared && cache = 0 then (
-      Printf.eprintf "crt: --cache-mode shared needs --cache > 0\n";
-      exit 2);
-    let policy =
-      match Cr_guard.Policy.preset_of_string ~batch_budget_s:budget guards with
-      | Ok p -> p
-      | Error msg ->
-          Printf.eprintf "crt: %s\n" msg;
-          exit 2
-    in
-    let chaos =
-      match Cr_guard.Chaos.preset_of_string ~seed:chaos_seed chaos with
-      | Ok c -> c
-      | Error msg ->
-          Printf.eprintf "crt: %s\n" msg;
-          exit 2
-    in
+  let run seed k workload graph_file aspect queries
+      { guards; policy; chaos; domains; cache; cache_mode; dist; _ } json =
     install_signal_handlers ();
     let g = load_graph ~seed ~graph_file ~workload ~aspect in
     let apsp = Apsp.compute_parallel g in
@@ -694,7 +658,7 @@ let oracle_cmd =
        so the row reports quality and size, not serving throughput *)
     let so = So.build ~seed apsp in
     let spairs = sample_pairs_exn ~seed:(seed + 1) apsp ~count:(min queries 2000) in
-    let sp_t0 = Unix.gettimeofday () in
+    let sp_t0 = !Cr_obs.Clock.now () in
     let sp_ok = ref 0 in
     let sp_sum = ref 0.0 in
     let sp_max = ref 0.0 in
@@ -717,7 +681,7 @@ let oracle_cmd =
               sp_sum := !sp_sum +. s;
               if s > !sp_max then sp_max := s))
       spairs;
-    let sp_wall = Unix.gettimeofday () -. sp_t0 in
+    let sp_wall = !Cr_obs.Clock.now () -. sp_t0 in
     let sp_n = Array.length spairs in
     let sp_mean = if !sp_ok = 0 then 0.0 else !sp_sum /. float_of_int !sp_ok in
     let table =
@@ -726,8 +690,7 @@ let oracle_cmd =
           (Printf.sprintf
              "%s, %d queries (%s), k=%d, domains=%d, cache=%d (%s), guards=%s, chaos=%s"
              wl_label queries (Workload.dist_to_string dist) k domains cache
-             (Cr_engine.Engine.cache_mode_to_string cache_mode) guards
-             (Cr_guard.Chaos.label chaos))
+             (Engine.cache_mode_to_string cache_mode) guards (Cr_guard.Chaos.label chaos))
         [
           ("oracle", T.Left); ("bound", T.Right); ("queries/s", T.Right); ("p95 us", T.Right);
           ("hit rate", T.Right); ("ok", T.Right); ("stretch mean", T.Right); ("max", T.Right);
@@ -784,40 +747,24 @@ let oracle_cmd =
        ~doc:"Serve distance/path oracle queries through the guarded batch engine and referee the reported walks.")
     Term.(
       const run $ seed_arg $ k_arg $ workload_arg $ graph_file_arg $ aspect_arg $ queries_arg
-      $ dist_arg $ domains_arg $ cache_arg $ cache_mode_arg $ guards_arg $ chaos_arg
-      $ budget_arg $ chaos_seed_arg $ json_arg)
+      $ serving $ json_arg)
 
 (* ---------- chaos ---------- *)
 
 let chaos_cmd =
-  let module Workload = Cr_engine.Workload in
   let module Sweep = Cr_engine.Chaos_sweep in
-  let module Pool = Cr_util.Domain_pool in
   let queries_arg =
     Arg.(value & opt int 4000 & info [ "queries" ] ~docv:"Q" ~doc:"Queries per grid cell.")
   in
-  let domains_arg =
-    Arg.(value & opt int (Pool.default_domains ())
-         & info [ "domains" ] ~docv:"N" ~doc:"Worker-domain pool width per cell.")
-  in
-  let cache_arg =
-    Arg.(value & opt int 0 & info [ "cache" ] ~docv:"C" ~doc:"Per-lane LRU route-plan cache capacity in entries (0 disables).")
-  in
-  let budget_arg =
-    Arg.(value & opt float 0.25
-         & info [ "budget" ] ~docv:"S" ~doc:"Batch deadline budget in seconds for the strict guard preset.")
-  in
-  let chaos_seed_arg =
-    Arg.(value & opt int 42
-         & info [ "chaos-seed" ] ~docv:"SEED" ~doc:"Seed of the deterministic fault plans.")
+  let serving =
+    serving_term ~domains:"Worker-domain pool width per cell."
+      ~cache:"Per-lane LRU route-plan cache capacity in entries (0 disables)." ()
   in
   let json_arg =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"Write the per-cell JSON lines to FILE instead of stdout.")
   in
-  let run seed k workload graph_file aspect scheme queries domains cache budget chaos_seed json =
-    if domains < 1 then (
-      Printf.eprintf "crt: --domains must be >= 1\n";
-      exit 1);
+  let run seed k workload graph_file aspect scheme queries { domains; cache; budget; chaos_seed; _ }
+      json =
     install_signal_handlers ();
     let g = load_graph ~seed ~graph_file ~workload ~aspect in
     let apsp = Apsp.compute_parallel g in
@@ -880,28 +827,16 @@ let chaos_cmd =
        ~doc:"Chaos grid: sweep chaos presets against guard presets and tally the verdicts.")
     Term.(
       const run $ seed_arg $ k_arg $ workload_arg $ graph_file_arg $ aspect_arg $ scheme_arg
-      $ queries_arg $ domains_arg $ cache_arg $ budget_arg $ chaos_seed_arg $ json_arg)
+      $ queries_arg $ serving $ json_arg)
 
 (* ---------- daemon ---------- *)
 
 let daemon_cmd =
   let module Daemon = Cr_daemon.Daemon in
-  let module Pool = Cr_util.Domain_pool in
-  let guards_arg =
-    Arg.(value & opt string "serving"
-         & info [ "guards" ] ~docv:"G" ~doc:"Guard preset: off, serving or strict.")
-  in
-  let chaos_arg =
-    Arg.(value & opt string "none"
-         & info [ "chaos" ] ~docv:"C" ~doc:"Chaos preset: none, crash, stall, flaky or storm.")
-  in
-  let budget_arg =
-    Arg.(value & opt float 0.25
-         & info [ "budget" ] ~docv:"S" ~doc:"Batch deadline budget in seconds for the strict guard preset.")
-  in
-  let chaos_seed_arg =
-    Arg.(value & opt int 42
-         & info [ "chaos-seed" ] ~docv:"SEED" ~doc:"Seed of the deterministic fault plans.")
+  let serving =
+    serving_term ~guards:"serving"
+      ~cache:"Shared answer-cache capacity in entries (0 disables). Generation-aged by epoch id: every repair invalidates in O(1), so answers never cross epochs."
+      ()
   in
   let staleness_arg =
     Arg.(value & opt int 32
@@ -946,11 +881,6 @@ let daemon_cmd =
          & info [ "crashpoint" ] ~docv:"SITE[:N]"
              ~doc:"Fault injection: SIGKILL self at the Nth hit (default 1st) of SITE — pre-flush, post-flush-pre-ack or mid-snapshot. For crash-recovery testing.")
   in
-  let cache_arg =
-    Arg.(value & opt int 0
-         & info [ "cache" ] ~docv:"C"
-             ~doc:"Shared answer-cache capacity in entries (0 disables). Generation-aged by epoch id: every repair invalidates in O(1), so answers never cross epochs.")
-  in
   let listen_arg =
     Arg.(value & opt (some string) None
          & info [ "listen" ] ~docv:"ADDR"
@@ -981,28 +911,11 @@ let daemon_cmd =
          & info [ "drain" ] ~docv:"S"
              ~doc:"Drain deadline for --listen: how long SIGTERM waits for in-flight responses before force-closing stragglers.")
   in
-  let run seed k workload graph_file aspect guards chaos budget chaos_seed staleness journal
-      replay events fsync snapshots snapshot_every recover crashpoint cache listen netchaos
-      max_conns max_line idle_timeout drain =
+  let run seed k workload graph_file aspect { guards; policy; chaos; chaos_seed; cache; _ }
+      staleness journal replay events fsync snapshots snapshot_every recover crashpoint listen
+      netchaos max_conns max_line idle_timeout drain =
     if listen = None then install_signal_handlers ();
-    if cache < 0 then (
-      Printf.eprintf "crt: --cache must be >= 0\n";
-      exit 1);
-    at_exit Pool.shutdown_shared;
-    let policy =
-      match Cr_guard.Policy.preset_of_string ~batch_budget_s:budget guards with
-      | Ok p -> p
-      | Error msg ->
-          Printf.eprintf "crt: %s\n" msg;
-          exit 2
-    in
-    let chaos =
-      match Cr_guard.Chaos.preset_of_string ~seed:chaos_seed chaos with
-      | Ok c -> c
-      | Error msg ->
-          Printf.eprintf "crt: %s\n" msg;
-          exit 2
-    in
+    at_exit Cr_util.Domain_pool.shutdown_shared;
     let fsync =
       match Cr_daemon.Journal.fsync_of_string fsync with
       | Ok f -> f
@@ -1153,11 +1066,10 @@ let daemon_cmd =
     (Cmd.info "daemon"
        ~doc:"Persistent route daemon: stream route/dist queries and live mutations over stdin/stdout or, with --listen, a fault-tolerant multi-client socket; repair is incremental and never blocks serving, the journal is checksummed and crash-recoverable.")
     Term.(
-      const run $ seed_arg $ k_arg $ workload_arg $ graph_file_arg $ aspect_arg $ guards_arg
-      $ chaos_arg $ budget_arg $ chaos_seed_arg $ staleness_arg $ journal_arg $ replay_arg
-      $ events_arg $ fsync_arg $ snapshots_arg $ snapshot_every_arg $ recover_arg
-      $ crashpoint_arg $ cache_arg $ listen_arg $ netchaos_arg $ max_conns_arg $ max_line_arg
-      $ idle_timeout_arg $ drain_arg)
+      const run $ seed_arg $ k_arg $ workload_arg $ graph_file_arg $ aspect_arg $ serving
+      $ staleness_arg $ journal_arg $ replay_arg $ events_arg $ fsync_arg $ snapshots_arg
+      $ snapshot_every_arg $ recover_arg $ crashpoint_arg $ listen_arg $ netchaos_arg
+      $ max_conns_arg $ max_line_arg $ idle_timeout_arg $ drain_arg)
 
 (* ---------- trace ---------- *)
 

@@ -3,6 +3,7 @@ module Gio = Cr_graph.Gio
 module Apsp = Cr_graph.Apsp
 module Dijkstra = Cr_graph.Dijkstra
 module Guard = Cr_guard
+module Clock = Cr_obs.Clock
 module Jsonl = Cr_util.Jsonl
 module Stats = Cr_util.Stats
 module Counters = Cr_obs.Counters
@@ -70,10 +71,10 @@ type t = {
   mutable stop : bool;
   mutable quit : bool;
   mutable worker : unit Domain.t option;
-  breaker : Guard.Breaker.t option;
+  guard : Guard.Chain.t;  (* the query thread's guard chain *)
+  no_batch : Guard.Deadline.t;  (* unbounded: a daemon serves no batches *)
   mutable lineno : int;
-  mutable qindex : int;
-  mutable est_cost_s : float;  (* EWMA per-query cost, for shed feasibility *)
+  mutable qindex : int;  (* admitted queries: the chaos plan's index *)
   mutable repair_s : float list;  (* per-batch repair wall times *)
   mutable stale_stretch : float list;  (* sampled live-graph stretch of answers *)
   mutable journal : Journal.writer option;
@@ -92,8 +93,6 @@ type t = {
   acache : answer Ttcache.t option;
   pcache : Cr_oracle.Path_oracle.answer option Ttcache.t option;
 }
-
-let est_alpha = 0.2
 
 (* ---- background repair ---------------------------------------------- *)
 
@@ -201,12 +200,12 @@ let worker_loop t =
       t.repairing <- true;
       Mutex.unlock t.lock;
       let outcome =
-        let t0 = !Guard.Clock.now () in
+        let t0 = !Clock.now () in
         match
           (match t.cfg.repair_hook with Some hook -> hook () | None -> ());
           repair_batch t base batch
         with
-        | result -> Ok (result, !Guard.Clock.now () -. t0)
+        | result -> Ok (result, !Clock.now () -. t0)
         | exception exn -> Error (Printexc.to_string exn)
       in
       match outcome with
@@ -251,7 +250,7 @@ let worker_loop t =
             Counters.set t.counters "daemon.backlog" (Queue.length t.pending);
             restart_event t ~restart:failures ~delay_s ~error:msg;
             Mutex.unlock t.lock;
-            if delay_s > 0.0 then !Guard.Clock.sleep delay_s;
+            if delay_s > 0.0 then !Clock.sleep delay_s;
             loop ~failures
           end
     end
@@ -322,7 +321,7 @@ let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(stalen
   if snapshot_dir <> None && journal = None then
     invalid_arg "Daemon.create: snapshots need a journal (the checkpoint records its offset)";
   let counters = match counters with Some c -> c | None -> Counters.create () in
-  let t0 = !Guard.Clock.now () in
+  let t0 = !Clock.now () in
   let live, seq, recovered =
     if recover then
       let live, seq, rec_ = recover_state ~base:graph ~journal_path:journal ~snapshot_dir in
@@ -334,7 +333,7 @@ let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(stalen
   let recovered =
     (* recovery time includes the epoch rebuild: it is the full
        gap from process start to a serving daemon *)
-    Option.map (fun r -> { r with recovery_s = !Guard.Clock.now () -. t0 }) recovered
+    Option.map (fun r -> { r with recovery_s = !Clock.now () -. t0 }) recovered
   in
   let journal =
     Option.map (fun path -> Journal.create ~fsync ~append:recover ~seq path) journal
@@ -356,10 +355,10 @@ let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(stalen
       stop = false;
       quit = false;
       worker = None;
-      breaker = Option.map Guard.Breaker.create policy.Guard.Policy.breaker;
+      guard = Guard.Chain.create policy;
+      no_batch = Guard.Deadline.start ();
       lineno = 0;
       qindex = 0;
-      est_cost_s = 0.0;
       repair_s = [];
       stale_stretch = [];
       journal;
@@ -556,50 +555,17 @@ let sample_staleness t ~u ~v ~(ans : answer) =
     end
   end
 
-let admit t ~backlog =
-  let policy = t.cfg.policy in
-  if
-    match policy.Guard.Policy.shed with
-    | None -> false
-    | Some cfg -> Guard.Shed.decide cfg ~queued:backlog ~remaining_s:infinity ~est_cost_s:t.est_cost_s
-  then Error Guard.Rejection.Shed
-  else if match t.breaker with Some br -> not (Guard.Breaker.allow br) | None -> false then
-    Error Guard.Rejection.Breaker_open
-  else Ok ()
-
-let run_query t f =
-  (* one guarded execution: chaos stall, injected transient failures
-     under bounded retry, and the per-query deadline *)
-  let q = t.qindex in
-  t.qindex <- t.qindex + 1;
-  let chaos = t.cfg.chaos in
-  let policy = t.cfg.policy in
-  let t0 = !Guard.Clock.now () in
-  let stall = Guard.Chaos.query_stall_s chaos ~q in
-  if stall > 0.0 then begin
-    Counters.incr t.counters "daemon.chaos.stalls";
-    !Guard.Clock.sleep stall
-  end;
-  let injected = Guard.Chaos.query_fails chaos ~q in
-  let qdl = Guard.Deadline.start ?budget_s:policy.Guard.Policy.query_budget_s () in
-  let attempts = ref 0 in
-  let r =
-    Guard.Retry.run policy.Guard.Policy.retry ~key:q (fun ~attempt ->
-        incr attempts;
-        if attempt <= injected then Error Guard.Rejection.Worker_lost else Ok (f ()))
-  in
-  Counters.add t.counters "daemon.retries" (!attempts - 1);
-  let r =
-    match r with
-    | Ok _ when Guard.Deadline.expired qdl -> Error Guard.Rejection.Timed_out
-    | r -> r
-  in
-  (match t.breaker with Some br -> Guard.Breaker.record br ~ok:(Result.is_ok r) | None -> ());
-  let cost = !Guard.Clock.now () -. t0 in
-  t.est_cost_s <-
-    (if t.est_cost_s = 0.0 then cost
-     else ((1.0 -. est_alpha) *. t.est_cost_s) +. (est_alpha *. cost));
-  r
+(* The guard chain of §8 as admission control: shed on the repair
+   backlog, breaker, then chaos, retry and the per-query deadline.
+   Chaos is keyed by the index of admitted queries, so a seeded session
+   replays unchanged. *)
+let guarded t ~backlog f =
+  match Guard.Chain.admit t.guard ~batch:t.no_batch ~queued:backlog with
+  | Some rejection -> Error rejection
+  | None ->
+      let q = t.qindex in
+      t.qindex <- q + 1;
+      Guard.Chain.run t.guard t.cfg.chaos ~batch:t.no_batch ~q f
 
 let snapshot t =
   Mutex.lock t.lock;
@@ -645,67 +611,46 @@ let cached_path t ep u v =
             { ans with Cr_oracle.Path_oracle.walk = List.rev ans.Cr_oracle.Path_oracle.walk })
           a
 
-let handle_query t kind u v =
+(* The frame every query command shares: count it, snapshot the
+   serving epoch, range-check the endpoints, compute the answer through
+   the guard chain and render it — or the rejection, in the vocabulary
+   of the batch engine. *)
+let answer_query t name u v compute render =
   Counters.incr t.counters "daemon.queries";
   let ep, bl = snapshot t in
   let n = Graph.n ep.graph in
-  let name = match kind with `Route -> "route" | `Dist -> "dist" in
   if u < 0 || u >= n || v < 0 || v >= n then
     Printf.sprintf "err %s %d %d: node out of range [0, %d)" name u v n
-  else begin
-    let verdict =
-      match admit t ~backlog:bl with
-      | Error r -> Error r
-      | Ok () -> run_query t (fun () -> cached_measure t ep u v)
-    in
-    match verdict with
+  else
+    match guarded t ~backlog:bl (fun () -> compute t ep u v) with
     | Error rej ->
         Counters.incr t.counters (Guard.Rejection.counter rej);
         Printf.sprintf "err %s %d %d rejected=%s epoch=%d" name u v
           (Guard.Rejection.to_string rej) ep.id
-    | Ok ans -> (
-        match kind with
-        | `Route ->
-            Counters.incr t.counters "daemon.routes";
-            if t.cfg.staleness_every > 0 && t.qindex mod t.cfg.staleness_every = 0 then
-              sample_staleness t ~u ~v ~ans;
-            Printf.sprintf "ok route %d %d delivered=%b hops=%d cost=%.6g stretch=%.6g epoch=%d"
-              u v ans.delivered ans.hops ans.cost ans.stretch ep.id
-        | `Dist ->
-            Counters.incr t.counters "daemon.dists";
-            Printf.sprintf "ok dist %d %d %.17g epoch=%d" u v ans.dist ep.id)
-  end
+    | Ok a -> render t ep u v a
 
-let handle_path t u v =
-  Counters.incr t.counters "daemon.queries";
-  let ep, bl = snapshot t in
-  let n = Graph.n ep.graph in
-  if u < 0 || u >= n || v < 0 || v >= n then
-    Printf.sprintf "err path %d %d: node out of range [0, %d)" u v n
-  else begin
-    let verdict =
-      match admit t ~backlog:bl with
-      | Error r -> Error r
-      | Ok () -> run_query t (fun () -> cached_path t ep u v)
-    in
-    match verdict with
-    | Error rej ->
-        Counters.incr t.counters (Guard.Rejection.counter rej);
-        Printf.sprintf "err path %d %d rejected=%s epoch=%d" u v
-          (Guard.Rejection.to_string rej) ep.id
-    | Ok None ->
-        Counters.incr t.counters "daemon.paths";
-        Printf.sprintf "ok path %d %d unreachable epoch=%d" u v ep.id
-    | Ok (Some a) ->
-        Counters.incr t.counters "daemon.paths";
-        let walk =
-          String.concat "-" (List.map string_of_int a.Cr_oracle.Path_oracle.walk)
-        in
-        Printf.sprintf "ok path %d %d est=%.17g hops=%d via=%d walk=%s epoch=%d" u v
-          a.Cr_oracle.Path_oracle.est
-          (List.length a.Cr_oracle.Path_oracle.walk - 1)
-          a.Cr_oracle.Path_oracle.via walk ep.id
-  end
+let render_route t ep u v ans =
+  Counters.incr t.counters "daemon.routes";
+  if t.cfg.staleness_every > 0 && t.qindex mod t.cfg.staleness_every = 0 then
+    sample_staleness t ~u ~v ~ans;
+  Printf.sprintf "ok route %d %d delivered=%b hops=%d cost=%.6g stretch=%.6g epoch=%d" u v
+    ans.delivered ans.hops ans.cost ans.stretch ep.id
+
+let render_dist t ep u v ans =
+  Counters.incr t.counters "daemon.dists";
+  Printf.sprintf "ok dist %d %d %.17g epoch=%d" u v ans.dist ep.id
+
+let render_path t ep u v = function
+  | None ->
+      Counters.incr t.counters "daemon.paths";
+      Printf.sprintf "ok path %d %d unreachable epoch=%d" u v ep.id
+  | Some a ->
+      Counters.incr t.counters "daemon.paths";
+      let walk = String.concat "-" (List.map string_of_int a.Cr_oracle.Path_oracle.walk) in
+      Printf.sprintf "ok path %d %d est=%.17g hops=%d via=%d walk=%s epoch=%d" u v
+        a.Cr_oracle.Path_oracle.est
+        (List.length a.Cr_oracle.Path_oracle.walk - 1)
+        a.Cr_oracle.Path_oracle.via walk ep.id
 
 (* ---- mutation path ---------------------------------------------------- *)
 
@@ -723,7 +668,7 @@ let take_snapshot t ~dir ~writer =
   match Snapshot.write ~dir snap with
   | _path ->
       t.snapshots <- t.snapshots + 1;
-      t.last_snapshot <- Some (snap.Gio.epoch, !Guard.Clock.now ());
+      t.last_snapshot <- Some (snap.Gio.epoch, !Clock.now ());
       Counters.incr t.counters "daemon.snapshots"
   | exception (Sys_error _ | Unix.Unix_error (_, _, _)) ->
       (* a failed checkpoint must not kill serving; the previous
@@ -831,7 +776,7 @@ let stats_json t =
       ("shed", Jsonl.int (c "guard.sheds"));
       ("breaker_open", Jsonl.int (c "guard.breaker_opens"));
       ("worker_lost", Jsonl.int (c "guard.worker_lost"));
-      ("retries", Jsonl.int (c "daemon.retries"));
+      ("retries", Jsonl.int (Guard.Chain.retries t.guard));
       ("stale_samples", Jsonl.int (c "daemon.stale.samples"));
       ("stale_broken", Jsonl.int (c "daemon.stale.broken"));
       ("stale_stretch_p50", Jsonl.float sp50);
@@ -853,7 +798,7 @@ let stats_json t =
         match t.last_snapshot with Some (e, _) -> Jsonl.int e | None -> "null" );
       ( "last_snapshot_age_s",
         match t.last_snapshot with
-        | Some (_, at) -> Jsonl.float (!Guard.Clock.now () -. at)
+        | Some (_, at) -> Jsonl.float (!Clock.now () -. at)
         | None -> "null" );
       ("repair_restarts", Jsonl.int (c "daemon.repair.restarts"));
       ("recovered", Jsonl.bool (t.recovered <> None));
@@ -884,9 +829,9 @@ let handle_line t ~lineno line =
       ([ "err " ^ msg ], false)
   | Ok (Some cmd) -> (
       match cmd with
-      | Protocol.Route (u, v) -> ([ handle_query t `Route u v ], false)
-      | Protocol.Dist (u, v) -> ([ handle_query t `Dist u v ], false)
-      | Protocol.Path (u, v) -> ([ handle_path t u v ], false)
+      | Protocol.Route (u, v) -> ([ answer_query t "route" u v cached_measure render_route ], false)
+      | Protocol.Dist (u, v) -> ([ answer_query t "dist" u v cached_measure render_dist ], false)
+      | Protocol.Path (u, v) -> ([ answer_query t "path" u v cached_path render_path ], false)
       | Protocol.Mutate mu -> ([ accept_mutation t mu ], false)
       | Protocol.Sync -> ([ sync_response (sync t) ], false)
       | Protocol.Stats -> ([ "ok stats " ^ stats_json t ], false)

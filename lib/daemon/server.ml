@@ -1,6 +1,5 @@
 module Jsonl = Cr_util.Jsonl
 module Rng = Cr_util.Rng
-module Guard = Cr_guard
 
 (* One select-driven event loop, one daemon.  The daemon's dispatch
    ([Daemon.handle_line]) is single-caller by design — line counters,
@@ -164,7 +163,9 @@ type t = {
   mutable listen_open : bool;
 }
 
-let now () = Unix.gettimeofday ()
+(* idle, drain and netchaos deadlines run on the monotonic process
+   clock: a wall-clock step must not expire every idle connection *)
+let now () = !Cr_obs.Clock.now ()
 
 let tick_s = 0.02  (* select granularity: deadline/chaos timing resolution *)
 
@@ -400,13 +401,9 @@ let service_accept t =
       let cid = t.next_cid in
       t.next_cid <- cid + 1;
       let active = List.length t.conns in
-      (* admission control, Guard.Shed over connection depth: the
-         active set is the queue, the cap is the policy *)
-      let shed_cfg = Guard.Shed.make_config ~max_queue:(t.cfg.max_conns - 1) () in
-      if
-        t.draining
-        || Guard.Shed.decide shed_cfg ~queued:active ~remaining_s:infinity ~est_cost_s:0.0
-      then begin
+      (* admission control over connection depth: the active set is
+         the queue, the cap is the policy *)
+      if t.draining || active >= t.cfg.max_conns then begin
         t.stats.shed <- t.stats.shed + 1;
         best_effort_write fd
           (if t.draining then "err busy draining\n"

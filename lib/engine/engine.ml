@@ -20,17 +20,16 @@
      (pairs, lanes, capacity).  Under pool chaos a crashed lane's whole
      shard is requeued to a survivor, so the single-executor-per-batch
      property — and with it the result array — survives lane loss.
-   - Metrics (wall time, latency percentiles) are measured, not
-     simulated, and are the only nondeterministic outputs.
+   - Metrics (wall time, latency percentiles) are measured on the
+     process clock (Cr_obs.Clock), not simulated, and are the only
+     nondeterministic outputs.
 
-   Guarded serving (run_guarded / run_custom ~guarded:true): the same
-   sharded loop threaded through the Cr_guard stack.  Per query, in
-   order: batch deadline, shed admission, per-shard circuit breaker,
-   then execution under bounded retry with chaos-injected faults, and a
-   final per-query / batch deadline check.  Every refusal is a
-   structured Cr_guard.Rejection — nothing raises — and with Policy.off
-   and Chaos.none the guarded path performs exactly the unguarded
-   operations in the same order, so its results are bit-identical. *)
+   Every query passes the guard chain (Cr_guard.Chain) of its shard:
+   batch deadline, shed admission and circuit breaker, then execution
+   under chaos injection and bounded retry, and the query / batch
+   deadlines.  Every refusal is a structured Cr_guard.Rejection —
+   nothing raises — and with Policy.off and Chaos.none the chain only
+   runs the query, so the results are those of a sequential loop. *)
 
 module Pool = Cr_util.Domain_pool
 module Stats = Cr_util.Stats
@@ -38,8 +37,8 @@ module Ttcache = Cr_util.Ttcache
 module Graph = Cr_graph.Graph
 module Apsp = Cr_graph.Apsp
 module Sim = Compact_routing.Simulator
-module Scheme = Compact_routing.Scheme
 module Guard = Cr_guard
+module Clock = Cr_obs.Clock
 
 (* Where memoized results live: nowhere, in one LRU per shard (single
    executor per batch, no locking), or in one lock-free table shared by
@@ -62,8 +61,7 @@ type 'r t = {
   caches : 'r Lru.t array; (* one per shard; [||] unless mode = Lane *)
   shared : 'r Ttcache.t option; (* one per engine; [None] unless mode = Shared *)
   policy : Guard.Policy.t;
-  breakers : Guard.Breaker.t array; (* one per shard; [||] when disabled *)
-  est_cost : float array; (* per-shard EWMA query cost, 0.0 = unknown *)
+  guards : Guard.Chain.t array; (* one per shard: breaker, cost estimate, tallies *)
   counters : Cr_obs.Counters.t option;
   mutable served : int;
   mutable busy_s : float;
@@ -93,19 +91,6 @@ type guard_stats = {
   stalls : int;
 }
 
-let no_guard_stats =
-  {
-    ok = 0;
-    timed_out = 0;
-    shed = 0;
-    breaker_open = 0;
-    worker_lost = 0;
-    retries = 0;
-    requeues = 0;
-    lost_lanes = 0;
-    stalls = 0;
-  }
-
 let create ?(cache = 0) ?cache_mode ?salt ?(policy = Guard.Policy.off) ?counters ?pool () =
   if cache < 0 then invalid_arg "Engine.create: negative cache capacity";
   let mode =
@@ -123,11 +108,6 @@ let create ?(cache = 0) ?cache_mode ?salt ?(policy = Guard.Policy.off) ?counters
   let shared =
     if mode <> Shared then None else Some (Ttcache.create ?salt ~capacity:cache ())
   in
-  let breakers =
-    match policy.Guard.Policy.breaker with
-    | None -> [||]
-    | Some cfg -> Array.init lanes (fun _ -> Guard.Breaker.create cfg)
-  in
   {
     pool;
     cache_capacity = (if mode = Off then 0 else cache);
@@ -135,8 +115,7 @@ let create ?(cache = 0) ?cache_mode ?salt ?(policy = Guard.Policy.off) ?counters
     caches;
     shared;
     policy;
-    breakers;
-    est_cost = Array.make lanes 0.0;
+    guards = Array.init lanes (fun _ -> Guard.Chain.create policy);
     counters;
     served = 0;
     busy_s = 0.0;
@@ -153,8 +132,7 @@ let policy t = t.policy
 let served t = t.served
 let busy_seconds t = t.busy_s
 
-let breaker_state t ~shard =
-  if Array.length t.breakers = 0 then None else Some (Guard.Breaker.state t.breakers.(shard))
+let breaker_state t ~shard = Guard.Chain.breaker_state t.guards.(shard)
 
 let cache_stats t =
   let h, m =
@@ -168,19 +146,15 @@ let cache_stats t =
 
 let slice ~lanes ~nq lane = (lane * nq / lanes, (lane + 1) * nq / lanes)
 
-(* EWMA weight for the per-shard cost estimate *)
-let est_alpha = 0.2
+let id_canon s d = (s, d)
+let id_orient ~src:_ ~dst:_ r = r
 
 (* The single batch core, generic in the result type.  [n] is the node
    count (cache keys are (s * n) + d); [measure] computes one query from
    immutable tables; [delivered] classifies a result for the
    engine.delivered counter; [placeholder] seeds the result array
    (every slot is overwritten — the pool guarantees exactly-once
-   execution even under lane crashes).  [guarded = false] is the plain
-   engine: no deadline/shed/breaker/retry branches are even consulted,
-   preserving the original hot loop exactly.  [guarded = true] wraps
-   each query in the guard chain; with Policy.off and Chaos.none every
-   branch is a no-op and the measure/cache operations are identical.
+   execution even under lane crashes).
 
    [canon]/[orient] factor a query through a canonical representative:
    every query — hit, miss, or cache off — computes
@@ -189,19 +163,18 @@ let est_alpha = 0.2
    while the result stays a pure function of the original (src, dst) in
    every cache mode.  The defaults are the identity, preserving the
    directional routing surface exactly. *)
-let run_core (type r) (t : r t) ~guarded ~chaos ~n ~(placeholder : r) ~delivered ~canon
-    ~orient ~measure pairs =
+let run_custom (type r) ?(chaos = Guard.Chaos.none) ?(delivered = fun _ -> true)
+    ?(canon = id_canon) ?(orient = id_orient) (t : r t) ~n ~(placeholder : r) ~measure pairs =
   let nq = Array.length pairs in
   let lanes = Pool.domains t.pool in
   let out = Array.make (max nq 1) (Ok placeholder) in
   let lat = Array.make (max nq 1) 0.0 in
-  let retries_total = Atomic.make 0 in
-  let qstalls_total = Atomic.make 0 in
+  let tally f = Array.fold_left (fun acc g -> acc + f g) 0 t.guards in
+  let retries0 = tally Guard.Chain.retries and stalls0 = tally Guard.Chain.stalls in
   let hits0, misses0 = cache_stats t in
   let shared0 = shared_stats t in
-  let policy = t.policy in
-  let batch_dl = Guard.Deadline.start ?budget_s:policy.Guard.Policy.batch_budget_s () in
-  let t0 = Unix.gettimeofday () in
+  let batch = Guard.Deadline.start ?budget_s:t.policy.Guard.Policy.batch_budget_s () in
+  let t0 = !Clock.now () in
   let pool_stats =
     if nq = 0 then Pool.no_stats
     else
@@ -209,9 +182,7 @@ let run_core (type r) (t : r t) ~guarded ~chaos ~n ~(placeholder : r) ~delivered
         (fun shard ->
           let lo, hi = slice ~lanes ~nq shard in
           let cache = if Array.length t.caches = 0 then None else Some t.caches.(shard) in
-          let breaker =
-            if Array.length t.breakers = 0 then None else Some t.breakers.(shard)
-          in
+          let guard = t.guards.(shard) in
           let lookup s d =
             match (cache, t.shared) with
             | None, None -> measure s d
@@ -240,66 +211,15 @@ let run_core (type r) (t : r t) ~guarded ~chaos ~n ~(placeholder : r) ~delivered
           in
           for q = lo to hi - 1 do
             let s, d = pairs.(q) in
-            let q0 = Unix.gettimeofday () in
-            if not guarded then out.(q) <- Ok (measure s d)
-            else begin
-              let verdict =
-                if Guard.Deadline.expired batch_dl then Error Guard.Rejection.Timed_out
-                else if
-                  match policy.Guard.Policy.shed with
-                  | None -> false
-                  | Some cfg ->
-                      Guard.Shed.decide cfg ~queued:(hi - 1 - q)
-                        ~remaining_s:(Guard.Deadline.remaining batch_dl)
-                        ~est_cost_s:t.est_cost.(shard)
-                then Error Guard.Rejection.Shed
-                else if
-                  match breaker with Some br -> not (Guard.Breaker.allow br) | None -> false
-                then Error Guard.Rejection.Breaker_open
-                else begin
-                  (* admitted: execute under chaos + bounded retry *)
-                  let stall = Guard.Chaos.query_stall_s chaos ~q in
-                  if stall > 0.0 then begin
-                    Atomic.incr qstalls_total;
-                    !Guard.Clock.sleep stall
-                  end;
-                  let injected = Guard.Chaos.query_fails chaos ~q in
-                  let qdl =
-                    Guard.Deadline.start ?budget_s:policy.Guard.Policy.query_budget_s ()
-                  in
-                  let attempts = ref 0 in
-                  let r =
-                    Guard.Retry.run policy.Guard.Policy.retry ~key:q (fun ~attempt ->
-                        incr attempts;
-                        if attempt <= injected then Error Guard.Rejection.Worker_lost
-                        else Ok (measure s d))
-                  in
-                  ignore (Atomic.fetch_and_add retries_total (!attempts - 1));
-                  let r =
-                    (* a computed answer that overran its budget is
-                       still a timeout to the caller *)
-                    match r with
-                    | Ok _
-                      when Guard.Deadline.expired qdl || Guard.Deadline.expired batch_dl ->
-                        Error Guard.Rejection.Timed_out
-                    | r -> r
-                  in
-                  (match breaker with
-                  | Some br -> Guard.Breaker.record br ~ok:(Result.is_ok r)
-                  | None -> ());
-                  let cost = Unix.gettimeofday () -. q0 in
-                  t.est_cost.(shard) <-
-                    (if t.est_cost.(shard) = 0.0 then cost
-                     else ((1.0 -. est_alpha) *. t.est_cost.(shard)) +. (est_alpha *. cost));
-                  r
-                end
-              in
-              out.(q) <- verdict
-            end;
-            lat.(q) <- Unix.gettimeofday () -. q0
+            let q0 = !Clock.now () in
+            out.(q) <-
+              (match Guard.Chain.admit guard ~batch ~queued:(hi - 1 - q) with
+              | Some rejection -> Error rejection
+              | None -> Guard.Chain.run guard chaos ~batch ~q (fun () -> measure s d));
+            lat.(q) <- !Clock.now () -. q0
           done)
   in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = !Clock.now () -. t0 in
   let hits1, misses1 = cache_stats t in
   t.served <- t.served + nq;
   t.busy_s <- t.busy_s +. wall;
@@ -324,10 +244,10 @@ let run_core (type r) (t : r t) ~guarded ~chaos ~n ~(placeholder : r) ~delivered
       shed = !shed;
       breaker_open = !breaker_open;
       worker_lost = !worker_lost;
-      retries = Atomic.get retries_total;
+      retries = tally Guard.Chain.retries - retries0;
       requeues = pool_stats.Pool.requeued;
       lost_lanes = pool_stats.Pool.lost_lanes;
-      stalls = pool_stats.Pool.stalls + Atomic.get qstalls_total;
+      stalls = pool_stats.Pool.stalls + (tally Guard.Chain.stalls - stalls0);
     }
   in
   (match t.counters with
@@ -348,16 +268,14 @@ let run_core (type r) (t : r t) ~guarded ~chaos ~n ~(placeholder : r) ~delivered
           Cr_obs.Counters.add c "engine.shared_replaced"
             (s1.Ttcache.replaced - shared0.Ttcache.replaced);
           Cr_obs.Counters.add c "engine.shared_aged" (s1.Ttcache.aged - shared0.Ttcache.aged));
-      if guarded then begin
-        Cr_obs.Counters.add c "guard.timeouts" gstats.timed_out;
-        Cr_obs.Counters.add c "guard.sheds" gstats.shed;
-        Cr_obs.Counters.add c "guard.breaker_opens" gstats.breaker_open;
-        Cr_obs.Counters.add c "guard.worker_lost" gstats.worker_lost;
-        Cr_obs.Counters.add c "guard.retries" gstats.retries;
-        Cr_obs.Counters.add c "guard.requeues" gstats.requeues;
-        Cr_obs.Counters.add c "guard.lost_lanes" gstats.lost_lanes;
-        Cr_obs.Counters.add c "guard.stalls" gstats.stalls
-      end);
+      Cr_obs.Counters.add c "guard.timeouts" gstats.timed_out;
+      Cr_obs.Counters.add c "guard.sheds" gstats.shed;
+      Cr_obs.Counters.add c "guard.breaker_opens" gstats.breaker_open;
+      Cr_obs.Counters.add c "guard.worker_lost" gstats.worker_lost;
+      Cr_obs.Counters.add c "guard.retries" gstats.retries;
+      Cr_obs.Counters.add c "guard.requeues" gstats.requeues;
+      Cr_obs.Counters.add c "guard.lost_lanes" gstats.lost_lanes;
+      Cr_obs.Counters.add c "guard.stalls" gstats.stalls);
   let metrics =
     {
       queries = nq;
@@ -371,34 +289,12 @@ let run_core (type r) (t : r t) ~guarded ~chaos ~n ~(placeholder : r) ~delivered
   in
   ((if nq = 0 then [||] else Array.sub out 0 nq), metrics, gstats)
 
-let id_canon s d = (s, d)
-let id_orient ~src:_ ~dst:_ r = r
-
-let run_custom ?(guarded = false) ?(chaos = Guard.Chaos.none) ?(delivered = fun _ -> true)
-    ?(canon = id_canon) ?(orient = id_orient) t ~n ~placeholder ~measure pairs =
-  run_core t ~guarded ~chaos ~n ~placeholder ~delivered ~canon ~orient ~measure pairs
-
 let route_placeholder =
   { Sim.src = 0; dst = 0; delivered = false; cost = 0.0; hops = 0; stretch = infinity }
 
-let run_route_core t ~guarded ~chaos apsp scheme pairs =
-  let n = Graph.n (Apsp.graph apsp) in
-  run_core t ~guarded ~chaos ~n ~placeholder:route_placeholder
-    ~delivered:(fun m -> m.Sim.delivered)
-    ~canon:id_canon ~orient:id_orient
+let run_guarded ?chaos t apsp scheme pairs =
+  run_custom ?chaos ~delivered:(fun (m : Sim.measured) -> m.delivered) t
+    ~n:(Graph.n (Apsp.graph apsp))
+    ~placeholder:route_placeholder
     ~measure:(fun s d -> Sim.measure apsp scheme s d)
     pairs
-
-let run_batch t apsp scheme pairs =
-  let out, metrics, _ =
-    run_route_core t ~guarded:false ~chaos:Guard.Chaos.none apsp scheme pairs
-  in
-  ( Array.map (function Ok m -> m | Error _ -> assert false (* unguarded is total *)) out,
-    metrics )
-
-let run_guarded ?(chaos = Guard.Chaos.none) t apsp scheme pairs =
-  run_route_core t ~guarded:true ~chaos apsp scheme pairs
-
-let evaluate t apsp scheme pairs =
-  let results, metrics = run_batch t apsp scheme pairs in
-  (Sim.aggregate_of_measured results, metrics)

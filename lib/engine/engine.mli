@@ -3,15 +3,16 @@
     Turns per-pair evaluation into a served workload: a query batch
     [(src, dst) array] is sharded statically across the lanes of a
     spawn-once domain pool, each shard optionally consulting its own LRU
-    result cache, while the engine records throughput and per-query
-    latency.
+    result cache and passing every query through its own
+    {!Cr_guard.Chain}, while the engine records throughput and per-query
+    latency on {!Cr_obs.Clock}.
 
     The engine is polymorphic in the per-query result type ['r].  The
-    original routing surface ({!run_batch}, {!run_guarded}, {!evaluate})
-    serves [Compact_routing.Simulator.measured]; {!run_custom} serves
-    any other query type — the oracle layer ([Cr_oracle.Oserve]) uses it
-    to push distance/path queries through the identical caches, guards
-    and sharding.
+    routing surface ({!run_guarded}) serves
+    [Compact_routing.Simulator.measured]; {!run_custom} serves any other
+    query type — the oracle layer ([Cr_oracle.Oserve]) uses it to push
+    distance/path queries through the identical caches, guards and
+    sharding.
 
     {2 Determinism contract}
 
@@ -28,9 +29,9 @@
       property — and the result array — intact.
     - Only the measured {!metrics} (wall time, latency percentiles) are
       nondeterministic.
-    - {!run_guarded} under [Cr_guard.Policy.off] and
-      [Cr_guard.Chaos.none] performs exactly the unguarded operations in
-      the same order: its outcomes are [Ok] of the {!run_batch} results.
+    - Under [Cr_guard.Policy.off] and [Cr_guard.Chaos.none] the guard
+      chain only runs the query: every outcome is [Ok] of exactly what a
+      sequential loop computes ([Simulator.measure_all] for routes).
 
     Measure closures must be safe to call from several domains: every
     scheme and oracle in this repo answers from immutable preprocessed
@@ -85,8 +86,6 @@ type guard_stats = {
     worker_lost = queries], and each field reconciles exactly with the
     [guard.*] counters bumped on the engine's [Counters] sink. *)
 
-val no_guard_stats : guard_stats
-
 val create :
   ?cache:int ->
   ?cache_mode:cache_mode ->
@@ -105,12 +104,12 @@ val create :
     [salt] (e.g. {!Cr_graph.Graph.hash} of the served graph) perturbs
     the shared table's fingerprints so equal keys of different builds
     spread differently.  [policy]
-    configures the guard stack for {!run_guarded}/{!run_custom}; breaker
-    state and per-shard cost estimates persist across batches of the
-    same engine, like the caches.  With [counters], every batch bumps
-    the [engine.*] aggregates — and every guarded batch the [guard.*]
-    ones — once per batch from the coordinating thread, so the counts
-    are as deterministic as the results they summarize. *)
+    configures the per-shard guard chains; breaker state and cost
+    estimates persist across batches of the same engine, like the
+    caches.  With [counters], every batch bumps the [engine.*] and
+    [guard.*] aggregates once per batch from the coordinating thread,
+    so the counts are as deterministic as the results they
+    summarize. *)
 
 val pool : 'r t -> Cr_util.Domain_pool.t
 
@@ -128,7 +127,6 @@ val breaker_state : 'r t -> shard:int -> Cr_guard.Breaker.state option
 (** Current breaker state of one shard; [None] when breakers are off. *)
 
 val run_custom :
-  ?guarded:bool ->
   ?chaos:Cr_guard.Chaos.t ->
   ?delivered:('r -> bool) ->
   ?canon:(int -> int -> int * int) ->
@@ -142,8 +140,8 @@ val run_custom :
 (** The generic serving core: shard [pairs], answer each [(s, d)] with
     [orient ~src:s ~dst:d (measure (canon s d))] through the configured
     cache (keys [(cs * n) + cd] over the canonical pair, so [n] must
-    exceed every node id), under the guard chain when [guarded]
-    (default false — every outcome is then [Ok]).
+    exceed every node id), under the shard's guard chain with [chaos]
+    injected (default [Cr_guard.Chaos.none]).
 
     [canon]/[orient] (both default to the identity) let symmetric
     surfaces share one cache entry per unordered pair: the oracle layer
@@ -154,18 +152,11 @@ val run_custom :
 
     [placeholder] seeds the result array and is never returned;
     [delivered] classifies results for the [engine.delivered] counter
-    (default: everything).  Same determinism contract as
-    {!run_batch}. *)
-
-val run_batch :
-  Compact_routing.Simulator.measured t ->
-  Cr_graph.Apsp.t ->
-  Compact_routing.Scheme.t ->
-  (int * int) array ->
-  Compact_routing.Simulator.measured array * metrics
-(** Routes and measures every query, unguarded.
-    @raise Compact_routing.Simulator.Invalid_walk if the scheme emits a
-    malformed walk (re-raised in the caller whichever lane hit it). *)
+    (default: everything).  Always terminates with a total outcome
+    array — a wedged shard is cut off by deadlines, overload is shed,
+    lost workers surface as [Worker_lost] — and never raises for any
+    guard reason; an exception from [measure] is re-raised in the
+    caller whichever lane hit it. *)
 
 val run_guarded :
   ?chaos:Cr_guard.Chaos.t ->
@@ -174,24 +165,10 @@ val run_guarded :
   Compact_routing.Scheme.t ->
   (int * int) array ->
   outcome array * metrics * guard_stats
-(** The guarded serving path.  Per query, in order: batch-deadline
-    check, shed admission, per-shard circuit breaker, then execution
-    under bounded retry with [chaos]-injected faults, and a final
-    query/batch deadline check.  Always terminates with a total outcome
-    array — a wedged shard is cut off by deadlines, overload is shed,
-    lost workers surface as [Worker_lost] — and never raises for any
-    guard reason (scheme exceptions still propagate, as in
-    {!run_batch}). *)
-
-val evaluate :
-  Compact_routing.Simulator.measured t ->
-  Cr_graph.Apsp.t ->
-  Compact_routing.Scheme.t ->
-  (int * int) array ->
-  Compact_routing.Simulator.aggregate * metrics
-(** {!run_batch} folded through
-    {!Compact_routing.Simulator.aggregate_of_measured} — the aggregate
-    is identical to [Simulator.evaluate]'s. *)
+(** {!run_custom} over [Compact_routing.Simulator.measure]: routes and
+    measures every query.
+    @raise Compact_routing.Simulator.Invalid_walk if the scheme emits a
+    malformed walk. *)
 
 val served : 'r t -> int
 (** Lifetime query count across batches. *)

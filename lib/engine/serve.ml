@@ -9,9 +9,9 @@
    shard, and the report carries both the structured outcome tally and
    the guard.* counters — which reconcile exactly, being two views of
    the same outcome array.  The default Policy.off + Chaos.none run
-   serves every query and reports the same routing quality as the
-   unguarded engine (bit-identical results; see Engine's determinism
-   contract). *)
+   serves every query and reports the routing quality of the sequential
+   Simulator.measure_all (bit-identical results; see Engine's
+   determinism contract). *)
 
 module Pool = Cr_util.Domain_pool
 module Stats = Cr_util.Stats

@@ -12,7 +12,7 @@
     outcome tally — injected crashes, stalls and overload surface as
     structured rejections in {!report.guards}, never as hangs or
     uncaught exceptions.  The defaults ([Policy.off], [Chaos.none])
-    reproduce the plain unguarded serve bit-identically. *)
+    serve every query, bit-identically to a sequential loop. *)
 
 type report = {
   scheme : string;
@@ -39,8 +39,8 @@ type report = {
       (** shared-table hit/miss/replace/age counters; all-zero unless
           [cache_mode = "shared"] *)
   counters : (string * int) list;
-      (** the engine's [engine.*] (and, when guarded, [guard.*])
-          aggregates for this run, sorted by name *)
+      (** the engine's [engine.*] and [guard.*] aggregates for this
+          run, sorted by name *)
 }
 
 val hit_rate : report -> float

@@ -13,6 +13,8 @@
    there is no internal locking and transitions are deterministic in
    the outcome sequence plus the clock. *)
 
+module Clock = Cr_obs.Clock
+
 type config = {
   window : int;
   threshold : float; (* trip when failures / samples >= threshold *)

@@ -3,7 +3,7 @@
     Closed counts failures over a sliding window of the last [window]
     outcomes and trips once [min_samples] are present and the failure
     rate reaches [threshold].  Open rejects everything until
-    [cooldown_s] has elapsed on {!Clock.now}, then Half_open admits up
+    [cooldown_s] has elapsed on {!Cr_obs.Clock.now}, then Half_open admits up
     to [probes] trials: one failed probe re-opens (cooldown restarts),
     [probes] consecutive successes close and reset the window.
 

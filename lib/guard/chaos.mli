@@ -16,8 +16,8 @@
 type t
 
 val none : t
-(** No injection anywhere; the guarded path with [none] is
-    bit-identical to the unguarded engine. *)
+(** No injection anywhere: with [none] the guard chain never stalls
+    or fails a query. *)
 
 val plan :
   ?label:string ->

@@ -1,6 +1,9 @@
-(* Deadline budgets over the swappable guard clock.  A deadline is an
+(* Deadline budgets over the swappable process clock.  A deadline is an
    absolute expiry captured at [start]; [None] means "no budget", which
-   never expires — the guarded fast path then reduces to two compares. *)
+   never expires — checking an unbounded deadline is one comparison and
+   no clock read. *)
+
+module Clock = Cr_obs.Clock
 
 type t = { started : float; expiry : float (* infinity = no budget *) }
 
@@ -14,8 +17,8 @@ let start ?budget_s () =
 
 let elapsed t = !Clock.now () -. t.started
 
-let remaining t = t.expiry -. !Clock.now ()
-
-let expired t = !Clock.now () >= t.expiry
-
 let bounded t = t.expiry < infinity
+
+let remaining t = if bounded t then t.expiry -. !Clock.now () else infinity
+
+let expired t = bounded t && !Clock.now () >= t.expiry

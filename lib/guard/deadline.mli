@@ -1,7 +1,8 @@
-(** Deadline budgets (per query or per batch) over {!Clock.now}.
+(** Deadline budgets (per query or per batch) over {!Cr_obs.Clock.now}.
 
     A deadline captures an absolute expiry at {!start}; without a
-    budget it never expires, so unguarded paths pay only a comparison.
+    budget it never expires, and checking it is one comparison with no
+    clock read.
     A zero budget is legal and is already expired — the degenerate case
     the chaos suite uses to prove total shedding terminates. *)
 

@@ -1,8 +1,7 @@
-(* The assembled guard configuration one serving run threads through
-   the engine: budgets, retry, breaker and shed knobs in one record.
-   [off] disables everything — the engine's guarded path under [off]
-   (and no chaos) is bit-identical to the unguarded one, which is the
-   determinism pin the chaos suite enforces. *)
+(* The assembled guard configuration the guard chain applies to every
+   query: budgets, retry, breaker and shed knobs in one record.  [off]
+   disables everything — under [off] (and no chaos) the chain only runs
+   the query, which is the determinism pin the chaos suite enforces. *)
 
 type t = {
   batch_budget_s : float option; (* deadline for the whole batch *)

@@ -1,10 +1,10 @@
 (** The assembled guard configuration for one serving run.
 
     Bundles deadline budgets, the retry policy, and the breaker and
-    shed configs that [Cr_engine.Engine.run_guarded] threads through
-    every shard.  {!off} disables every guard: the guarded path under
-    [off] and [Chaos.none] is bit-identical to the unguarded engine
-    (the determinism pin of the chaos suite). *)
+    shed configs that {!Chain} applies to every query.  {!off} disables
+    every guard: under [off] and [Chaos.none] the chain only runs the
+    query, so a guarded batch answers exactly what a sequential loop
+    would (the determinism pin of the chaos suite). *)
 
 type t = {
   batch_budget_s : float option;

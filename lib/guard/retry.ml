@@ -8,6 +8,7 @@
    [Clock.sleep], so tests never block. *)
 
 module Rng = Cr_util.Rng
+module Clock = Cr_obs.Clock
 
 type policy = {
   max_attempts : int; (* total tries including the first; 1 = no retry *)

@@ -4,7 +4,7 @@
     function of [(policy.seed, k, a)] — drawn from its own splitmix64
     stream, the [Workload.block_rng] idiom — so retry schedules are
     reproducible regardless of lane interleaving.  Sleeps go through
-    the swappable {!Clock.sleep}. *)
+    the swappable {!Cr_obs.Clock.sleep}. *)
 
 type policy = {
   max_attempts : int;  (** total tries including the first; [1] = no retry *)

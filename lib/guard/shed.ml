@@ -9,9 +9,9 @@
      even [headroom] times the shard's estimated per-query cost, the
      query would be dead on arrival — refuse it now.
 
-   The cost estimate is an EWMA the engine maintains per shard; with
-   no estimate yet (0.0) feasibility cannot be judged and only the
-   queue-depth trigger applies. *)
+   The cost estimate is an EWMA the guard chain keeps while a batch
+   deadline is bounded; with no estimate (0.0) feasibility cannot be
+   judged and only the queue-depth trigger applies. *)
 
 type config = {
   max_queue : int; (* admit while queued <= max_queue *)

@@ -1,17 +1,17 @@
-(* The guard clock: one process-wide swappable time source shared by
-   Deadline and Breaker, the same idiom as Cr_obs.Profile.clock.  Tests
-   install a fake clock to drive deadline expiry and breaker cooldowns
+(* The process clock: one swappable time source for every timer —
+   guard deadlines and breaker cooldowns, engine latency, profile
+   stages and the socket server's deadlines.  Tests install a fake
+   clock (with_fake) to drive expiry, cooldowns and latencies
    deterministically.
 
    The production default is CLOCK_MONOTONIC (via bechamel's stub), not
-   the wall clock: deadlines and breaker cooldowns only ever subtract
-   two readings, and in a daemon that runs for hours a wall-clock step
-   (NTP slew, manual reset, leap smearing) would expire every in-flight
-   budget at once — or worse, push expiry arbitrarily far out.  A
-   monotonic source cannot go backwards and is immune to steps, so
+   the wall clock: every reading is only ever subtracted from another,
+   and in a daemon that runs for hours a wall-clock step (NTP slew,
+   manual reset, leap smearing) would expire every in-flight budget or
+   idle connection at once — or worse, push expiry arbitrarily far out.
+   A monotonic source cannot go backwards and is immune to steps, so
    elapsed time is always truthful.  The origin is arbitrary (boot
-   time), which is fine: nothing in the guard stack needs an absolute
-   epoch. *)
+   time), which is fine: nothing needs an absolute epoch. *)
 
 let monotonic () = 1e-9 *. Int64.to_float (Monotonic_clock.now ())
 

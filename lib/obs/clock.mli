@@ -1,9 +1,10 @@
-(** The guard time source.
+(** The process time source.
 
-    One process-wide swappable clock shared by {!Deadline} budgets and
-    {!Breaker} cooldowns — the [Cr_obs.Profile.clock] idiom.  Defaults
-    to {!monotonic}; tests swap in a fake to drive expiry and cooldown
-    transitions deterministically. *)
+    One swappable monotonic clock for every timer in the repository:
+    guard deadlines and breaker cooldowns ([Cr_guard]), engine batch
+    wall time and per-query latency, {!Profile} stages, and the socket
+    server's idle and drain deadlines.  Defaults to {!monotonic};
+    tests swap in a fake with {!with_fake} — the only swap seam. *)
 
 val monotonic : unit -> float
 (** Seconds on CLOCK_MONOTONIC (arbitrary origin).  Never goes
@@ -14,7 +15,7 @@ val monotonic : unit -> float
 val now : (unit -> float) ref
 (** Seconds; only ever compared by subtraction, so the origin is
     irrelevant.  Defaults to {!monotonic} (a daemon must survive
-    wall-clock jumps); swap for tests. *)
+    wall-clock jumps); swap with {!with_fake}. *)
 
 val sleep : (float -> unit) ref
 (** Used by retry backoff.  Defaults to [Unix.sleepf]; swap to avoid

@@ -1,15 +1,8 @@
-(* Construction profiling: wall-clock timers and bit counters around the
-   preprocessing stages (APSP, decomposition, landmark hierarchy, tree
-   and cover builds, table sweeps), reported per stage in seconds and
-   bits.  Stages keep insertion order, so reports read like the
-   pipeline. *)
-
-(* The monotonic stage clock.  OCaml's stdlib exposes no monotonic
-   counter, so this defaults to [Unix.gettimeofday] — same source the
-   engine's throughput metrics use; good to ~us and only wrong across a
-   wall-clock step.  Swappable for tests (and for an mtime-backed clock
-   where available). *)
-let clock : (unit -> float) ref = ref Unix.gettimeofday
+(* Construction profiling: timers on the process clock (Clock) and bit
+   counters around the preprocessing stages (APSP, decomposition,
+   landmark hierarchy, tree and cover builds, table sweeps), reported
+   per stage in seconds and bits.  Stages keep insertion order, so
+   reports read like the pipeline. *)
 
 type stage = { name : string; mutable seconds : float; mutable bits : int; mutable calls : int }
 
@@ -33,8 +26,8 @@ let add_seconds t name secs =
 let add_bits t name bits = (stage t name).bits <- (stage t name).bits + bits
 
 let time t name f =
-  let t0 = !clock () in
-  Fun.protect ~finally:(fun () -> add_seconds t name (!clock () -. t0)) f
+  let t0 = !Clock.now () in
+  Fun.protect ~finally:(fun () -> add_seconds t name (!Clock.now () -. t0)) f
 
 let stages t = List.rev_map (fun s -> (s.name, s.seconds, s.bits)) t.stages
 

@@ -1,4 +1,4 @@
-(** Construction profiling: per-stage wall-clock timers and bit
+(** Construction profiling: per-stage timers on {!Clock} and bit
     counters for the preprocessing pipeline.
 
     A profile is a mutable set of named stages in first-touch order.
@@ -12,7 +12,7 @@ type t
 val create : unit -> t
 
 val time : t -> string -> (unit -> 'a) -> 'a
-(** [time t stage f] runs [f ()], charging its wall time to [stage]
+(** [time t stage f] runs [f ()], charging its elapsed time to [stage]
     (accumulating across calls; exceptions still charge). *)
 
 val add_seconds : t -> string -> float -> unit
@@ -35,7 +35,3 @@ val report : ?title:string -> t -> string
 val to_json : t -> string
 (** One strict-JSON object with a [stages] array, in stage order. *)
 
-val clock : (unit -> float) ref
-(** The stage clock, defaulting to [Unix.gettimeofday] (the stdlib has
-    no monotonic source).  Tests substitute a fake clock to make timing
-    assertions deterministic. *)

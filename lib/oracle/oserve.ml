@@ -1,9 +1,9 @@
 (* Oracle batch serving: the second query surface through the engine.
    An oracle query batch is sharded, cached and guarded exactly like a
    routing batch — Engine.run_custom with an oracle measure closure —
-   so the determinism contract carries over verbatim: the omeasured
-   array is a pure function of (apsp, oracle, pairs), bit-identical
-   across pool widths and with the per-lane caches on or off. *)
+   so the determinism contract carries over verbatim: under Policy.off
+   the outcomes are Ok of a pure function of (apsp, oracle, pairs),
+   bit-identical across pool widths and with the caches on or off. *)
 
 module Pool = Cr_util.Domain_pool
 module Stats = Cr_util.Stats
@@ -76,21 +76,8 @@ let measure apsp oracle src dst =
   let cs, cd = canon src dst in
   orient ~src ~dst (measure_canonical apsp oracle cs cd)
 
-let run_batch engine apsp oracle pairs =
-  let n = Graph.n (Apsp.graph apsp) in
-  let out, metrics, _ =
-    Engine.run_custom engine ~n ~placeholder
-      ~delivered:(fun m -> m.ok)
-      ~canon ~orient
-      ~measure:(fun s d -> measure_canonical apsp oracle s d)
-      pairs
-  in
-  ( Array.map (function Ok m -> m | Error _ -> assert false (* unguarded is total *)) out,
-    metrics )
-
-let run_guarded ?(chaos = Guard.Chaos.none) engine apsp oracle pairs =
-  let n = Graph.n (Apsp.graph apsp) in
-  Engine.run_custom ~guarded:true ~chaos engine ~n ~placeholder
+let run_guarded ?chaos engine apsp oracle pairs =
+  Engine.run_custom ?chaos engine ~n:(Graph.n (Apsp.graph apsp)) ~placeholder
     ~delivered:(fun m -> m.ok)
     ~canon ~orient
     ~measure:(fun s d -> measure_canonical apsp oracle s d)

@@ -3,10 +3,10 @@
     Pushes distance/path queries through {!Cr_engine.Engine.run_custom}
     so an oracle batch gets the same static sharding, per-lane LRU
     caches, guard chain and metrics as a routing batch.  The
-    determinism contract carries over: {!run_batch}'s result array is a
-    pure function of [(apsp, oracle, pairs)] — bit-identical across
-    pool widths and with caches on or off (tested in
-    test/test_oracle.ml). *)
+    determinism contract carries over: under [Cr_guard.Policy.off],
+    {!run_guarded}'s outcomes are [Ok] of {!measure} on each pair —
+    bit-identical across pool widths and with caches on or off (tested
+    in test/test_oracle.ml). *)
 
 type omeasured = {
   src : int;
@@ -29,14 +29,6 @@ val measure : Cr_graph.Apsp.t -> Path_oracle.t -> int -> int -> omeasured
     [(u, v)] and [(v, u)] are the same record up to the [src]/[dst]
     fields — which is what lets every serving mode share one cache
     entry per unordered pair. *)
-
-val run_batch :
-  omeasured Cr_engine.Engine.t ->
-  Cr_graph.Apsp.t ->
-  Path_oracle.t ->
-  (int * int) array ->
-  omeasured array * Cr_engine.Engine.metrics
-(** Unguarded oracle batch; [result.(i)] answers [pairs.(i)]. *)
 
 val run_guarded :
   ?chaos:Cr_guard.Chaos.t ->

@@ -418,7 +418,10 @@ let test_cached_answers_byte_identical () =
   let pairs = List.init 50 (fun _ -> (Rng.int rng 32, Rng.int rng 32)) in
   let run cache =
     let d = Daemon.create ~policy:Guard.Policy.off ~staleness_every:0 ~cache ~params g in
-    List.iter (fun m -> ignore (Daemon.handle d m)) script;
+    (* one repair per mutation: how the worker batches a burst decides
+       the epoch ids the answers cite, so both daemons must see the
+       same batches *)
+    List.iter (fun m -> ignore (Daemon.handle d m); ignore (Daemon.sync d)) script;
     (match Daemon.sync d with Ok _ -> () | Error e -> Alcotest.failf "sync: %s" e);
     let a = answers d pairs in
     (* ask again: the second pass is all cache hits under the same epoch *)

@@ -33,6 +33,16 @@ let with_pool ~domains f =
   let pool = Pool.create ~domains in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
+(* A guarded batch under the engine's default Policy.off and no chaos:
+   every outcome must be [Ok], and the unwrapped results are what the
+   determinism tests compare against the sequential references. *)
+let run_off engine apsp sch pairs =
+  let outcomes, m, _ = Engine.run_guarded engine apsp sch pairs in
+  ( Array.map
+      (function Ok r -> r | Error _ -> Alcotest.fail "rejection with guards off")
+      outcomes,
+    m )
+
 (* ------------------------------------------------------------------ *)
 (* Domain_pool *)
 
@@ -298,7 +308,7 @@ let test_engine_matches_sequential_everywhere () =
             (fun cache ->
               with_pool ~domains (fun pool ->
                   let engine = Engine.create ~cache ~pool () in
-                  let results, m = Engine.run_batch engine apsp sch pairs in
+                  let results, m = run_off engine apsp sch pairs in
                   checkb
                     (Printf.sprintf "%s: domains=%d cache=%d identical" sch.Scheme.name
                        domains cache)
@@ -316,7 +326,8 @@ let test_engine_aggregate_matches_evaluate () =
   let reference = Simulator.evaluate apsp sch pairs in
   with_pool ~domains:3 (fun pool ->
       let engine = Engine.create ~cache:128 ~pool () in
-      let agg, _ = Engine.evaluate engine apsp sch pairs in
+      let results, _ = run_off engine apsp sch pairs in
+      let agg = Simulator.aggregate_of_measured results in
       checkb "aggregate bit-identical" true (agg = reference))
 
 let test_engine_cache_hits_on_replay () =
@@ -325,9 +336,9 @@ let test_engine_cache_hits_on_replay () =
   let sch = Baseline_tz.build ~k:3 apsp in
   with_pool ~domains:2 (fun pool ->
       let engine = Engine.create ~cache:4096 ~pool () in
-      let r1, m1 = Engine.run_batch engine apsp sch pairs in
+      let r1, m1 = run_off engine apsp sch pairs in
       (* capacity exceeds the working set: a replay must hit on every query *)
-      let r2, m2 = Engine.run_batch engine apsp sch pairs in
+      let r2, m2 = run_off engine apsp sch pairs in
       checkb "replay identical" true (r1 = r2);
       checki "replay all hits" (Array.length pairs) m2.Engine.cache_hits;
       checki "replay no misses" 0 m2.Engine.cache_misses;
@@ -341,7 +352,7 @@ let test_engine_empty_and_validation () =
   let sch = Baseline_tree.build apsp in
   with_pool ~domains:2 (fun pool ->
       let engine = Engine.create ~pool () in
-      let results, m = Engine.run_batch engine apsp sch [||] in
+      let results, m = run_off engine apsp sch [||] in
       checki "empty results" 0 (Array.length results);
       checki "empty queries" 0 m.Engine.queries);
   checkb "negative cache rejected" true
@@ -354,8 +365,8 @@ let test_engine_counters_aggregate () =
   let counters = Cr_obs.Counters.create () in
   with_pool ~domains:2 (fun pool ->
       let engine = Engine.create ~cache:4096 ~counters ~pool () in
-      let results, _ = Engine.run_batch engine apsp sch pairs in
-      ignore (Engine.run_batch engine apsp sch pairs);
+      let results, _ = run_off engine apsp sch pairs in
+      ignore (run_off engine apsp sch pairs);
       let get name = Cr_obs.Counters.get counters name in
       checki "batches" 2 (get "engine.batches");
       checki "queries" (2 * Array.length pairs) (get "engine.queries");
@@ -468,8 +479,8 @@ let test_engine_shared_cache_mode () =
   with_pool ~domains:2 (fun pool ->
       let engine = Engine.create ~cache:1024 ~cache_mode:Engine.Shared ~pool () in
       checkb "mode recorded" true (Engine.cache_mode engine = Engine.Shared);
-      let r1, _ = Engine.run_batch engine apsp sch pairs in
-      let r2, _ = Engine.run_batch engine apsp sch pairs in
+      let r1, _ = run_off engine apsp sch pairs in
+      let r2, _ = run_off engine apsp sch pairs in
       checkb "replay identical through the shared table" true (r1 = r2);
       let s = Engine.shared_stats engine in
       checkb "replay hits the shared table" true (s.Cr_util.Ttcache.hits > 0);
@@ -528,7 +539,7 @@ let qcheck_tests =
         let reference = Simulator.measure_all apsp sch pairs in
         with_pool ~domains:3 (fun pool ->
             let engine = Engine.create ~cache:32 ~pool () in
-            let results, _ = Engine.run_batch engine apsp sch pairs in
+            let results, _ = run_off engine apsp sch pairs in
             results = reference));
     QCheck.Test.make ~count:6 ~name:"results identical across pool widths x cache modes"
       QCheck.(int_range 1 1000)
@@ -546,7 +557,7 @@ let qcheck_tests =
                 List.for_all
                   (fun (cache, mode) ->
                     let engine = Engine.create ~cache ~cache_mode:mode ~pool () in
-                    let results, _ = Engine.run_batch engine apsp sch pairs in
+                    let results, _ = run_off engine apsp sch pairs in
                     results = reference)
                   [ (0, Engine.Off); (64, Engine.Lane); (64, Engine.Shared) ]))
           [ 1; 2; 4 ]);

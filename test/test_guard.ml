@@ -5,7 +5,8 @@
    - injected crashes, stalls and overload always terminate in
      structured outcomes (no hang, no uncaught exception);
    - with chaos off and Policy.off the guarded path is bit-identical to
-     the unguarded engine, across pool widths and cache settings;
+     the sequential Simulator.measure_all, across pool widths and cache
+     settings;
    - the guard.* counters reconcile exactly with the per-query outcome
      tally that the serve report carries. *)
 
@@ -16,7 +17,7 @@ module Graph = Cr_graph.Graph
 module Apsp = Cr_graph.Apsp
 module Generators = Cr_graph.Generators
 module Guard = Cr_guard
-module Clock = Cr_guard.Clock
+module Clock = Cr_obs.Clock
 module Deadline = Cr_guard.Deadline
 module Retry = Cr_guard.Retry
 module Breaker = Cr_guard.Breaker
@@ -555,19 +556,39 @@ let test_guarded_counters_reconcile () =
       checki "guard.requeues" g.Engine.requeues (get "guard.requeues");
       checki "engine.queries" 250 (get "engine.queries"))
 
-let test_unguarded_emits_no_guard_counters () =
-  let apsp = prepared_graph 37 ~n:40 in
-  let sch = Baseline_tree.build apsp in
-  let pairs = Experiment.default_pairs ~seed:38 apsp ~count:60 in
-  let counters = Cr_obs.Counters.create () in
-  with_pool ~domains:2 (fun pool ->
-      let engine = Engine.create ~counters ~pool () in
-      ignore (Engine.run_batch engine apsp sch pairs);
-      let snapshot = Cr_obs.Counters.snapshot counters in
-      checkb "no guard.* counters on the unguarded path" true
-        (List.for_all
-           (fun (name, _) -> not (String.length name >= 6 && String.sub name 0 6 = "guard."))
-           snapshot))
+(* The chain's cost estimate and the engine's latency run on the
+   process clock: on a fake clock where every query costs 0.3 s, a 1 s
+   batch budget with headroom 2 serves queries 0 and 1 and sheds the
+   rest, since 0.4 s remaining < 2 x 0.3 s. *)
+let fake_cost_batch policy =
+  Clock.with_fake (fun advance ->
+      with_pool ~domains:1 (fun pool ->
+          let engine = Engine.create ~policy ~pool () in
+          Engine.run_custom engine ~n:16 ~placeholder:(0, 0)
+            ~measure:(fun s d ->
+              advance 0.3;
+              (s, d))
+            (Array.init 8 (fun i -> (i, i + 1)))))
+
+let test_guarded_shed_on_fake_clock () =
+  let outcomes, _, g =
+    fake_cost_batch
+      (Policy.make ~batch_budget_s:1.0 ~shed:(Shed.make_config ~headroom:2.0 ()) ())
+  in
+  checki "two served" 2 g.Engine.ok;
+  checki "six shed" 6 g.Engine.shed;
+  checki "none timed out" 0 g.Engine.timed_out;
+  Array.iteri
+    (fun q o -> checks (Printf.sprintf "query %d" q) (if q < 2 then "ok" else "shed") (tag o))
+    outcomes
+
+let test_guarded_latency_on_fake_clock () =
+  let _, m, g = fake_cost_batch Policy.off in
+  checki "all served" 8 g.Engine.ok;
+  checkf "p50 is the fake cost" 0.3 m.Engine.latency.Cr_util.Stats.p50;
+  checkf "min is the fake cost" 0.3 m.Engine.latency.Cr_util.Stats.min;
+  checkf "max is the fake cost" 0.3 m.Engine.latency.Cr_util.Stats.max;
+  checkf "wall time is the fake total" 2.4 m.Engine.wall_s
 
 (* ------------------------------------------------------------------ *)
 (* Serve + Chaos_sweep *)
@@ -786,8 +807,9 @@ let () =
           Alcotest.test_case "shed under queue limit" `Quick test_guarded_shed_under_queue_limit;
           Alcotest.test_case "outcomes partition" `Quick test_guarded_outcomes_partition;
           Alcotest.test_case "counters reconcile" `Quick test_guarded_counters_reconcile;
-          Alcotest.test_case "unguarded emits no guard counters" `Quick
-            test_unguarded_emits_no_guard_counters;
+          Alcotest.test_case "shed on a fake clock" `Quick test_guarded_shed_on_fake_clock;
+          Alcotest.test_case "latency on a fake clock" `Quick
+            test_guarded_latency_on_fake_clock;
         ] );
       ( "serve_guarded",
         [

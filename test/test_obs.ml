@@ -132,24 +132,19 @@ let test_counters_parallel () =
 (* Profile *)
 
 let test_profile_fake_clock () =
-  let saved = !Profile.clock in
-  Fun.protect
-    ~finally:(fun () -> Profile.clock := saved)
-    (fun () ->
-      let now = ref 0.0 in
-      Profile.clock := (fun () -> !now);
+  Cr_obs.Clock.with_fake (fun advance ->
       let p = Profile.create () in
-      let x = Profile.time p "apsp" (fun () -> now := !now +. 2.0; 41 + 1) in
+      let x = Profile.time p "apsp" (fun () -> advance 2.0; 41 + 1) in
       checki "time returns the result" 42 x;
-      Profile.time p "tables" (fun () -> now := !now +. 1.0);
-      Profile.time p "apsp" (fun () -> now := !now +. 0.5);
+      Profile.time p "tables" (fun () -> advance 1.0);
+      Profile.time p "apsp" (fun () -> advance 0.5);
       Profile.add_bits p "tables" 1024;
       checkb "stages in first-touch order with summed seconds" true
         (Profile.stages p = [ ("apsp", 2.5, 0); ("tables", 1.0, 1024) ]);
       checkb "total seconds" true (Profile.total_seconds p = 3.5);
       checki "total bits" 1024 (Profile.total_bits p);
       (* an exception still charges the stage *)
-      (try Profile.time p "tables" (fun () -> now := !now +. 4.0; failwith "boom")
+      (try Profile.time p "tables" (fun () -> advance 4.0; failwith "boom")
        with Failure _ -> ());
       checkb "exception charged" true
         (match Profile.stages p with [ _; ("tables", 5.0, 1024) ] -> true | _ -> false);

@@ -33,6 +33,12 @@ let walk_ok g ~src ~dst ~est walk =
   Simulator.is_delivered c.Simulator.outcome
   && Float.abs (c.Simulator.checked_cost -. est) <= 1e-9 *. Float.max 1.0 est
 
+(* An oracle batch under the engine's default Policy.off and no chaos:
+   every outcome must be [Ok]. *)
+let run_off eng apsp oracle pairs =
+  let outcomes, _, _ = Oserve.run_guarded eng apsp oracle pairs in
+  Array.map (function Ok m -> m | Error _ -> Alcotest.fail "rejection with guards off") outcomes
+
 let rec last = function [ x ] -> x | _ :: tl -> last tl | [] -> invalid_arg "last"
 
 (* ------------------------------------------------------------------ *)
@@ -255,8 +261,7 @@ let test_oserve_pool_and_cache_invariance () =
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () ->
         let eng = Engine.create ~cache ~pool () in
-        let results, _ = Oserve.run_batch eng apsp oracle pairs in
-        results)
+        run_off eng apsp oracle pairs)
   in
   let baseline = run ~domains:1 ~cache:0 in
   List.iter
@@ -289,8 +294,7 @@ let test_oserve_shared_mode_invariance () =
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () ->
         let eng = Engine.create ~cache ~cache_mode:mode ~pool () in
-        let results, _ = Oserve.run_batch eng apsp oracle pairs in
-        results)
+        run_off eng apsp oracle pairs)
   in
   let baseline = run ~domains:1 ~cache:0 ~mode:Engine.Off in
   List.iter
@@ -310,8 +314,7 @@ let test_oserve_guarded_off_matches_batch () =
   let oracle = Po.build ~k:3 ~seed:59 apsp in
   let rng = Rng.create 60 in
   let pairs = Simulator.sample_pairs rng apsp ~count:100 in
-  let eng = Engine.create () in
-  let plain, _ = Oserve.run_batch eng apsp oracle pairs in
+  let plain = Array.map (fun (s, d) -> Oserve.measure apsp oracle s d) pairs in
   let guarded, _, stats = Oserve.run_guarded (Engine.create ()) apsp oracle pairs in
   checki "all admitted" (Array.length pairs) stats.Engine.ok;
   Array.iteri
