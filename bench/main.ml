@@ -4,6 +4,9 @@
      dune exec bench/main.exe            run everything
      dune exec bench/main.exe T3 F1      run selected experiments
      CRT_BENCH_FAST=1 dune exec ...      reduced sizes (CI smoke)
+     CRT_BENCH_JSON=FILE dune exec ...   also write the P1, C1 and O1 rows
+                                         to FILE, one {"experiment":ID,"row":{...}}
+                                         JSON object per line
 
    The paper (SPAA'06) is theory-only; each experiment here validates one
    of its quantitative claims, with expected *shapes* stated in
@@ -13,6 +16,7 @@ module Rng = Cr_util.Rng
 module Stats = Cr_util.Stats
 module Bits = Cr_util.Bits
 module T = Cr_util.Ascii_table
+module Jsonl = Cr_util.Jsonl
 module Graph = Cr_graph.Graph
 module Apsp = Cr_graph.Apsp
 module Ball = Cr_graph.Ball
@@ -923,15 +927,11 @@ let p1 () =
       T.add_sep table)
     schemes;
   T.print table;
-  (match Sys.getenv_opt "CRT_P1_JSON" with
-  | Some path ->
-      Cr_util.Jsonl.write_lines (List.rev_map Serve.report_to_json !reports) path;
-      Printf.printf "json written to %s\n" path
-  | None -> ());
   Printf.printf
     "expected: the result stream is identical in every cell (determinism contract);\n\
      routes/s scales with domains up to the physical core count, and the zipf\n\
-     workload gives the 4096-entry per-lane cache a high hit rate.\n"
+     workload gives the 4096-entry per-lane cache a high hit rate.\n";
+  List.rev_map Serve.report_to_json !reports
 
 (* ------------------------------------------------------------------ *)
 (* C1: shared plan cache — hit rate & throughput vs cache structure     *)
@@ -997,11 +997,6 @@ let c1 () =
       T.add_sep table)
     cells;
   T.print table;
-  (match Sys.getenv_opt "CRT_C1_JSON" with
-  | Some path ->
-      Cr_util.Jsonl.write_lines (List.rev_map Serve.report_to_json !reports) path;
-      Printf.printf "json written to %s\n" path
-  | None -> ());
   let big = 2 * queries in
   List.iter
     (fun domains ->
@@ -1020,465 +1015,8 @@ let c1 () =
     "expected: the shared table's hit rate strictly beats the per-lane aggregate at\n\
      every width > 1 (a hot zipf key misses once per engine, not once per lane), and\n\
      the gap widens with width; at width 1 the structures are equivalent.  Results\n\
-     are bit-identical across every cell; only throughput and latency vary.\n"
-
-(* ------------------------------------------------------------------ *)
-(* D1: churn-replay — the durable daemon under churn, then a crash and
-   both recovery paths (checkpoint + journal suffix vs full journal)   *)
-
-let d1 () =
-  header "D1: churn-replay — repair latency under churn, crash, recovery time";
-  let module Daemon = Cr_daemon.Daemon in
-  let module Jsonl = Cr_util.Jsonl in
-  let n = scale 192 in
-  let mutations = scale 192 in
-  let snapshot_every = 32 in
-  let g =
-    let g0 = Experiment.make_graph ~seed:171 (Experiment.Erdos_renyi { n; avg_degree = 4.0 }) in
-    let rng = Rng.create 172 in
-    (* integer weights >= 1: normalized, and churn stays exact *)
-    Graph.reweight g0 (fun _ _ _ -> 1.0 +. float_of_int (Rng.int rng 7))
-  in
-  let params = Params.scaled ~k:3 ~seed:171 () in
-  let dir = Filename.temp_file "crtd1" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> rm dir) @@ fun () ->
-  let journal = Filename.concat dir "journal.log" in
-  let rng = Rng.create 173 in
-  let random_mutation g =
-    let es = Array.of_list (Graph.edges g) in
-    let w () = 1.0 +. float_of_int (Rng.int rng 7) in
-    match Rng.int rng 5 with
-    | 0 when Array.length es > 0 ->
-        let u, v, _ = es.(Rng.int rng (Array.length es)) in
-        Graph.Set_weight (u, v, w ())
-    | 1 when Array.length es > 1 ->
-        let u, v, _ = es.(Rng.int rng (Array.length es)) in
-        Graph.Link_down (u, v)
-    | 2 ->
-        let u = Rng.int rng n and v = Rng.int rng n in
-        if u <> v && not (Graph.has_edge g u v) then Graph.Link_up (u, v, w ())
-        else Graph.Node_up (Rng.int rng n)
-    | 3 -> Graph.Node_down (Rng.int rng n)
-    | _ -> Graph.Node_up (Rng.int rng n)
-  in
-  let ok r = String.length r >= 3 && String.sub r 0 3 = "ok " in
-  let d =
-    Daemon.create ~policy:Cr_guard.Policy.off ~staleness_every:0 ~fsync:Cr_daemon.Journal.Every
-      ~journal ~snapshot_dir:dir ~snapshot_every ~params g
-  in
-  let accepted = ref 0 in
-  for i = 1 to mutations do
-    let mu = random_mutation (Daemon.live_graph d) in
-    (match Daemon.handle d (Graph.mutation_to_string mu) with
-    | [ r ] when ok r -> incr accepted
-    | _ -> ());
-    (* interleave queries so repair overlaps serving, as in production *)
-    if i mod 8 = 0 then
-      ignore (Daemon.handle d (Printf.sprintf "route %d %d" (Rng.int rng n) (Rng.int rng n)))
-  done;
-  (match Daemon.sync d with
-  | Ok _ -> ()
-  | Error e -> Printf.printf "repair poisoned during churn: %s\n" e);
-  let repair_ms =
-    let a = Array.of_list (List.map (fun s -> 1e3 *. s) (Daemon.repair_times_s d)) in
-    Array.sort compare a;
-    a
-  in
-  let c name = Cr_obs.Counters.get (Daemon.counters d) name in
-  let repairs = c "daemon.repairs" in
-  let journal_bytes = c "daemon.journal.bytes" in
-  let snapshots = c "daemon.snapshots" in
-  Daemon.crash d;
-  (* recovery path 1: newest checkpoint + journal suffix *)
-  let (r_snap, snap_info), t_snap =
-    time_it (fun () ->
-        let r =
-          Daemon.create ~policy:Cr_guard.Policy.off ~staleness_every:0 ~journal
-            ~snapshot_dir:dir ~recover:true ~params g
-        in
-        (r, Option.get (Daemon.recovery r)))
-  in
-  let snap_graph = Cr_graph.Gio.to_string (Daemon.live_graph r_snap) in
-  Daemon.close r_snap;
-  (* recovery path 2: full journal replay, no checkpoint *)
-  let (r_full, full_info), t_full =
-    time_it (fun () ->
-        let r =
-          Daemon.create ~policy:Cr_guard.Policy.off ~staleness_every:0 ~journal ~recover:true
-            ~params g
-        in
-        (r, Option.get (Daemon.recovery r)))
-  in
-  let graphs_identical = snap_graph = Cr_graph.Gio.to_string (Daemon.live_graph r_full) in
-  (* the recovery invariant, sampled: the recovered daemon's answers
-     are byte-identical (modulo epoch id) to a fresh daemon built on
-     the same graph *)
-  let fresh =
-    Daemon.create ~policy:Cr_guard.Policy.off ~staleness_every:0 ~params
-      (Daemon.live_graph r_full)
-  in
-  let strip_epoch r = match String.rindex_opt r ' ' with Some i -> String.sub r 0 i | None -> r in
-  let answers d =
-    let rng = Rng.create 174 in
-    List.init (scale 100) (fun _ ->
-        let u = Rng.int rng n and v = Rng.int rng n in
-        List.map strip_epoch
-          (Daemon.handle d (Printf.sprintf "route %d %d" u v)
-          @ Daemon.handle d (Printf.sprintf "dist %d %d" u v)))
-  in
-  let answers_match = answers r_full = answers fresh in
-  Daemon.close r_full;
-  Daemon.close fresh;
-  let pct q = if Array.length repair_ms = 0 then 0.0 else Stats.percentile repair_ms q in
-  let table =
-    T.create
-      ~title:
-        (Printf.sprintf
-           "erdos-renyi n=%d, %d accepted mutations, fsync=every, snapshot every %d records" n
-           !accepted snapshot_every)
-      [ ("metric", T.Left); ("value", T.Right) ]
-  in
-  T.add_row table [ "repair batches"; string_of_int repairs ];
-  T.add_row table [ "repair p50 ms"; Printf.sprintf "%.1f" (pct 0.5) ];
-  T.add_row table [ "repair p95 ms"; Printf.sprintf "%.1f" (pct 0.95) ];
-  T.add_row table [ "repair p99 ms"; Printf.sprintf "%.1f" (pct 0.99) ];
-  T.add_row table [ "journal bytes"; string_of_int journal_bytes ];
-  T.add_row table [ "snapshots written"; string_of_int snapshots ];
-  T.add_sep table;
-  T.add_row table
-    [ "recovery ms (checkpoint + suffix)"; Printf.sprintf "%.1f" (1e3 *. t_snap) ];
-  T.add_row table [ "  records replayed"; string_of_int snap_info.Daemon.replayed ];
-  T.add_row table [ "recovery ms (full journal)"; Printf.sprintf "%.1f" (1e3 *. t_full) ];
-  T.add_row table [ "  records replayed"; string_of_int full_info.Daemon.replayed ];
-  T.add_row table [ "recovered graphs identical"; string_of_bool graphs_identical ];
-  T.add_row table [ "answers match never-crashed"; string_of_bool answers_match ];
-  T.print table;
-  (match Sys.getenv_opt "CRT_D1_JSON" with
-  | Some path ->
-      Jsonl.write_lines
-        [
-          Jsonl.obj
-            [
-              ("experiment", Jsonl.str "D1");
-              ("n", Jsonl.int n);
-              ("mutations_accepted", Jsonl.int !accepted);
-              ("repairs", Jsonl.int repairs);
-              ("repair_ms_p50", Jsonl.float (pct 0.5));
-              ("repair_ms_p95", Jsonl.float (pct 0.95));
-              ("repair_ms_p99", Jsonl.float (pct 0.99));
-              ("journal_bytes", Jsonl.int journal_bytes);
-              ("snapshots", Jsonl.int snapshots);
-              ("recovery_ms_checkpoint", Jsonl.float (1e3 *. t_snap));
-              ("recovery_replayed_checkpoint", Jsonl.int snap_info.Daemon.replayed);
-              ("recovery_ms_journal", Jsonl.float (1e3 *. t_full));
-              ("recovery_replayed_journal", Jsonl.int full_info.Daemon.replayed);
-              ("graphs_identical", Jsonl.bool graphs_identical);
-              ("answers_match", Jsonl.bool answers_match);
-            ];
-        ]
-        path;
-      Printf.printf "json written to %s\n" path
-  | None -> ());
-  Printf.printf
-    "expected: both recovery paths rebuild the identical graph and answer exactly like a\n\
-     never-crashed daemon; the checkpoint path replays at most %d records while the\n\
-     journal-only path replays all %d, so its recovery time grows with churn history.\n"
-    snapshot_every !accepted
-
-(* ------------------------------------------------------------------ *)
-(* D2: multi-client socket churn — N concurrent clients over the unix
-   socket front end, one replaying mutations from a journal-style trace
-   while the rest query in a closed loop; response latency percentiles
-   overall and over time, repair latency, and the outcome/shed/timeout
-   counters, with and without deterministic netchaos *)
-
-let d2 () =
-  header "D2: multi-client socket churn — response latency under concurrency and netchaos";
-  let module Daemon = Cr_daemon.Daemon in
-  let module Server = Cr_daemon.Server in
-  let module Jsonl = Cr_util.Jsonl in
-  let n = scale 128 in
-  let clients = 4 in
-  let queries_per_client = scale 160 in
-  let mutations = scale 32 in
-  let g =
-    let g0 = Experiment.make_graph ~seed:181 (Experiment.Erdos_renyi { n; avg_degree = 4.0 }) in
-    let rng = Rng.create 182 in
-    Graph.reweight g0 (fun _ _ _ -> 1.0 +. float_of_int (Rng.int rng 7))
-  in
-  let params = Params.scaled ~k:3 ~seed:181 () in
-  (* the journal-style trace: mutations each applicable to the graph the
-     previous ones produce, replayed in order by client 0 *)
-  let trace =
-    let rng = Rng.create 183 in
-    let random_mutation g =
-      let es = Array.of_list (Graph.edges g) in
-      let w () = 1.0 +. float_of_int (Rng.int rng 7) in
-      match Rng.int rng 5 with
-      | 0 when Array.length es > 0 ->
-          let u, v, _ = es.(Rng.int rng (Array.length es)) in
-          Graph.Set_weight (u, v, w ())
-      | 1 when Array.length es > 1 ->
-          let u, v, _ = es.(Rng.int rng (Array.length es)) in
-          Graph.Link_down (u, v)
-      | 2 ->
-          let u = Rng.int rng n and v = Rng.int rng n in
-          if u <> v && not (Graph.has_edge g u v) then Graph.Link_up (u, v, w ())
-          else Graph.Node_up (Rng.int rng n)
-      | 3 -> Graph.Node_down (Rng.int rng n)
-      | _ -> Graph.Node_up (Rng.int rng n)
-    in
-    let rec go acc g k =
-      if k = 0 then List.rev acc
-      else
-        let mu = random_mutation g in
-        match Graph.apply g mu with
-        | g' -> go (Graph.mutation_to_string mu :: acc) g' (k - 1)
-        | exception Invalid_argument _ -> go acc g k
-    in
-    go [] g mutations
-  in
-  let dir = Filename.temp_file "crtd2" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> rm dir) @@ fun () ->
-  let sock = Filename.concat dir "d2.sock" in
-  let connect () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX sock);
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
-    fd
-  in
-  let send fd s =
-    let len = String.length s in
-    let rec go off = if off < len then go (off + Unix.write_substring fd s off (len - off)) in
-    go 0
-  in
-  let recv_line fd =
-    let buf = Buffer.create 64 in
-    let b = Bytes.create 1 in
-    let rec go () =
-      match Unix.read fd b 0 1 with
-      | 0 -> Buffer.contents buf
-      | _ ->
-          if Bytes.get b 0 = '\n' then Buffer.contents buf
-          else begin
-            Buffer.add_char buf (Bytes.get b 0);
-            go ()
-          end
-    in
-    go ()
-  in
-  let cells =
-    [
-      ("none", Server.no_netchaos);
-      ( "net",
-        match Server.netchaos_of_string ~seed:184 "net" with
-        | Ok nc -> nc
-        | Error e -> failwith e );
-    ]
-  in
-  let results =
-    List.map
-      (fun (cell, nc) ->
-        let d =
-          Daemon.create ~policy:Cr_guard.Policy.off ~staleness_every:0 ~params g
-        in
-        let config = { Server.default_config with Server.nc } in
-        let srv = Server.create ~config d (Server.Unix_path sock) in
-        let dom = Domain.spawn (fun () -> Server.run srv) in
-        let t0 = !Cr_obs.Clock.now () in
-        (* one closed-loop domain per client; client 0 interleaves the
-           mutation trace among its queries, the rest only query.  A
-           netchaos cut (EOF mid-response) is absorbed by reconnecting:
-           the slot stays occupied, as a real client pool would *)
-        let client cid =
-          let rng = Rng.create (185 + cid) in
-          let ops =
-            let queries =
-              List.init queries_per_client (fun _ ->
-                  Printf.sprintf
-                    (if Rng.bool rng then "route %d %d" else "dist %d %d")
-                    (Rng.int rng n) (Rng.int rng n))
-            in
-            if cid <> 0 then queries
-            else begin
-              (* splice one trace mutation after every few queries *)
-              let every = max 1 (queries_per_client / max 1 mutations) in
-              List.concat
-                (List.mapi
-                   (fun i q ->
-                     if i mod every = 0 && i / every < mutations then
-                       [ q; List.nth trace (i / every) ]
-                     else [ q ])
-                   queries)
-            end
-          in
-          let lats = ref [] in
-          let cuts = ref 0 in
-          let fd = ref (connect ()) in
-          let round_trip line =
-            match
-              send !fd (line ^ "\n");
-              recv_line !fd
-            with
-            | "" -> None
-            | r -> Some r
-            | exception Unix.Unix_error _ -> None
-          in
-          List.iter
-            (fun line ->
-              let rec go attempts =
-                if attempts > 0 then begin
-                  let t1 = !Cr_obs.Clock.now () in
-                  match round_trip line with
-                  | Some _ ->
-                      let t2 = !Cr_obs.Clock.now () in
-                      lats := (t2 -. t0, 1e3 *. (t2 -. t1)) :: !lats
-                  | None ->
-                      incr cuts;
-                      (try Unix.close !fd with Unix.Unix_error _ -> ());
-                      fd := connect ();
-                      go (attempts - 1)
-                end
-              in
-              go 3)
-            ops;
-          ignore (round_trip "quit");
-          (try Unix.close !fd with Unix.Unix_error _ -> ());
-          (List.rev !lats, !cuts)
-        in
-        let doms = List.init clients (fun cid -> Domain.spawn (fun () -> client cid)) in
-        let per_client = List.map Domain.join doms in
-        let wall_s = !Cr_obs.Clock.now () -. t0 in
-        (* drain the repair backlog before reading repair percentiles:
-           a fast client run can finish before the first batch lands *)
-        (match Daemon.sync d with
-        | Ok _ -> ()
-        | Error e -> Printf.printf "repair poisoned during churn: %s\n" e);
-        Server.stop srv;
-        Domain.join dom;
-        let repair_ms =
-          let a = Array.of_list (List.map (fun s -> 1e3 *. s) (Daemon.repair_times_s d)) in
-          Array.sort compare a;
-          a
-        in
-        Daemon.close d;
-        let lats = List.concat_map fst per_client in
-        let cuts = List.fold_left (fun a (_, c) -> a + c) 0 per_client in
-        let all =
-          let a = Array.of_list (List.map snd lats) in
-          Array.sort compare a;
-          a
-        in
-        (* latency over time: the run split into quarters by completion
-           time, p95 within each — degradation under churn shows here *)
-        let quarter_p95 =
-          List.init 4 (fun q ->
-              let lo = wall_s *. float_of_int q /. 4.0
-              and hi = wall_s *. float_of_int (q + 1) /. 4.0 in
-              let xs =
-                List.filter_map
-                  (fun (at, ms) -> if at >= lo && at < hi then Some ms else None)
-                  lats
-              in
-              let a = Array.of_list xs in
-              Array.sort compare a;
-              if Array.length a = 0 then 0.0 else Stats.percentile a 0.95)
-        in
-        let st = Server.stats srv in
-        (cell, all, quarter_p95, repair_ms, st, cuts, wall_s))
-      cells
-  in
-  let pct a q = if Array.length a = 0 then 0.0 else Stats.percentile a q in
-  let table =
-    T.create
-      ~title:
-        (Printf.sprintf
-           "erdos-renyi n=%d, %d clients over unix socket, %d queries each + %d trace mutations"
-           n clients queries_per_client mutations)
-      [
-        ("netchaos", T.Left); ("ops", T.Right); ("p50 ms", T.Right); ("p95 ms", T.Right);
-        ("p99 ms", T.Right); ("q1-q4 p95 ms", T.Left); ("repair p95 ms", T.Right);
-        ("served", T.Right); ("shed", T.Right); ("timeout", T.Right); ("disc", T.Right);
-        ("cuts", T.Right);
-      ]
-  in
-  List.iter
-    (fun (cell, all, qp95, repair_ms, st, cuts, _) ->
-      T.add_row table
-        [
-          cell;
-          string_of_int (Array.length all);
-          Printf.sprintf "%.2f" (pct all 0.5);
-          Printf.sprintf "%.2f" (pct all 0.95);
-          Printf.sprintf "%.2f" (pct all 0.99);
-          String.concat "/" (List.map (Printf.sprintf "%.1f") qp95);
-          Printf.sprintf "%.1f" (pct repair_ms 0.95);
-          string_of_int st.Server.served;
-          string_of_int st.Server.shed;
-          string_of_int st.Server.timed_out;
-          string_of_int st.Server.disconnected;
-          string_of_int cuts;
-        ])
-    results;
-  T.print table;
-  (match Sys.getenv_opt "CRT_D2_JSON" with
-  | Some path ->
-      Jsonl.write_lines
-        (List.map
-           (fun (cell, all, qp95, repair_ms, st, cuts, wall_s) ->
-             Jsonl.obj
-               [
-                 ("experiment", Jsonl.str "D2");
-                 ("netchaos", Jsonl.str cell);
-                 ("n", Jsonl.int n);
-                 ("clients", Jsonl.int clients);
-                 ("ops", Jsonl.int (Array.length all));
-                 ("wall_s", Jsonl.float wall_s);
-                 ("response_ms_p50", Jsonl.float (pct all 0.5));
-                 ("response_ms_p95", Jsonl.float (pct all 0.95));
-                 ("response_ms_p99", Jsonl.float (pct all 0.99));
-                 ( "quarter_p95_ms",
-                   "[" ^ String.concat "," (List.map Jsonl.float qp95) ^ "]" );
-                 ("repair_ms_p50", Jsonl.float (pct repair_ms 0.5));
-                 ("repair_ms_p95", Jsonl.float (pct repair_ms 0.95));
-                 ("conns", Jsonl.int st.Server.conns_total);
-                 ("served", Jsonl.int st.Server.served);
-                 ("shed", Jsonl.int st.Server.shed);
-                 ("timed_out", Jsonl.int st.Server.timed_out);
-                 ("disconnected", Jsonl.int st.Server.disconnected);
-                 ("chaos_delays", Jsonl.int st.Server.chaos_delays);
-                 ("chaos_shorts", Jsonl.int st.Server.chaos_shorts);
-                 ("chaos_drops", Jsonl.int st.Server.chaos_drops);
-                 ("client_cuts", Jsonl.int cuts);
-               ])
-           results)
-        path;
-      Printf.printf "json written to %s\n" path
-  | None -> ());
-  Printf.printf
-    "expected: the socket front end serves %d closed-loop clients with per-op latency\n\
-     dominated by select-tick granularity; under netchaos, cut connections surface as\n\
-     disconnected outcomes and client reconnects, while every connection still ends in\n\
-     exactly one outcome and the daemon never crashes.\n"
-    clients
+     are bit-identical across every cell; only throughput and latency vary.\n";
+  List.rev_map Serve.report_to_json !reports
 
 (* ------------------------------------------------------------------ *)
 (* O1: path-reporting distance oracles — quality, size, speed vs k      *)
@@ -1540,8 +1078,8 @@ let o1 () =
           json_rows :=
             J.obj
               [
-                ("experiment", J.str "O1"); ("workload", J.str wname);
-                ("oracle", J.str "tz-path"); ("k", J.int k); ("n", J.int nn);
+                ("workload", J.str wname); ("oracle", J.str "tz-path");
+                ("k", J.int k); ("n", J.int nn);
                 ("build_s", J.float build_s);
                 ("size_entries", J.int r.Oserve.size_entries);
                 ("storage_bits", J.int r.Oserve.storage_bits);
@@ -1558,30 +1096,9 @@ let o1 () =
       let pairs =
         Experiment.default_pairs ~allow_short:true ~seed:182 apsp ~count:(min queries 2000)
       in
-      let t0 = !Cr_obs.Clock.now () in
-      let ok = ref 0 in
-      let sum = ref 0.0 in
-      let smax = ref 0.0 in
-      Array.iter
-        (fun (u, v) ->
-          match So.path so u v with
-          | None -> ()
-          | Some (a : So.answer) ->
-              let c = Simulator.check_walk g ~src:u ~dst:v ~delivered:true a.So.walk in
-              let tol = 1e-9 *. Float.max 1.0 a.So.est in
-              if
-                Simulator.is_delivered c.Simulator.outcome
-                && Float.abs (c.Simulator.checked_cost -. a.So.est) <= tol
-              then (
-                incr ok;
-                let d = Apsp.distance apsp u v in
-                let s = if d = 0.0 then 1.0 else a.So.est /. d in
-                sum := !sum +. s;
-                if s > !smax then smax := s))
-        pairs;
-      let wall = !Cr_obs.Clock.now () -. t0 in
+      let s, wall = time_it (fun () -> Oserve.referee_sparse apsp so pairs) in
       let np = Array.length pairs in
-      let mean = if !ok = 0 then 0.0 else !sum /. float_of_int !ok in
+      let qps = float_of_int np /. Float.max 1e-9 wall in
       T.add_row table
         [
           wname; Printf.sprintf "agh-sparse(L=%d)" (So.landmark_count so);
@@ -1589,45 +1106,46 @@ let o1 () =
           Printf.sprintf "%.3f" so_build_s;
           string_of_int (So.size_entries so);
           Printf.sprintf "%.0f" (float_of_int (So.storage_bits so) /. float_of_int nn);
-          Printf.sprintf "%.0f" (float_of_int np /. Float.max 1e-9 wall);
-          Printf.sprintf "%d/%d" !ok np;
-          T.fmt_float mean; T.fmt_float !smax;
+          Printf.sprintf "%.0f" qps;
+          Printf.sprintf "%d/%d" s.Stats.count np;
+          T.fmt_float s.Stats.mean; T.fmt_float s.Stats.max;
         ];
       json_rows :=
         J.obj
           [
-            ("experiment", J.str "O1"); ("workload", J.str wname);
-            ("oracle", J.str "agh-sparse"); ("landmarks", J.int (So.landmark_count so));
+            ("workload", J.str wname); ("oracle", J.str "agh-sparse");
+            ("landmarks", J.int (So.landmark_count so));
             ("n", J.int nn); ("build_s", J.float so_build_s);
             ("size_entries", J.int (So.size_entries so));
             ("storage_bits", J.int (So.storage_bits so));
-            ("queries_per_sec", J.float (float_of_int np /. Float.max 1e-9 wall));
-            ("ok", J.int !ok); ("queries", J.int np);
-            ("stretch_mean", J.float mean); ("stretch_max", J.float !smax);
+            ("queries_per_sec", J.float qps);
+            ("ok", J.int s.Stats.count); ("queries", J.int np);
+            ("stretch_mean", J.float s.Stats.mean); ("stretch_max", J.float s.Stats.max);
           ]
         :: !json_rows;
       if wi < n_workloads - 1 then T.add_sep table)
     workloads;
   T.print table;
-  (match Sys.getenv_opt "CRT_O1_JSON" with
-  | Some path ->
-      Cr_util.Jsonl.write_lines (List.rev !json_rows) path;
-      Printf.printf "json written to %s\n" path
-  | None -> ());
   Printf.printf
     "expected: every cell reports ok = queries (each reported walk re-prices to its\n\
      estimate); tz-path entries shrink and stretch grows as k rises (the space-stretch\n\
      trade-off), staying within 2k-1; agh-sparse stays within stretch 3 with ~sqrt(m)\n\
-     landmarks and is exact inside vicinities.\n"
+     landmarks and is exact inside vicinities.\n";
+  List.rev !json_rows
 
 (* ------------------------------------------------------------------ *)
 
+(* P1, C1 and O1 return their rows as JSON objects; the others only
+   print tables *)
 let experiments =
-  [
-    ("T1", t1); ("T1b", t1b); ("T2", t2); ("T3", t3); ("T4", t4); ("T5", t5); ("T6", t6);
-    ("T7", t7); ("T8", t8); ("T9", t9); ("F1", f1); ("F2", f2); ("F3", f3); ("A1", a1);
-    ("A2", a2); ("F4", f4); ("R1", r1); ("P1", p1); ("C1", c1); ("D1", d1); ("D2", d2); ("O1", o1);
-  ]
+  List.map
+    (fun (name, f) -> (name, fun () -> f (); []))
+    [
+      ("T1", t1); ("T1b", t1b); ("T2", t2); ("T3", t3); ("T4", t4); ("T5", t5); ("T6", t6);
+      ("T7", t7); ("T8", t8); ("T9", t9); ("F1", f1); ("F2", f2); ("F3", f3); ("A1", a1);
+      ("A2", a2); ("F4", f4); ("R1", r1);
+    ]
+  @ [ ("P1", p1); ("C1", c1); ("O1", o1) ]
 
 let () =
   let requested = List.tl (Array.to_list Sys.argv) in
@@ -1645,9 +1163,19 @@ let () =
         requested
   in
   let t0 = !Cr_obs.Clock.now () in
-  List.iter
-    (fun (name, f) ->
-      let (), dt = time_it f in
-      Printf.printf "[%s finished in %.1fs]\n%!" name dt)
-    to_run;
-  Printf.printf "\nall experiments done in %.1fs\n" (!Cr_obs.Clock.now () -. t0)
+  let rows =
+    List.concat_map
+      (fun (name, f) ->
+        let rows, dt = time_it f in
+        Printf.printf "[%s finished in %.1fs]\n%!" name dt;
+        List.map
+          (fun row -> Jsonl.obj [ ("experiment", Jsonl.str name); ("row", row) ])
+          rows)
+      to_run
+  in
+  Printf.printf "\nall experiments done in %.1fs\n" (!Cr_obs.Clock.now () -. t0);
+  match Sys.getenv_opt "CRT_BENCH_JSON" with
+  | Some path ->
+      Jsonl.write_lines rows path;
+      Printf.printf "json written to %s\n" path
+  | None -> ()

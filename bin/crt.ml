@@ -653,37 +653,13 @@ let oracle_cmd =
           "crt: could not sample %d connected pairs; is the graph disconnected or tiny?\n" queries;
         exit 1
     in
-    (* the AGH sparse oracle is refereed sequentially over a
-       deterministic sample: its answers do not go through the engine,
-       so the row reports quality and size, not serving throughput *)
     let so = So.build ~seed apsp in
     let spairs = sample_pairs_exn ~seed:(seed + 1) apsp ~count:(min queries 2000) in
-    let sp_t0 = !Cr_obs.Clock.now () in
-    let sp_ok = ref 0 in
-    let sp_sum = ref 0.0 in
-    let sp_max = ref 0.0 in
-    Array.iter
-      (fun (u, v) ->
-        match So.path so u v with
-        | None -> ()
-        | Some (a : So.answer) ->
-            let c =
-              Simulator.check_walk (Apsp.graph apsp) ~src:u ~dst:v ~delivered:true a.So.walk
-            in
-            let tol = 1e-9 *. Float.max 1.0 a.So.est in
-            if
-              Simulator.is_delivered c.Simulator.outcome
-              && Float.abs (c.Simulator.checked_cost -. a.So.est) <= tol
-            then (
-              incr sp_ok;
-              let d = Apsp.distance apsp u v in
-              let s = if d = 0.0 then 1.0 else a.So.est /. d in
-              sp_sum := !sp_sum +. s;
-              if s > !sp_max then sp_max := s))
-      spairs;
-    let sp_wall = !Cr_obs.Clock.now () -. sp_t0 in
-    let sp_n = Array.length spairs in
-    let sp_mean = if !sp_ok = 0 then 0.0 else !sp_sum /. float_of_int !sp_ok in
+    let t0 = !Cr_obs.Clock.now () in
+    let sparse = Oserve.referee_sparse apsp so spairs in
+    let sp_qps =
+      float_of_int (Array.length spairs) /. Float.max 1e-9 (!Cr_obs.Clock.now () -. t0)
+    in
     let table =
       T.create
         ~title:
@@ -715,12 +691,12 @@ let oracle_cmd =
       [
         Printf.sprintf "agh-sparse(L=%d)" (So.landmark_count so);
         Printf.sprintf "%.0f" (So.stretch_bound so);
-        Printf.sprintf "%.0f" (float_of_int sp_n /. Float.max 1e-9 sp_wall);
+        Printf.sprintf "%.0f" sp_qps;
         "-";
         "-";
-        Printf.sprintf "%d/%d" !sp_ok sp_n;
-        T.fmt_float sp_mean;
-        T.fmt_float !sp_max;
+        Printf.sprintf "%d/%d" sparse.Cr_util.Stats.count (Array.length spairs);
+        T.fmt_float sparse.Cr_util.Stats.mean;
+        T.fmt_float sparse.Cr_util.Stats.max;
         string_of_int (So.size_entries so);
         T.fmt_bits (So.storage_bits so);
       ];
@@ -730,8 +706,10 @@ let oracle_cmd =
       J.obj
         [
           ("surface", J.str "oracle"); ("oracle", J.str "agh-sparse"); ("workload", J.str wl_label);
-          ("landmarks", J.int (So.landmark_count so)); ("pairs", J.int sp_n);
-          ("ok", J.int !sp_ok); ("stretch_mean", J.float sp_mean); ("stretch_max", J.float !sp_max);
+          ("landmarks", J.int (So.landmark_count so)); ("pairs", J.int (Array.length spairs));
+          ("ok", J.int sparse.Cr_util.Stats.count);
+          ("stretch_mean", J.float sparse.Cr_util.Stats.mean);
+          ("stretch_max", J.float sparse.Cr_util.Stats.max);
           ("size_entries", J.int (So.size_entries so)); ("storage_bits", J.int (So.storage_bits so));
         ]
     in

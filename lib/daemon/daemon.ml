@@ -7,6 +7,7 @@ module Clock = Cr_obs.Clock
 module Jsonl = Cr_util.Jsonl
 module Stats = Cr_util.Stats
 module Counters = Cr_obs.Counters
+module Ring = Cr_obs.Ring
 module Ttcache = Cr_util.Ttcache
 open Compact_routing
 
@@ -58,6 +59,11 @@ type answer = {
   dist : float;
 }
 
+(* [stats] percentiles cover the most recent [sample_window] repair
+   times and staleness samples: a long-lived daemon keeps a window of
+   them, not its whole history *)
+let sample_window = 4096
+
 type t = {
   cfg : config;
   counters : Counters.t;
@@ -75,8 +81,8 @@ type t = {
   no_batch : Guard.Deadline.t;  (* unbounded: a daemon serves no batches *)
   mutable lineno : int;
   mutable qindex : int;  (* admitted queries: the chaos plan's index *)
-  mutable repair_s : float list;  (* per-batch repair wall times *)
-  mutable stale_stretch : float list;  (* sampled live-graph stretch of answers *)
+  repair_s : float Ring.t;  (* per-batch repair wall times *)
+  stale_stretch : float Ring.t;  (* sampled live-graph stretch of answers *)
   mutable journal : Journal.writer option;
   snapshot_dir : string option;
   mutable snapshots : int;  (* checkpoints written this run *)
@@ -213,7 +219,7 @@ let worker_loop t =
           Mutex.lock t.lock;
           t.repairing <- false;
           t.serving <- epoch;
-          t.repair_s <- wall_s :: t.repair_s;
+          Ring.push t.repair_s wall_s;
           Counters.incr t.counters "daemon.repairs";
           Counters.add t.counters "daemon.repair.sources" sources;
           Counters.add t.counters "daemon.repair.mutations" (List.length batch);
@@ -359,8 +365,8 @@ let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(stalen
       no_batch = Guard.Deadline.start ();
       lineno = 0;
       qindex = 0;
-      repair_s = [];
-      stale_stretch = [];
+      repair_s = Ring.create ~capacity:sample_window;
+      stale_stretch = Ring.create ~capacity:sample_window;
       journal;
       snapshot_dir;
       snapshots = 0;
@@ -455,12 +461,6 @@ let live_graph t = t.live
 
 let counters t = t.counters
 
-let repair_times_s t =
-  Mutex.lock t.lock;
-  let xs = t.repair_s in
-  Mutex.unlock t.lock;
-  List.rev xs
-
 let quitting t = t.quit
 
 let sync t =
@@ -551,7 +551,7 @@ let sample_staleness t ~u ~v ~(ans : answer) =
         else if live_d = infinity then infinity
         else checked.Simulator.checked_cost /. live_d
       in
-      if Float.is_finite s then t.stale_stretch <- s :: t.stale_stretch
+      if Float.is_finite s then Ring.push t.stale_stretch s
     end
   end
 
@@ -735,11 +735,10 @@ let cache_sum t f =
 let stats_json t =
   let ep, bl = snapshot t in
   Mutex.lock t.lock;
-  let repair_s = t.repair_s and stale = t.stale_stretch in
   let poisoned = t.poisoned and repairing = t.repairing in
   Mutex.unlock t.lock;
-  let rp50, rp95, rp99 = percentiles repair_s in
-  let sp50, sp95, sp99 = percentiles stale in
+  let rp50, rp95, rp99 = percentiles (Ring.to_list t.repair_s) in
+  let sp50, sp95, sp99 = percentiles (Ring.to_list t.stale_stretch) in
   let c name = Counters.get t.counters name in
   Jsonl.obj
     [

@@ -159,15 +159,12 @@ val live_graph : t -> Cr_graph.Graph.t
 val counters : t -> Cr_obs.Counters.t
 (** The [daemon.*] / [guard.*] counters. *)
 
-val repair_times_s : t -> float list
-(** Per-batch repair wall times, oldest first — the raw series behind
-    the stats percentiles (benches compute their own). *)
-
 val stats_json : t -> string
 (** One strict-JSON object: epoch, backlog, query/mutation/repair
     totals, repair latency percentiles, staleness measurements, and
     durability state (fsync policy, journal size, snapshot age,
-    recovery summary). *)
+    recovery summary).  The repair and staleness percentiles cover the
+    most recent 4096 samples of each. *)
 
 val close : t -> unit
 (** Stops and joins the repair worker, flushes and closes the journal

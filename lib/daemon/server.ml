@@ -229,25 +229,27 @@ let addr t = t.bound
 
 let stats t = t.stats
 
-let stats_json t =
+(* the fields both [stats_json] and the drain-time [server_stats]
+   event render *)
+let stats_fields t =
   let s = t.stats in
-  Jsonl.obj
-    [
-      ("conns", Jsonl.int s.conns_total);
-      ("served", Jsonl.int s.served);
-      ("shed", Jsonl.int s.shed);
-      ("timed_out", Jsonl.int s.timed_out);
-      ("disconnected", Jsonl.int s.disconnected);
-      ("lines", Jsonl.int s.lines);
-      ("responses", Jsonl.int s.responses);
-      ("oversized", Jsonl.int s.oversized);
-      ("torn", Jsonl.int s.torn);
-      ("netchaos", Jsonl.str t.cfg.nc.nlabel);
-      ("chaos_delays", Jsonl.int s.chaos_delays);
-      ("chaos_shorts", Jsonl.int s.chaos_shorts);
-      ("chaos_drops", Jsonl.int s.chaos_drops);
-      ("drained", Jsonl.bool s.drained);
-    ]
+  [
+    ("conns", Jsonl.int s.conns_total);
+    ("served", Jsonl.int s.served);
+    ("shed", Jsonl.int s.shed);
+    ("timed_out", Jsonl.int s.timed_out);
+    ("disconnected", Jsonl.int s.disconnected);
+    ("lines", Jsonl.int s.lines);
+    ("responses", Jsonl.int s.responses);
+    ("oversized", Jsonl.int s.oversized);
+    ("torn", Jsonl.int s.torn);
+    ("netchaos", Jsonl.str t.cfg.nc.nlabel);
+    ("chaos_delays", Jsonl.int s.chaos_delays);
+    ("chaos_shorts", Jsonl.int s.chaos_shorts);
+    ("chaos_drops", Jsonl.int s.chaos_drops);
+  ]
+
+let stats_json t = Jsonl.obj (stats_fields t @ [ ("drained", Jsonl.bool t.stats.drained) ])
 
 let stop t = Atomic.set t.stop_flag true
 
@@ -549,23 +551,7 @@ let run t =
     List.iter (fun c -> poll_parked_sync t c) t.conns;
     List.iter (fun c -> sweep t c tnow) t.conns;
     if t.draining && t.conns = [] then
-      Daemon.emit_event t.daemon
-        [
-          ("event", Jsonl.str "server_stats");
-          ("conns", Jsonl.int t.stats.conns_total);
-          ("served", Jsonl.int t.stats.served);
-          ("shed", Jsonl.int t.stats.shed);
-          ("timed_out", Jsonl.int t.stats.timed_out);
-          ("disconnected", Jsonl.int t.stats.disconnected);
-          ("lines", Jsonl.int t.stats.lines);
-          ("responses", Jsonl.int t.stats.responses);
-          ("oversized", Jsonl.int t.stats.oversized);
-          ("torn", Jsonl.int t.stats.torn);
-          ("netchaos", Jsonl.str t.cfg.nc.nlabel);
-          ("chaos_delays", Jsonl.int t.stats.chaos_delays);
-          ("chaos_shorts", Jsonl.int t.stats.chaos_shorts);
-          ("chaos_drops", Jsonl.int t.stats.chaos_drops);
-        ]
+      Daemon.emit_event t.daemon (("event", Jsonl.str "server_stats") :: stats_fields t)
     else begin
       let readers =
         (* backpressure: a connection whose write queue is over the

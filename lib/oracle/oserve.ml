@@ -47,6 +47,12 @@ let canon s d = if s <= d then (s, d) else (d, s)
 
 let orient ~src ~dst m = if m.src = src then m else { m with src; dst }
 
+(* A reported walk passes the referee when it is valid, ends at its
+   destination and re-prices to the estimate within [cost_tol]. *)
+let priced_ok (chk : Sim.checked) ~est =
+  Sim.is_delivered chk.Sim.outcome
+  && abs_float (chk.Sim.checked_cost -. est) <= cost_tol *. Float.max 1.0 est
+
 let measure_canonical apsp oracle src dst =
   let g = Apsp.graph apsp in
   let d = Apsp.distance apsp src dst in
@@ -58,16 +64,12 @@ let measure_canonical apsp oracle src dst =
     | Some a ->
         let est = a.Path_oracle.est in
         let chk = Sim.check_walk g ~src ~dst ~delivered:true a.Path_oracle.walk in
-        let priced_ok =
-          Sim.is_delivered chk.Sim.outcome
-          && abs_float (chk.Sim.checked_cost -. est) <= cost_tol *. Float.max 1.0 est
-        in
         {
           src;
           dst;
           est;
           dist = d;
-          ok = priced_ok;
+          ok = priced_ok chk ~est;
           hops = chk.Sim.checked_hops;
           stretch = (if d > 0.0 && d < infinity then est /. d else infinity);
         }
@@ -75,6 +77,21 @@ let measure_canonical apsp oracle src dst =
 let measure apsp oracle src dst =
   let cs, cd = canon src dst in
   orient ~src ~dst (measure_canonical apsp oracle cs cd)
+
+let referee_sparse apsp so pairs =
+  let g = Apsp.graph apsp in
+  let stretches =
+    List.filter_map
+      (fun (u, v) ->
+        match Sparse_oracle.path so u v with
+        | Some { Sparse_oracle.est; walk; _ }
+          when priced_ok (Sim.check_walk g ~src:u ~dst:v ~delivered:true walk) ~est ->
+            let d = Apsp.distance apsp u v in
+            Some (if d = 0.0 then 1.0 else est /. d)
+        | _ -> None)
+      (Array.to_list pairs)
+  in
+  if stretches = [] then Stats.empty_summary else Stats.summarize (Array.of_list stretches)
 
 let run_guarded ?chaos engine apsp oracle pairs =
   Engine.run_custom ?chaos engine ~n:(Graph.n (Apsp.graph apsp)) ~placeholder

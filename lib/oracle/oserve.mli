@@ -30,6 +30,16 @@ val measure : Cr_graph.Apsp.t -> Path_oracle.t -> int -> int -> omeasured
     fields — which is what lets every serving mode share one cache
     entry per unordered pair. *)
 
+val referee_sparse :
+  Cr_graph.Apsp.t -> Sparse_oracle.t -> (int * int) array -> Cr_util.Stats.summary
+(** Answers each pair with {!Sparse_oracle.path}, in order on the
+    calling domain, and referees every walk as {!measure} does.
+    Returns the stretch summary of the answers that pass: its [count]
+    is how many passed, a pair's stretch is [1.0] when [d = 0], and it
+    is {!Cr_util.Stats.empty_summary} when none pass.  The AGH oracle
+    does not go through the engine, so this measures answer quality,
+    not serving throughput; callers that report a rate time it. *)
+
 val run_guarded :
   ?chaos:Cr_guard.Chaos.t ->
   omeasured Cr_engine.Engine.t ->

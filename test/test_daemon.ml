@@ -347,6 +347,25 @@ let test_breaker_opens_under_persistent_faults () =
   checkb "breaker eventually opens" true
     (List.exists (fun r -> contains r "rejected=breaker_open") outcomes)
 
+(* every route answer is sampled for staleness: once the sample windows
+   are full, the daemon's retained memory must stop growing with the
+   number of answers *)
+let test_sample_windows_bounded () =
+  let n = 32 in
+  let d = Daemon.create ~policy:Guard.Policy.off ~staleness_every:1 ~params (mk_graph ~n 23) in
+  let rng = Rng.create 24 in
+  let retained_after routes =
+    for _ = 1 to routes do
+      ignore (Daemon.handle d (Printf.sprintf "route %d %d" (Rng.int rng n) (Rng.int rng n)))
+    done;
+    Gc.compact ();
+    Obj.reachable_words (Obj.repr d)
+  in
+  let w1 = retained_after 10_000 in
+  let w2 = retained_after 10_000 in
+  Daemon.close d;
+  checkb (Printf.sprintf "retained words stay flat (%d -> %d)" w1 w2) true (w2 <= w1)
+
 (* ------------------------------------------------------------------ *)
 (* Repair equivalence: after sync, the daemon's answers are
    bit-identical to a daemon freshly built on the final graph.  This is
@@ -910,6 +929,7 @@ let () =
           Alcotest.test_case "shed on backlog" `Quick test_shed_on_backlog;
           Alcotest.test_case "breaker opens under persistent faults" `Quick
             test_breaker_opens_under_persistent_faults;
+          Alcotest.test_case "sample windows bounded" `Quick test_sample_windows_bounded;
         ] );
       ( "repair",
         [

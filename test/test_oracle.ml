@@ -7,6 +7,7 @@
    pool widths and cache capacities). *)
 
 module Rng = Cr_util.Rng
+module Stats = Cr_util.Stats
 module Graph = Cr_graph.Graph
 module Apsp = Cr_graph.Apsp
 module Generators = Cr_graph.Generators
@@ -250,6 +251,23 @@ let test_oserve_measure () =
   checkb "self ok" true self.Oserve.ok;
   checkb "self stretch" true (self.Oserve.stretch = 1.0)
 
+(* the referee crt oracle and the O1 bench share for the AGH oracle:
+   every walk re-prices to its estimate, and stretch stays within the
+   bound; the u = v pair takes the d = 0 branch (stretch 1, not nan) *)
+let test_oserve_referee_sparse () =
+  let g = Experiment.make_graph ~seed:61 (Experiment.Power_law { n = 64; exponent = 2.5 }) in
+  let apsp = Apsp.compute g in
+  let so = So.build ~seed:61 apsp in
+  let pairs = Array.append [| (5, 5) |] (Simulator.sample_pairs (Rng.create 62) apsp ~count:200) in
+  let s = Oserve.referee_sparse apsp so pairs in
+  checki "ok = pairs" (Array.length pairs) s.Stats.count;
+  checkb
+    (Printf.sprintf "1 <= mean %g <= max %g <= bound" s.Stats.mean s.Stats.max)
+    true
+    (1.0 <= s.Stats.mean
+    && s.Stats.mean <= s.Stats.max
+    && s.Stats.max <= So.stretch_bound so +. 1e-9)
+
 let test_oserve_pool_and_cache_invariance () =
   let apsp = prepared_graph ~n:60 53 in
   let oracle = Po.build ~k:3 ~seed:53 apsp in
@@ -348,6 +366,7 @@ let () =
       ( "oserve",
         [
           Alcotest.test_case "measure referees walks" `Quick test_oserve_measure;
+          Alcotest.test_case "sparse referee" `Quick test_oserve_referee_sparse;
           Alcotest.test_case "pool and cache invariance" `Quick
             test_oserve_pool_and_cache_invariance;
           Alcotest.test_case "measure is canonical" `Quick
