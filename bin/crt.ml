@@ -731,6 +731,7 @@ let oracle_cmd =
 
 let chaos_cmd =
   let module Sweep = Cr_engine.Chaos_sweep in
+  let module Serve = Cr_engine.Serve in
   let queries_arg =
     Arg.(value & opt int 4000 & info [ "queries" ] ~docv:"Q" ~doc:"Queries per grid cell.")
   in
@@ -778,19 +779,21 @@ let chaos_cmd =
     let last_chaos = ref "" in
     List.iter
       (fun (c : Sweep.cell) ->
-        if !last_chaos <> "" && !last_chaos <> c.Sweep.chaos then T.add_sep table;
-        last_chaos := c.Sweep.chaos;
+        let r = c.Sweep.report in
+        let g = r.Serve.guards in
+        if !last_chaos <> "" && !last_chaos <> r.Serve.chaos_label then T.add_sep table;
+        last_chaos := r.Serve.chaos_label;
         T.add_row table
           [
-            c.Sweep.chaos; c.Sweep.guards; string_of_int c.Sweep.ok;
-            string_of_int c.Sweep.timed_out; string_of_int c.Sweep.shed;
-            string_of_int c.Sweep.breaker_open; string_of_int c.Sweep.worker_lost;
-            string_of_int c.Sweep.retries; string_of_int c.Sweep.requeues;
+            r.Serve.chaos_label; r.Serve.guard_label; string_of_int g.Engine.ok;
+            string_of_int g.Engine.timed_out; string_of_int g.Engine.shed;
+            string_of_int g.Engine.breaker_open; string_of_int g.Engine.worker_lost;
+            string_of_int g.Engine.retries; string_of_int g.Engine.requeues;
             (match Sweep.served_ratio c with
-            | Some r -> Printf.sprintf "%.1f%%" (100.0 *. r)
+            | Some x -> Printf.sprintf "%.1f%%" (100.0 *. x)
             | None -> "-");
             (if c.Sweep.within_budget then "ok" else "OVER");
-            Printf.sprintf "%.1f" (1e3 *. c.Sweep.wall_s);
+            Printf.sprintf "%.1f" (1e3 *. r.Serve.wall_s);
           ])
       cells;
     T.print table;

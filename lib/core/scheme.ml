@@ -14,4 +14,3 @@ let label_header_bits ~n =
   let lg = Cr_util.Bits.id_bits ~n in
   default_header_bits ~n + (lg * lg)
 
-let direct_route _g walk delivered = { walk; delivered; phases_used = 1 }

@@ -37,7 +37,3 @@ val default_header_bits : n:int -> int
 val label_header_bits : n:int -> int
 (** {!default_header_bits} plus an in-flight tree-routing label of
     [O(log² n)] bits — what the tree-search schemes carry. *)
-
-val direct_route : Cr_graph.Graph.t -> int list -> bool -> route
-(** Helper wrapping a walk computed by a scheme into a {!route} with
-    [phases_used = 1]. *)

@@ -222,14 +222,6 @@ let worker_loop t =
           Ring.push t.repair_s wall_s;
           Counters.incr t.counters "daemon.repairs";
           Counters.add t.counters "daemon.repair.sources" sources;
-          Counters.add t.counters "daemon.repair.mutations" (List.length batch);
-          Counters.add t.counters "daemon.dirty.levels" (List.length impact.Dirty.levels);
-          Counters.add t.counters "daemon.dirty.trees"
-            (List.length impact.Dirty.sparse_trees);
-          Counters.add t.counters "daemon.dirty.covers"
-            (List.length impact.Dirty.dense_covers);
-          Counters.set t.counters "daemon.epoch" epoch.id;
-          Counters.set t.counters "daemon.backlog" (Queue.length t.pending);
           repair_event t ~epoch_id:epoch.id ~batch ~sources ~impact ~wall_s;
           Condition.broadcast t.cond;
           Mutex.unlock t.lock;
@@ -253,7 +245,6 @@ let worker_loop t =
             t.repairing <- false;
             requeue_front t batch;
             Counters.incr t.counters "daemon.repair.restarts";
-            Counters.set t.counters "daemon.backlog" (Queue.length t.pending);
             restart_event t ~restart:failures ~delay_s ~error:msg;
             Mutex.unlock t.lock;
             if delay_s > 0.0 then !Clock.sleep delay_s;
@@ -319,14 +310,12 @@ let recover_state ~base ~journal_path ~snapshot_dir =
 
 let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(staleness_every = 32)
     ?(fsync = Journal.Every) ?journal ?snapshot_dir ?(snapshot_every = 64) ?(recover = false)
-    ?(restart_backoff = Guard.Backoff.repair) ?events ?repair_hook ?counters ?(cache = 0)
-    ~params graph =
+    ?(restart_backoff = Guard.Backoff.repair) ?events ?repair_hook ?(cache = 0) ~params graph =
   if staleness_every < 0 then invalid_arg "Daemon.create: staleness_every must be >= 0";
   if cache < 0 then invalid_arg "Daemon.create: cache must be >= 0";
   if snapshot_every < 0 then invalid_arg "Daemon.create: snapshot_every must be >= 0";
   if snapshot_dir <> None && journal = None then
     invalid_arg "Daemon.create: snapshots need a journal (the checkpoint records its offset)";
-  let counters = match counters with Some c -> c | None -> Counters.create () in
   let t0 = !Clock.now () in
   let live, seq, recovered =
     if recover then
@@ -350,7 +339,7 @@ let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(stalen
       cfg =
         { params; policy; chaos; staleness_every; repair_hook; fsync; snapshot_every;
           restart_backoff };
-      counters;
+      counters = Counters.create ();
       lock = Mutex.create ();
       cond = Condition.create ();
       pending = Queue.create ();
@@ -381,16 +370,6 @@ let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(stalen
          else Some (Ttcache.create ~salt:(Graph.hash live + 1) ~capacity:cache ()));
     }
   in
-  Counters.set counters "daemon.epoch" 0;
-  Counters.set counters "daemon.backlog" 0;
-  (match recovered with
-  | Some r ->
-      Counters.set counters "daemon.recovery.replayed" r.replayed;
-      Counters.set counters "daemon.recovery.truncated_bytes" r.truncated_bytes
-  | None -> ());
-  (match t.journal with
-  | Some w -> Counters.set counters "daemon.journal.bytes" (Journal.bytes w)
-  | None -> ());
   t.worker <- Some (Domain.spawn (fun () -> worker_loop t));
   t
 
@@ -665,15 +644,23 @@ let take_snapshot t ~dir ~writer =
       graph = t.live;
     }
   in
+  (* a failed checkpoint must not kill serving — the previous
+     checkpoint and the journal still stand — but it must not be silent
+     either: counted for [stats] and warned about on stderr, as a
+     failed journal fsync is *)
+  let failed reason =
+    Counters.incr t.counters "daemon.snapshot.failures";
+    Printf.eprintf
+      "crt: snapshot %s: checkpoint failed: %s (the previous checkpoint and the journal still \
+       stand)\n%!"
+      dir reason
+  in
   match Snapshot.write ~dir snap with
   | _path ->
       t.snapshots <- t.snapshots + 1;
-      t.last_snapshot <- Some (snap.Gio.epoch, !Clock.now ());
-      Counters.incr t.counters "daemon.snapshots"
-  | exception (Sys_error _ | Unix.Unix_error (_, _, _)) ->
-      (* a failed checkpoint must not kill serving; the previous
-         checkpoint (and the journal) still stand *)
-      Counters.incr t.counters "daemon.snapshot.failures"
+      t.last_snapshot <- Some (snap.Gio.epoch, !Clock.now ())
+  | exception Sys_error msg -> failed msg
+  | exception Unix.Unix_error (err, fn, _) -> failed (fn ^ ": " ^ Unix.error_message err)
 
 let accept_mutation t mu =
   Counters.incr t.counters "daemon.mutations";
@@ -699,7 +686,6 @@ let accept_mutation t mu =
                is flushed per the fsync policy, so the [ok] below never
                acknowledges a mutation a crash could lose *)
             Journal.append w mu;
-            Counters.set t.counters "daemon.journal.bytes" (Journal.bytes w);
             (match t.snapshot_dir with
             | Some dir
               when t.cfg.snapshot_every > 0 && Journal.records w mod t.cfg.snapshot_every = 0
@@ -710,7 +696,6 @@ let accept_mutation t mu =
         Mutex.lock t.lock;
         Queue.push mu t.pending;
         let bl = Queue.length t.pending + if t.repairing then 1 else 0 in
-        Counters.set t.counters "daemon.backlog" bl;
         Condition.broadcast t.cond;
         Mutex.unlock t.lock;
         Printf.sprintf "ok mutate %s backlog=%d" (Graph.mutation_to_string mu) bl
@@ -720,13 +705,10 @@ let accept_mutation t mu =
 
 (* ---- stats ------------------------------------------------------------ *)
 
-let percentiles xs =
-  match xs with
-  | [] -> (0.0, 0.0, 0.0)
-  | xs ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      (Stats.percentile a 0.5, Stats.percentile a 0.95, Stats.percentile a 0.99)
+let summary ring =
+  match Ring.to_list ring with
+  | [] -> Stats.empty_summary
+  | xs -> Stats.summarize (Array.of_list xs)
 
 let cache_sum t f =
   let one = function None -> 0 | Some tt -> f (Ttcache.stats tt) in
@@ -737,8 +719,7 @@ let stats_json t =
   Mutex.lock t.lock;
   let poisoned = t.poisoned and repairing = t.repairing in
   Mutex.unlock t.lock;
-  let rp50, rp95, rp99 = percentiles (Ring.to_list t.repair_s) in
-  let sp50, sp95, sp99 = percentiles (Ring.to_list t.stale_stretch) in
+  let rs = summary t.repair_s and ss = summary t.stale_stretch in
   let c name = Counters.get t.counters name in
   Jsonl.obj
     [
@@ -766,11 +747,12 @@ let stats_json t =
              (cache_sum t (fun s -> s.Ttcache.hits) + cache_sum t (fun s -> s.Ttcache.misses))) );
       ("mutations", Jsonl.int (c "daemon.mutations"));
       ("mutations_rejected", Jsonl.int (c "daemon.mutations.rejected"));
+      ("parse_errors", Jsonl.int (c "daemon.parse_errors"));
       ("repairs", Jsonl.int (c "daemon.repairs"));
       ("repair_sources", Jsonl.int (c "daemon.repair.sources"));
-      ("repair_ms_p50", Jsonl.float (1e3 *. rp50));
-      ("repair_ms_p95", Jsonl.float (1e3 *. rp95));
-      ("repair_ms_p99", Jsonl.float (1e3 *. rp99));
+      ("repair_ms_p50", Jsonl.float (1e3 *. rs.Stats.p50));
+      ("repair_ms_p95", Jsonl.float (1e3 *. rs.Stats.p95));
+      ("repair_ms_p99", Jsonl.float (1e3 *. rs.Stats.p99));
       ("timed_out", Jsonl.int (c "guard.timeouts"));
       ("shed", Jsonl.int (c "guard.sheds"));
       ("breaker_open", Jsonl.int (c "guard.breaker_opens"));
@@ -778,9 +760,9 @@ let stats_json t =
       ("retries", Jsonl.int (Guard.Chain.retries t.guard));
       ("stale_samples", Jsonl.int (c "daemon.stale.samples"));
       ("stale_broken", Jsonl.int (c "daemon.stale.broken"));
-      ("stale_stretch_p50", Jsonl.float sp50);
-      ("stale_stretch_p95", Jsonl.float sp95);
-      ("stale_stretch_p99", Jsonl.float sp99);
+      ("stale_stretch_p50", Jsonl.float ss.Stats.p50);
+      ("stale_stretch_p95", Jsonl.float ss.Stats.p95);
+      ("stale_stretch_p99", Jsonl.float ss.Stats.p99);
       (* durability state: what an operator needs to judge what a crash
          right now would cost (DESIGN.md §10) *)
       ( "fsync",
@@ -793,6 +775,7 @@ let stats_json t =
       ( "journal_records",
         Jsonl.int (match t.journal with Some w -> Journal.records w | None -> 0) );
       ("snapshots", Jsonl.int t.snapshots);
+      ("snapshot_failures", Jsonl.int (c "daemon.snapshot.failures"));
       ( "last_snapshot_epoch",
         match t.last_snapshot with Some (e, _) -> Jsonl.int e | None -> "null" );
       ( "last_snapshot_age_s",

@@ -24,17 +24,6 @@
 
 type t
 
-type config = {
-  params : Compact_routing.Params.t;
-  policy : Cr_guard.Policy.t;
-  chaos : Cr_guard.Chaos.t;
-  staleness_every : int;
-  repair_hook : (unit -> unit) option;
-  fsync : Journal.fsync;
-  snapshot_every : int;
-  restart_backoff : Cr_guard.Backoff.t;
-}
-
 (** What startup recovery found and did (DESIGN.md §10). *)
 type recovery = {
   snapshot_epoch : int option;  (** epoch of the checkpoint used, if any *)
@@ -57,7 +46,6 @@ val create :
   ?restart_backoff:Cr_guard.Backoff.t ->
   ?events:string ->
   ?repair_hook:(unit -> unit) ->
-  ?counters:Cr_obs.Counters.t ->
   ?cache:int ->
   params:Compact_routing.Params.t ->
   Cr_graph.Graph.t ->
@@ -157,14 +145,16 @@ val live_graph : t -> Cr_graph.Graph.t
     converging to). *)
 
 val counters : t -> Cr_obs.Counters.t
-(** The [daemon.*] / [guard.*] counters. *)
+(** The per-command ([daemon.*]) and guard-rejection ([guard.*])
+    tallies that {!stats_json} renders. *)
 
 val stats_json : t -> string
 (** One strict-JSON object: epoch, backlog, query/mutation/repair
-    totals, repair latency percentiles, staleness measurements, and
-    durability state (fsync policy, journal size, snapshot age,
-    recovery summary).  The repair and staleness percentiles cover the
-    most recent 4096 samples of each. *)
+    totals, parse errors, repair latency percentiles, staleness
+    measurements, and durability state (fsync policy, journal size,
+    snapshots written and failed, snapshot age, recovery summary).
+    The repair and staleness percentiles cover the most recent 4096
+    samples of each. *)
 
 val close : t -> unit
 (** Stops and joins the repair worker, flushes and closes the journal

@@ -5,8 +5,8 @@
     ({!Cr_graph.Apsp.dirty_sources} — the set the incremental repair
     actually recomputes), and, through the dirty sources' phase plans,
     the landmark levels, sparse-phase trees and dense cover levels
-    their routes traverse.  The daemon reports these as [daemon.dirty.*]
-    counters and sizes its repair against [sources]; the component
+    their routes traverse.  The daemon reports these in each batch's
+    [repair] event and sizes its repair against [sources]; the component
     lists quantify how local a mutation is at the scheme layer (the
     scheme itself is rebuilt deterministically from the repaired ground
     truth — see DESIGN.md §9 for why that is what keeps repair

@@ -8,23 +8,7 @@ module Jsonl = Cr_util.Jsonl
 module Guard = Cr_guard
 
 type cell = {
-  chaos : string;
-  guards : string;
-  queries : int;
-  domains : int;
-  wall_s : float;
-  routes_per_sec : float;
-  ok : int;
-  timed_out : int;
-  shed : int;
-  breaker_open : int;
-  worker_lost : int;
-  retries : int;
-  requeues : int;
-  lost_lanes : int;
-  stalls : int;
-  delivered : int;
-  stretch_p99 : float;
+  report : Serve.report;
   within_budget : bool; (* wall_s <= batch budget (with 25% slack), or no budget *)
 }
 
@@ -33,33 +17,13 @@ type cell = {
    JSON null / an ASCII "-"; the cell's [queries = 0] field is the
    explicit emptiness marker. *)
 let served_ratio c =
-  if c.queries = 0 then None else Some (Cr_util.Stats.ratio c.ok c.queries)
-
-let cell_of_report ~within_budget (r : Serve.report) =
-  {
-    chaos = r.Serve.chaos_label;
-    guards = r.Serve.guard_label;
-    queries = r.Serve.queries;
-    domains = r.Serve.domains;
-    wall_s = r.Serve.wall_s;
-    routes_per_sec = r.Serve.routes_per_sec;
-    ok = r.Serve.guards.Engine.ok;
-    timed_out = r.Serve.guards.Engine.timed_out;
-    shed = r.Serve.guards.Engine.shed;
-    breaker_open = r.Serve.guards.Engine.breaker_open;
-    worker_lost = r.Serve.guards.Engine.worker_lost;
-    retries = r.Serve.guards.Engine.retries;
-    requeues = r.Serve.guards.Engine.requeues;
-    lost_lanes = r.Serve.guards.Engine.lost_lanes;
-    stalls = r.Serve.guards.Engine.stalls;
-    delivered = r.Serve.delivered;
-    stretch_p99 = r.Serve.stretch_p99;
-    within_budget;
-  }
+  let r = c.report in
+  if r.Serve.queries = 0 then None
+  else Some (Cr_util.Stats.ratio r.Serve.guards.Engine.ok r.Serve.queries)
 
 let run_cell ?(cache = 0) ?(dist = Workload.Zipf 1.1) ~domains ~seed ~queries ~workload
     ~guard_label policy chaos apsp scheme =
-  let r =
+  let report =
     Serve.run ~cache ~dist ~policy ~chaos ~guard_label ~domains ~seed ~queries ~workload apsp
       scheme
   in
@@ -69,9 +33,9 @@ let run_cell ?(cache = 0) ?(dist = Workload.Zipf 1.1) ~domains ~seed ~queries ~w
     | Some b ->
         (* generous slack: the budget cuts off work, it cannot cancel a
            query already in flight or an injected stall mid-sleep *)
-        r.Serve.wall_s <= b *. 1.25
+        report.Serve.wall_s <= b *. 1.25
   in
-  cell_of_report ~within_budget r
+  { report; within_budget }
 
 let sweep ?cache ?dist ?(chaos_seed = 42) ?(batch_budget_s = 0.25) ?(on_cell = fun _ -> ())
     ~domains ~seed ~queries ~workload apsp scheme =
@@ -91,25 +55,27 @@ let sweep ?cache ?dist ?(chaos_seed = 42) ?(batch_budget_s = 0.25) ?(on_cell = f
     chaoses
 
 let cell_to_json c =
+  let r = c.report in
+  let g = r.Serve.guards in
   Jsonl.obj
     [
-      ("chaos", Jsonl.str c.chaos);
-      ("guards", Jsonl.str c.guards);
-      ("queries", Jsonl.int c.queries);
-      ("domains", Jsonl.int c.domains);
-      ("wall_s", Jsonl.float c.wall_s);
-      ("routes_per_sec", Jsonl.float c.routes_per_sec);
-      ("ok", Jsonl.int c.ok);
-      ("timed_out", Jsonl.int c.timed_out);
-      ("shed", Jsonl.int c.shed);
-      ("breaker_open", Jsonl.int c.breaker_open);
-      ("worker_lost", Jsonl.int c.worker_lost);
-      ("retries", Jsonl.int c.retries);
-      ("requeues", Jsonl.int c.requeues);
-      ("lost_lanes", Jsonl.int c.lost_lanes);
-      ("stalls", Jsonl.int c.stalls);
-      ("delivered", Jsonl.int c.delivered);
-      ("served_ratio", match served_ratio c with Some r -> Jsonl.float r | None -> "null");
-      ("stretch_p99", Jsonl.float c.stretch_p99);
+      ("chaos", Jsonl.str r.Serve.chaos_label);
+      ("guards", Jsonl.str r.Serve.guard_label);
+      ("queries", Jsonl.int r.Serve.queries);
+      ("domains", Jsonl.int r.Serve.domains);
+      ("wall_s", Jsonl.float r.Serve.wall_s);
+      ("routes_per_sec", Jsonl.float r.Serve.routes_per_sec);
+      ("ok", Jsonl.int g.Engine.ok);
+      ("timed_out", Jsonl.int g.Engine.timed_out);
+      ("shed", Jsonl.int g.Engine.shed);
+      ("breaker_open", Jsonl.int g.Engine.breaker_open);
+      ("worker_lost", Jsonl.int g.Engine.worker_lost);
+      ("retries", Jsonl.int g.Engine.retries);
+      ("requeues", Jsonl.int g.Engine.requeues);
+      ("lost_lanes", Jsonl.int g.Engine.lost_lanes);
+      ("stalls", Jsonl.int g.Engine.stalls);
+      ("delivered", Jsonl.int r.Serve.delivered);
+      ("served_ratio", match served_ratio c with Some x -> Jsonl.float x | None -> "null");
+      ("stretch_p99", Jsonl.float r.Serve.stretch_p99);
       ("within_budget", Jsonl.bool c.within_budget);
     ]

@@ -11,23 +11,7 @@
     each via {!cell_to_json}; the ASCII rendering lives in [crt]. *)
 
 type cell = {
-  chaos : string;  (** chaos preset label (none/crash/stall/flaky/storm) *)
-  guards : string;  (** guard preset label (off/serving/strict) *)
-  queries : int;
-  domains : int;
-  wall_s : float;
-  routes_per_sec : float;
-  ok : int;
-  timed_out : int;
-  shed : int;
-  breaker_open : int;
-  worker_lost : int;
-  retries : int;
-  requeues : int;
-  lost_lanes : int;
-  stalls : int;
-  delivered : int;  (** among ok outcomes *)
-  stretch_p99 : float;  (** over served queries *)
+  report : Serve.report;  (** the cell's run: labels, guard tally, quality *)
   within_budget : bool;
       (** wall time within the batch budget (25% slack for work already
           in flight at expiry); [true] when the cell has no budget *)
@@ -36,7 +20,7 @@ type cell = {
 val served_ratio : cell -> float option
 (** [ok / queries]; [None] for a cell that ran zero queries (rendered
     as JSON null / an ASCII "-" — an empty cell is not perfect
-    delivery).  [cell.queries = 0] marks the emptiness explicitly. *)
+    delivery).  [report.queries = 0] marks the emptiness explicitly. *)
 
 val run_cell :
   ?cache:int ->
@@ -76,4 +60,6 @@ val sweep :
     queries)], so the "none"/"off" cell reproduces the plain serve. *)
 
 val cell_to_json : cell -> string
-(** One JSON object per cell (single line, no trailing newline). *)
+(** One flat JSON object per cell (single line, no trailing newline):
+    the chaos and guard labels, the run's size, throughput, guard
+    tally and quality, then [served_ratio] and [within_budget]. *)

@@ -62,9 +62,6 @@ type 'r t = {
   shared : 'r Ttcache.t option; (* one per engine; [None] unless mode = Shared *)
   policy : Guard.Policy.t;
   guards : Guard.Chain.t array; (* one per shard: breaker, cost estimate, tallies *)
-  counters : Cr_obs.Counters.t option;
-  mutable served : int;
-  mutable busy_s : float;
 }
 
 type metrics = {
@@ -91,7 +88,7 @@ type guard_stats = {
   stalls : int;
 }
 
-let create ?(cache = 0) ?cache_mode ?salt ?(policy = Guard.Policy.off) ?counters ?pool () =
+let create ?(cache = 0) ?cache_mode ?salt ?(policy = Guard.Policy.off) ?pool () =
   if cache < 0 then invalid_arg "Engine.create: negative cache capacity";
   let mode =
     match cache_mode with
@@ -116,9 +113,6 @@ let create ?(cache = 0) ?cache_mode ?salt ?(policy = Guard.Policy.off) ?counters
     shared;
     policy;
     guards = Array.init lanes (fun _ -> Guard.Chain.create policy);
-    counters;
-    served = 0;
-    busy_s = 0.0;
   }
 
 let pool t = t.pool
@@ -129,8 +123,6 @@ let shared_stats t =
   match t.shared with None -> Ttcache.no_stats | Some tt -> Ttcache.stats tt
 
 let policy t = t.policy
-let served t = t.served
-let busy_seconds t = t.busy_s
 
 let breaker_state t ~shard = Guard.Chain.breaker_state t.guards.(shard)
 
@@ -151,10 +143,9 @@ let id_orient ~src:_ ~dst:_ r = r
 
 (* The single batch core, generic in the result type.  [n] is the node
    count (cache keys are (s * n) + d); [measure] computes one query from
-   immutable tables; [delivered] classifies a result for the
-   engine.delivered counter; [placeholder] seeds the result array
-   (every slot is overwritten — the pool guarantees exactly-once
-   execution even under lane crashes).
+   immutable tables; [placeholder] seeds the result array (every slot
+   is overwritten — the pool guarantees exactly-once execution even
+   under lane crashes).
 
    [canon]/[orient] factor a query through a canonical representative:
    every query — hit, miss, or cache off — computes
@@ -163,8 +154,8 @@ let id_orient ~src:_ ~dst:_ r = r
    while the result stays a pure function of the original (src, dst) in
    every cache mode.  The defaults are the identity, preserving the
    directional routing surface exactly. *)
-let run_custom (type r) ?(chaos = Guard.Chaos.none) ?(delivered = fun _ -> true)
-    ?(canon = id_canon) ?(orient = id_orient) (t : r t) ~n ~(placeholder : r) ~measure pairs =
+let run_custom (type r) ?(chaos = Guard.Chaos.none) ?(canon = id_canon) ?(orient = id_orient)
+    (t : r t) ~n ~(placeholder : r) ~measure pairs =
   let nq = Array.length pairs in
   let lanes = Pool.domains t.pool in
   let out = Array.make (max nq 1) (Ok placeholder) in
@@ -172,7 +163,6 @@ let run_custom (type r) ?(chaos = Guard.Chaos.none) ?(delivered = fun _ -> true)
   let tally f = Array.fold_left (fun acc g -> acc + f g) 0 t.guards in
   let retries0 = tally Guard.Chain.retries and stalls0 = tally Guard.Chain.stalls in
   let hits0, misses0 = cache_stats t in
-  let shared0 = shared_stats t in
   let batch = Guard.Deadline.start ?budget_s:t.policy.Guard.Policy.batch_budget_s () in
   let t0 = !Clock.now () in
   let pool_stats =
@@ -221,17 +211,13 @@ let run_custom (type r) ?(chaos = Guard.Chaos.none) ?(delivered = fun _ -> true)
   in
   let wall = !Clock.now () -. t0 in
   let hits1, misses1 = cache_stats t in
-  t.served <- t.served + nq;
-  t.busy_s <- t.busy_s +. wall;
   (* tally outcomes once per batch, from the coordinating thread: the
      counts are pure functions of the outcome array *)
   let ok = ref 0 and timed_out = ref 0 and shed = ref 0 in
-  let breaker_open = ref 0 and worker_lost = ref 0 and delivered_n = ref 0 in
+  let breaker_open = ref 0 and worker_lost = ref 0 in
   for q = 0 to nq - 1 do
     match out.(q) with
-    | Ok m ->
-        incr ok;
-        if delivered m then incr delivered_n
+    | Ok _ -> incr ok
     | Error Guard.Rejection.Timed_out -> incr timed_out
     | Error Guard.Rejection.Shed -> incr shed
     | Error Guard.Rejection.Breaker_open -> incr breaker_open
@@ -250,32 +236,6 @@ let run_custom (type r) ?(chaos = Guard.Chaos.none) ?(delivered = fun _ -> true)
       stalls = pool_stats.Pool.stalls + (tally Guard.Chain.stalls - stalls0);
     }
   in
-  (match t.counters with
-  | None -> ()
-  | Some c ->
-      Cr_obs.Counters.incr c "engine.batches";
-      Cr_obs.Counters.add c "engine.queries" nq;
-      Cr_obs.Counters.add c "engine.delivered" !delivered_n;
-      Cr_obs.Counters.add c "engine.cache_hits" (hits1 - hits0);
-      Cr_obs.Counters.add c "engine.cache_misses" (misses1 - misses0);
-      (match t.shared with
-      | None -> ()
-      | Some tt ->
-          let s1 = Ttcache.stats tt in
-          Cr_obs.Counters.add c "engine.shared_hits" (s1.Ttcache.hits - shared0.Ttcache.hits);
-          Cr_obs.Counters.add c "engine.shared_misses"
-            (s1.Ttcache.misses - shared0.Ttcache.misses);
-          Cr_obs.Counters.add c "engine.shared_replaced"
-            (s1.Ttcache.replaced - shared0.Ttcache.replaced);
-          Cr_obs.Counters.add c "engine.shared_aged" (s1.Ttcache.aged - shared0.Ttcache.aged));
-      Cr_obs.Counters.add c "guard.timeouts" gstats.timed_out;
-      Cr_obs.Counters.add c "guard.sheds" gstats.shed;
-      Cr_obs.Counters.add c "guard.breaker_opens" gstats.breaker_open;
-      Cr_obs.Counters.add c "guard.worker_lost" gstats.worker_lost;
-      Cr_obs.Counters.add c "guard.retries" gstats.retries;
-      Cr_obs.Counters.add c "guard.requeues" gstats.requeues;
-      Cr_obs.Counters.add c "guard.lost_lanes" gstats.lost_lanes;
-      Cr_obs.Counters.add c "guard.stalls" gstats.stalls);
   let metrics =
     {
       queries = nq;
@@ -293,8 +253,6 @@ let route_placeholder =
   { Sim.src = 0; dst = 0; delivered = false; cost = 0.0; hops = 0; stretch = infinity }
 
 let run_guarded ?chaos t apsp scheme pairs =
-  run_custom ?chaos ~delivered:(fun (m : Sim.measured) -> m.delivered) t
-    ~n:(Graph.n (Apsp.graph apsp))
-    ~placeholder:route_placeholder
+  run_custom ?chaos t ~n:(Graph.n (Apsp.graph apsp)) ~placeholder:route_placeholder
     ~measure:(fun s d -> Sim.measure apsp scheme s d)
     pairs

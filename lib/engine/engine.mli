@@ -82,16 +82,14 @@ type guard_stats = {
   lost_lanes : int;
   stalls : int;  (** injected stalls taken (pool + query layers) *)
 }
-(** Per-batch guard tally.  [ok + timed_out + shed + breaker_open +
-    worker_lost = queries], and each field reconciles exactly with the
-    [guard.*] counters bumped on the engine's [Counters] sink. *)
+(** Per-batch guard tally, counted from the outcome array: [ok +
+    timed_out + shed + breaker_open + worker_lost = queries]. *)
 
 val create :
   ?cache:int ->
   ?cache_mode:cache_mode ->
   ?salt:int ->
   ?policy:Cr_guard.Policy.t ->
-  ?counters:Cr_obs.Counters.t ->
   ?pool:Cr_util.Domain_pool.t ->
   unit ->
   'r t
@@ -106,10 +104,7 @@ val create :
     spread differently.  [policy]
     configures the per-shard guard chains; breaker state and cost
     estimates persist across batches of the same engine, like the
-    caches.  With [counters], every batch bumps the [engine.*] and
-    [guard.*] aggregates once per batch from the coordinating thread,
-    so the counts are as deterministic as the results they
-    summarize. *)
+    caches. *)
 
 val pool : 'r t -> Cr_util.Domain_pool.t
 
@@ -128,7 +123,6 @@ val breaker_state : 'r t -> shard:int -> Cr_guard.Breaker.state option
 
 val run_custom :
   ?chaos:Cr_guard.Chaos.t ->
-  ?delivered:('r -> bool) ->
   ?canon:(int -> int -> int * int) ->
   ?orient:(src:int -> dst:int -> 'r -> 'r) ->
   'r t ->
@@ -150,13 +144,12 @@ val run_custom :
     miss, and cache off — so the result array is the same pure function
     of [pairs] in every cache mode.
 
-    [placeholder] seeds the result array and is never returned;
-    [delivered] classifies results for the [engine.delivered] counter
-    (default: everything).  Always terminates with a total outcome
-    array — a wedged shard is cut off by deadlines, overload is shed,
-    lost workers surface as [Worker_lost] — and never raises for any
-    guard reason; an exception from [measure] is re-raised in the
-    caller whichever lane hit it. *)
+    [placeholder] seeds the result array and is never returned.
+    Always terminates with a total outcome array — a wedged shard is
+    cut off by deadlines, overload is shed, lost workers surface as
+    [Worker_lost] — and never raises for any guard reason; an
+    exception from [measure] is re-raised in the caller whichever lane
+    hit it. *)
 
 val run_guarded :
   ?chaos:Cr_guard.Chaos.t ->
@@ -169,12 +162,6 @@ val run_guarded :
     measures every query.
     @raise Compact_routing.Simulator.Invalid_walk if the scheme emits a
     malformed walk. *)
-
-val served : 'r t -> int
-(** Lifetime query count across batches. *)
-
-val busy_seconds : 'r t -> float
-(** Lifetime wall seconds spent inside batches. *)
 
 val cache_stats : 'r t -> int * int
 (** Lifetime [(hits, misses)] summed over whichever cache structure is

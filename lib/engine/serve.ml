@@ -2,16 +2,14 @@
    it through the engine at full speed, and report throughput, latency
    percentiles, cache behavior and routing quality in one record.
    Shared by the [crt serve] subcommand, the [crt chaos] sweeps and the
-   P1 bench target.
+   P1 bench target; [frame] is also the oracle surface's (Oserve.run).
 
    Runs are guarded end-to-end: the engine's guarded path threads the
    Cr_guard stack (deadlines, retry, breaker, shed) through every
-   shard, and the report carries both the structured outcome tally and
-   the guard.* counters — which reconcile exactly, being two views of
-   the same outcome array.  The default Policy.off + Chaos.none run
-   serves every query and reports the routing quality of the sequential
-   Simulator.measure_all (bit-identical results; see Engine's
-   determinism contract). *)
+   shard, and the report carries the structured outcome tally.  The
+   default Policy.off + Chaos.none run serves every query and reports
+   the routing quality of the sequential Simulator.measure_all
+   (bit-identical results; see Engine's determinism contract). *)
 
 module Pool = Cr_util.Domain_pool
 module Stats = Cr_util.Stats
@@ -42,7 +40,6 @@ type report = {
   stretch_mean : float;
   stretch_p99 : float;
   shared : Cr_util.Ttcache.stats; (* all-zero unless cache_mode = shared *)
-  counters : (string * int) list; (* engine.* / guard.* aggregates, sorted *)
 }
 
 let hit_rate r = Stats.ratio r.cache_hits (r.cache_hits + r.cache_misses)
@@ -51,55 +48,67 @@ let rejected r =
   r.guards.Engine.timed_out + r.guards.Engine.shed + r.guards.Engine.breaker_open
   + r.guards.Engine.worker_lost
 
-let run ?(cache = 0) ?cache_mode ?(dist = Workload.Zipf 1.1) ?(policy = Guard.Policy.off)
-    ?(chaos = Guard.Chaos.none) ?(guard_label = "") ~domains ~seed ~queries ~workload apsp
-    scheme =
+type 'r frame = {
+  engine : 'r Engine.t;
+  metrics : Engine.metrics;
+  guards : Engine.guard_stats;
+  served : 'r array; (* the ok outcomes, in query order *)
+  guard_label : string;
+}
+
+let frame ~cache ~cache_mode ~dist ~policy ~guard_label ~domains ~seed ~queries apsp serve =
   let pool = Pool.create ~domains in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
-      let n = Graph.n (Apsp.graph apsp) in
-      let pairs = Workload.generate ~pool ~connected_in:apsp dist ~seed ~n ~count:queries in
-      let counters = Cr_obs.Counters.create () in
-      let engine =
-        Engine.create ~cache ?cache_mode ~salt:(Graph.hash (Apsp.graph apsp)) ~policy
-          ~counters ~pool ()
+      let g = Apsp.graph apsp in
+      let pairs =
+        Workload.generate ~pool ~connected_in:apsp dist ~seed ~n:(Graph.n g) ~count:queries
       in
-      let outcomes, m, gstats = Engine.run_guarded ~chaos engine apsp scheme pairs in
-      let served =
-        (* routing quality is judged on the served queries only; the
-           rejected ones are accounted for in [guards] *)
-        Array.of_list
-          (List.filter_map
-             (function Ok meas -> Some meas | Error _ -> None)
-             (Array.to_list outcomes))
-      in
-      let agg = Sim.aggregate_of_measured served in
+      let engine = Engine.create ~cache ?cache_mode ~salt:(Graph.hash g) ~policy ~pool () in
+      let outcomes, metrics, guards = serve engine pairs in
       {
-        scheme = scheme.Scheme.name;
-        workload;
-        dist = Workload.dist_to_string dist;
-        queries = m.Engine.queries;
-        domains = Pool.domains pool;
-        cache_capacity = Engine.cache_capacity engine;
-        cache_mode = Engine.cache_mode_to_string (Engine.cache_mode engine);
+        engine;
+        metrics;
+        guards;
+        (* quality is judged on the served queries only; the rejected
+           ones are accounted for in [guards] *)
+        served = Array.of_list (List.filter_map Result.to_option (Array.to_list outcomes));
         guard_label =
           (if guard_label <> "" then guard_label
            else if Guard.Policy.is_off policy then "off"
            else "custom");
-        chaos_label = Guard.Chaos.label chaos;
-        wall_s = m.Engine.wall_s;
-        routes_per_sec = m.Engine.routes_per_sec;
-        latency = m.Engine.latency;
-        cache_hits = m.Engine.cache_hits;
-        cache_misses = m.Engine.cache_misses;
-        guards = gstats;
-        delivered = agg.Sim.delivered;
-        stretch_mean = agg.Sim.stretch_stats.Stats.mean;
-        stretch_p99 = agg.Sim.stretch_stats.Stats.p99;
-        shared = Engine.shared_stats engine;
-        counters = Cr_obs.Counters.snapshot counters;
       })
+
+let run ?(cache = 0) ?cache_mode ?(dist = Workload.Zipf 1.1) ?(policy = Guard.Policy.off)
+    ?(chaos = Guard.Chaos.none) ?(guard_label = "") ~domains ~seed ~queries ~workload apsp
+    scheme =
+  let f =
+    frame ~cache ~cache_mode ~dist ~policy ~guard_label ~domains ~seed ~queries apsp
+      (fun engine pairs -> Engine.run_guarded ~chaos engine apsp scheme pairs)
+  in
+  let m = f.metrics and agg = Sim.aggregate_of_measured f.served in
+  {
+    scheme = scheme.Scheme.name;
+    workload;
+    dist = Workload.dist_to_string dist;
+    queries = m.Engine.queries;
+    domains = m.Engine.domains;
+    cache_capacity = Engine.cache_capacity f.engine;
+    cache_mode = Engine.cache_mode_to_string (Engine.cache_mode f.engine);
+    guard_label = f.guard_label;
+    chaos_label = Guard.Chaos.label chaos;
+    wall_s = m.Engine.wall_s;
+    routes_per_sec = m.Engine.routes_per_sec;
+    latency = m.Engine.latency;
+    cache_hits = m.Engine.cache_hits;
+    cache_misses = m.Engine.cache_misses;
+    guards = f.guards;
+    delivered = agg.Sim.delivered;
+    stretch_mean = agg.Sim.stretch_stats.Stats.mean;
+    stretch_p99 = agg.Sim.stretch_stats.Stats.p99;
+    shared = Engine.shared_stats f.engine;
+  }
 
 let report_to_json r =
   Jsonl.obj
@@ -137,6 +146,4 @@ let report_to_json r =
       ("delivered", Jsonl.int r.delivered);
       ("stretch_mean", Jsonl.float r.stretch_mean);
       ("stretch_p99", Jsonl.float r.stretch_p99);
-      ( "counters",
-        Jsonl.obj (List.map (fun (name, v) -> (name, Jsonl.int v)) r.counters) );
     ]

@@ -29,18 +29,13 @@ type report = {
   latency : Cr_util.Stats.summary;  (** seconds per query *)
   cache_hits : int;
   cache_misses : int;
-  guards : Engine.guard_stats;
-      (** ok + the four rejection kinds partition [queries]; reconciles
-          exactly with the [guard.*] entries of [counters] *)
+  guards : Engine.guard_stats;  (** ok + the four rejection kinds partition [queries] *)
   delivered : int;  (** delivered among the [ok] outcomes *)
   stretch_mean : float;  (** over served (ok) queries only *)
   stretch_p99 : float;
   shared : Cr_util.Ttcache.stats;
       (** shared-table hit/miss/replace/age counters; all-zero unless
           [cache_mode = "shared"] *)
-  counters : (string * int) list;
-      (** the engine's [engine.*] and [guard.*] aggregates for this
-          run, sorted by name *)
 }
 
 val hit_rate : report -> float
@@ -49,6 +44,37 @@ val hit_rate : report -> float
 val rejected : report -> int
 (** Total queries refused by any guard; [report.guards.ok + rejected r
     = r.queries]. *)
+
+type 'r frame = {
+  engine : 'r Engine.t;  (** read for its cache settings and shared-table stats *)
+  metrics : Engine.metrics;
+  guards : Engine.guard_stats;
+  served : 'r array;  (** the [Ok] outcomes, in query order *)
+  guard_label : string;
+      (** the given label, or ["off"] / ["custom"] derived from the
+          policy when it is [""] *)
+}
+
+val frame :
+  cache:int ->
+  cache_mode:Engine.cache_mode option ->
+  dist:Workload.dist ->
+  policy:Cr_guard.Policy.t ->
+  guard_label:string ->
+  domains:int ->
+  seed:int ->
+  queries:int ->
+  Cr_graph.Apsp.t ->
+  ('r Engine.t ->
+  (int * int) array ->
+  ('r, Cr_guard.Rejection.t) result array * Engine.metrics * Engine.guard_stats) ->
+  'r frame
+(** The frame every closed-loop run shares, whatever its query type:
+    on a fresh pool of [domains] lanes (shut down before returning,
+    even on raise) it generates [queries] connected pairs, creates an
+    engine salted with the graph's hash, and hands both to the serving
+    function for one guarded batch.  {!run} passes
+    {!Engine.run_guarded}; the oracle surface passes its own. *)
 
 val run :
   ?cache:int ->
@@ -76,4 +102,4 @@ val run :
 val report_to_json : report -> string
 (** One machine-readable JSON object (single line, no trailing
     newline); latencies in microseconds.  Carries the full guard
-    outcome tally plus the nested counter snapshot. *)
+    outcome tally. *)

@@ -57,4 +57,3 @@ let closest_in t m pred =
 
 let distance t v = t.dist.(v)
 
-let by_rank t = t.sorted

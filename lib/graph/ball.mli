@@ -41,7 +41,3 @@ val closest_in : t -> int -> (int -> bool) -> int array
 
 val distance : t -> int -> float
 (** Distance from the source to a node ([infinity] if unreachable). *)
-
-val by_rank : t -> (int * float) array
-(** All reachable nodes as (node, distance), sorted by (distance, index).
-    The returned array is the internal one — do not mutate. *)

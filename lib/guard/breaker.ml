@@ -38,11 +38,6 @@ let make_config ?(window = 32) ?(threshold = 0.5) ?(min_samples = 8) ?(cooldown_
 
 type state = Closed | Open | Half_open
 
-let state_to_string = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half_open"
-
 type t = {
   cfg : config;
   ring : bool array; (* true = failure; ring of the last [window] outcomes *)

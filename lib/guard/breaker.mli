@@ -31,8 +31,6 @@ val make_config :
 
 type state = Closed | Open | Half_open
 
-val state_to_string : state -> string
-
 type t
 
 val create : config -> t

@@ -12,8 +12,8 @@ let to_string = function
   | Breaker_open -> "breaker_open"
   | Worker_lost -> "worker_lost"
 
-(* counter key under the guard.* namespace, pluralized to match the
-   existing engine.* style (engine.batches, engine.queries, ...) *)
+(* the daemon's counter key for this rejection, under the guard.*
+   namespace *)
 let counter = function
   | Timed_out -> "guard.timeouts"
   | Shed -> "guard.sheds"

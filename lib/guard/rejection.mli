@@ -16,5 +16,5 @@ val all : t list
 val to_string : t -> string
 
 val counter : t -> string
-(** The [guard.*] counter name this rejection increments
-    (e.g. [guard.timeouts]). *)
+(** The [guard.*] counter name the daemon increments for this
+    rejection (e.g. [guard.timeouts]). *)

@@ -1,7 +1,6 @@
-(* Named monotonic counters, safe to bump from several domains at once
-   (the batch engine's lanes all feed one instance).  A mutex guards the
-   name table; each counter itself is an Atomic so the hot increment
-   path after first touch is lock-free. *)
+(* Named monotonic counters, safe to bump from several domains at once.
+   A mutex guards the name table; each counter itself is an Atomic so
+   the hot increment path after first touch is lock-free. *)
 
 type t = { mu : Mutex.t; table : (string, int Atomic.t) Hashtbl.t }
 
@@ -23,21 +22,4 @@ let add t name by = ignore (Atomic.fetch_and_add (cell t name) by)
 
 let incr t name = add t name 1
 
-(* Gauge semantics: overwrite instead of accumulate, for values that
-   describe a current level (the daemon's repair backlog depth, its
-   active epoch) rather than a running total. *)
-let set t name v = Atomic.set (cell t name) v
-
 let get t name = match Hashtbl.find_opt t.table name with Some c -> Atomic.get c | None -> 0
-
-let snapshot t =
-  Mutex.protect t.mu (fun () ->
-      Hashtbl.fold (fun name c acc -> (name, Atomic.get c) :: acc) t.table [])
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let to_json t =
-  let module J = Cr_util.Jsonl in
-  J.obj (List.map (fun (name, v) -> (name, J.int v)) (snapshot t))
-
-(* A sink that tallies events by constructor label under a prefix. *)
-let sink ?(prefix = "trace.") t ev = incr t (prefix ^ Trace.label ev)

@@ -1,9 +1,9 @@
 (** Named monotonic counters with thread-safe increments.
 
-    One instance can be fed concurrently by every lane of the batch
-    engine: the name table is mutex-guarded, each counter is an
-    [Atomic], and {!snapshot} is consistent per counter (the set of
-    names is read under the lock). *)
+    The daemon's per-command and guard-rejection tallies live here,
+    read back by name for its [stats] line.  The name table is
+    mutex-guarded and each counter is an [Atomic], so several domains
+    may bump one instance at once. *)
 
 type t
 
@@ -13,20 +13,5 @@ val incr : t -> string -> unit
 
 val add : t -> string -> int -> unit
 
-val set : t -> string -> int -> unit
-(** Gauge write: overwrites the counter with a current level (backlog
-    depth, active epoch) instead of accumulating. *)
-
 val get : t -> string -> int
 (** 0 for a never-touched counter. *)
-
-val snapshot : t -> (string * int) list
-(** All counters, sorted by name. *)
-
-val to_json : t -> string
-(** One strict-JSON object: [{"name":count,...}], names sorted. *)
-
-val sink : ?prefix:string -> t -> Trace.sink
-(** Aggregating trace sink: each event bumps [prefix ^ Trace.label ev]
-    ([prefix] defaults to ["trace."]).  Combine with a ring buffer via
-    {!Trace.tee} to keep both the tail and the totals. *)

@@ -15,8 +15,6 @@ val time : t -> string -> (unit -> 'a) -> 'a
 (** [time t stage f] runs [f ()], charging its elapsed time to [stage]
     (accumulating across calls; exceptions still charge). *)
 
-val add_seconds : t -> string -> float -> unit
-
 val add_bits : t -> string -> int -> unit
 (** Attribute storage volume to a stage (e.g. the bits the stage's
     tables occupy), so a report shows where both time and space go. *)

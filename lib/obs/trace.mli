@@ -67,4 +67,4 @@ val event_to_json : event -> string
     [{"event":"phase_start","phase":1,"kind":"sparse","center":7,"bound":2}]. *)
 
 val tee : sink -> sink -> sink
-(** Fan one event stream into two sinks (e.g. ring buffer + counters). *)
+(** Fan one event stream into two sinks (e.g. ring buffer + JSONL writer). *)

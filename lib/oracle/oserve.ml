@@ -5,7 +5,6 @@
    the outcomes are Ok of a pure function of (apsp, oracle, pairs),
    bit-identical across pool widths and with the caches on or off. *)
 
-module Pool = Cr_util.Domain_pool
 module Stats = Cr_util.Stats
 module Jsonl = Cr_util.Jsonl
 module Guard = Cr_guard
@@ -14,6 +13,7 @@ module Apsp = Cr_graph.Apsp
 module Sim = Compact_routing.Simulator
 module Engine = Cr_engine.Engine
 module Workload = Cr_engine.Workload
+module Serve = Cr_engine.Serve
 
 type omeasured = {
   src : int;
@@ -94,9 +94,7 @@ let referee_sparse apsp so pairs =
   if stretches = [] then Stats.empty_summary else Stats.summarize (Array.of_list stretches)
 
 let run_guarded ?chaos engine apsp oracle pairs =
-  Engine.run_custom ?chaos engine ~n:(Graph.n (Apsp.graph apsp)) ~placeholder
-    ~delivered:(fun m -> m.ok)
-    ~canon ~orient
+  Engine.run_custom ?chaos engine ~n:(Graph.n (Apsp.graph apsp)) ~placeholder ~canon ~orient
     ~measure:(fun s d -> measure_canonical apsp oracle s d)
     pairs
 
@@ -129,53 +127,41 @@ let hit_rate r = Stats.ratio r.cache_hits (r.cache_hits + r.cache_misses)
 let run ?(cache = 0) ?cache_mode ?(dist = Workload.Zipf 1.1) ?(policy = Guard.Policy.off)
     ?(chaos = Guard.Chaos.none) ?(guard_label = "") ~domains ~seed ~queries ~workload apsp
     oracle =
-  let pool = Pool.create ~domains in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let n = Graph.n (Apsp.graph apsp) in
-      let pairs = Workload.generate ~pool ~connected_in:apsp dist ~seed ~n ~count:queries in
-      let engine =
-        Engine.create ~cache ?cache_mode ~salt:(Graph.hash (Apsp.graph apsp)) ~policy ~pool ()
-      in
-      let outcomes, m, gstats = run_guarded ~chaos engine apsp oracle pairs in
-      let served =
-        Array.of_list
-          (List.filter_map
-             (function Ok meas -> Some meas | Error _ -> None)
-             (Array.to_list outcomes))
-      in
-      let valid =
-        Array.of_list (List.filter (fun (r : omeasured) -> r.ok) (Array.to_list served))
-      in
-      let stretches = Array.map (fun (r : omeasured) -> r.stretch) valid in
-      let s = if Array.length stretches = 0 then Stats.empty_summary else Stats.summarize stretches in
-      {
-        oracle_k = Path_oracle.k oracle;
-        workload;
-        dist = Workload.dist_to_string dist;
-        queries = m.Engine.queries;
-        domains = Pool.domains pool;
-        cache_capacity = Engine.cache_capacity engine;
-        cache_mode = Engine.cache_mode_to_string (Engine.cache_mode engine);
-        guard_label =
-          (if guard_label <> "" then guard_label
-           else if Guard.Policy.is_off policy then "off"
-           else "custom");
-        chaos_label = Guard.Chaos.label chaos;
-        wall_s = m.Engine.wall_s;
-        queries_per_sec = m.Engine.routes_per_sec;
-        latency = m.Engine.latency;
-        cache_hits = m.Engine.cache_hits;
-        cache_misses = m.Engine.cache_misses;
-        guards = gstats;
-        ok = Array.length valid;
-        stretch_mean = s.Stats.mean;
-        stretch_max = s.Stats.max;
-        size_entries = Path_oracle.size_entries oracle;
-        storage_bits = Path_oracle.storage_bits oracle;
-        shared = Engine.shared_stats engine;
-      })
+  let f =
+    Serve.frame ~cache ~cache_mode ~dist ~policy ~guard_label ~domains ~seed ~queries apsp
+      (fun engine pairs -> run_guarded ~chaos engine apsp oracle pairs)
+  in
+  let m = f.Serve.metrics in
+  let stretches =
+    Array.of_list
+      (List.filter_map
+         (fun (r : omeasured) -> if r.ok then Some r.stretch else None)
+         (Array.to_list f.Serve.served))
+  in
+  let s = if Array.length stretches = 0 then Stats.empty_summary else Stats.summarize stretches in
+  {
+    oracle_k = Path_oracle.k oracle;
+    workload;
+    dist = Workload.dist_to_string dist;
+    queries = m.Engine.queries;
+    domains = m.Engine.domains;
+    cache_capacity = Engine.cache_capacity f.Serve.engine;
+    cache_mode = Engine.cache_mode_to_string (Engine.cache_mode f.Serve.engine);
+    guard_label = f.Serve.guard_label;
+    chaos_label = Guard.Chaos.label chaos;
+    wall_s = m.Engine.wall_s;
+    queries_per_sec = m.Engine.routes_per_sec;
+    latency = m.Engine.latency;
+    cache_hits = m.Engine.cache_hits;
+    cache_misses = m.Engine.cache_misses;
+    guards = f.Serve.guards;
+    ok = Array.length stretches;
+    stretch_mean = s.Stats.mean;
+    stretch_max = s.Stats.max;
+    size_entries = Path_oracle.size_entries oracle;
+    storage_bits = Path_oracle.storage_bits oracle;
+    shared = Engine.shared_stats f.Serve.engine;
+  }
 
 let report_to_json r =
   Jsonl.obj

@@ -95,12 +95,12 @@ val run :
   Cr_graph.Apsp.t ->
   Path_oracle.t ->
   report
-(** The closed-loop oracle serve mirroring {!Cr_engine.Serve.run}:
-    generates [queries] connected pairs ([dist] defaults to
-    [Zipf 1.1]), serves them guarded on a fresh pool of [domains] lanes
-    (shut down before returning, even on raise), and reports.  The
-    query stream and answers depend only on [(dist, seed, queries)] —
-    never on [domains], [cache] or [cache_mode]. *)
+(** The closed-loop oracle serve, in the {!Cr_engine.Serve.frame}
+    that {!Cr_engine.Serve.run} uses: generates [queries] connected
+    pairs ([dist] defaults to [Zipf 1.1]), serves them guarded on a
+    fresh pool of [domains] lanes, and reports.  The query stream and
+    answers depend only on [(dist, seed, queries)] — never on
+    [domains], [cache] or [cache_mode]. *)
 
 val report_to_json : report -> string
 (** One strict-JSON object (single line, no trailing newline). *)

@@ -122,7 +122,6 @@ let tree_index t v =
 let is_member t v =
   match Hashtbl.find_opt t.idx v with Some i -> t.member.(i) | None -> false
 
-let graph_node t i = t.nodes.(i)
 
 let parent t v = t.parent.(tree_index t v)
 

@@ -39,9 +39,6 @@ val is_member : t -> int -> bool
 val tree_index : t -> int -> int
 (** Tree index of a graph node.  @raise Not_found if absent. *)
 
-val graph_node : t -> int -> int
-(** Graph id of a tree index. *)
-
 val parent : t -> int -> int
 (** Parent (graph id) of a graph node in the tree; -1 for the root. *)
 

@@ -15,12 +15,6 @@ type t = {
 
 let equal_label a b = a.branches = b.branches && a.offset = b.offset
 
-let pp_label fmt l =
-  Format.fprintf fmt "[%s|%d]"
-    (String.concat ";"
-       (Array.to_list (Array.map (fun (o, c) -> Printf.sprintf "%d.%d" o c) l.branches)))
-    l.offset
-
 let build tree =
   let m = Tree.size tree in
   let nodes = Tree.nodes tree in

@@ -41,5 +41,3 @@ val node_storage_bits : t -> int -> int
     and per-child heavy flags/ports. *)
 
 val equal_label : label -> label -> bool
-
-val pp_label : Format.formatter -> label -> unit

@@ -71,7 +71,6 @@ let print t = print_string (render t)
 
 let fmt_float ?(dec = 2) x = Printf.sprintf "%.*f" dec x
 
-let fmt_int = string_of_int
 
 let fmt_bits b =
   let f = float_of_int b in

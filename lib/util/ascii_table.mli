@@ -29,7 +29,5 @@ val print : t -> unit
 val fmt_float : ?dec:int -> float -> string
 (** Fixed-decimal float formatting helper (default 2 decimals). *)
 
-val fmt_int : int -> string
-
 val fmt_bits : int -> string
 (** Human-readable bit count, e.g. ["12.4 Kbit"]. *)

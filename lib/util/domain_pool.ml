@@ -313,14 +313,12 @@ let shared () =
   Mutex.unlock shared_lock;
   p
 
-let set_shared_domains domains =
+let resize_shared domains =
   Mutex.lock shared_lock;
   let old = !shared_pool in
   shared_pool := Some (create ~domains);
   Mutex.unlock shared_lock;
   Option.iter shutdown old
-
-let resize_shared = set_shared_domains
 
 (* Graceful process-wide teardown: joins the shared workers and clears
    the singleton, so a later [shared ()] re-initializes from scratch.

@@ -88,15 +88,11 @@ val shared : unit -> t
     sweeps all run on this pool, so a process pays the spawn cost once
     no matter how many tables it builds. *)
 
-val set_shared_domains : int -> unit
-(** Replaces the shared pool with a fresh one of the given width (the
-    old pool is shut down).  Intended for CLI entry points
-    ([crt serve --domains D]); do not call while a [parallel_for] on
-    the shared pool is in flight. *)
-
 val resize_shared : int -> unit
-(** Alias of {!set_shared_domains}: the resize half of the shared
-    pool's lifecycle API. *)
+(** Replaces the shared pool with a fresh one of the given width (the
+    old pool is shut down): the resize half of the shared pool's
+    lifecycle API.  Do not call while a [parallel_for] on the shared
+    pool is in flight. *)
 
 val shutdown_shared : unit -> unit
 (** Joins the shared pool's workers and clears the singleton.

@@ -826,6 +826,27 @@ let test_journal_fsync_failure_policy () =
             (contains (Daemon.stats_json d) "\"fsync_failures\":1");
           Daemon.close d))
 
+let test_snapshot_failures_surface () =
+  (* a checkpoint that cannot be written must not stop acks, but it
+     must show in stats: here a regular file holds the snapshot
+     directory's path *)
+  let g = mk_graph ~n:24 81 in
+  let mu = List.hd (script g 81 1) in
+  in_temp_dir (fun dir ->
+      let snaps = Filename.concat dir "snaps" in
+      close_out (open_out snaps);
+      let d =
+        Daemon.create ~policy:Guard.Policy.off ~staleness_every:0
+          ~journal:(Filename.concat dir "j.log") ~snapshot_dir:snaps ~snapshot_every:1 ~params g
+      in
+      checkb "mutation still acked" true
+        (contains (feed1 d (Graph.mutation_to_string mu)) "ok mutate");
+      let stats = Daemon.stats_json d in
+      checkb "stats counts the failed checkpoint" true
+        (contains stats "\"snapshot_failures\":1");
+      checkb "and no written one" true (contains stats "\"snapshots\":0");
+      Daemon.close d)
+
 let test_daemon_crash_loses_unflushed_recover_matches () =
   (* end-to-end: with fsync off nothing is buffered past [append]'s
      flush, so an abandoned daemon recovers to exactly its live graph,
@@ -960,6 +981,8 @@ let () =
             test_snapshot_fsyncs_directory;
           Alcotest.test_case "journal fsync failures are counted, never swallowed" `Quick
             test_journal_fsync_failure_policy;
+          Alcotest.test_case "snapshot failures are counted, never swallowed" `Quick
+            test_snapshot_failures_surface;
           Alcotest.test_case "crash mid-snapshot leaves no checkpoint" `Quick
             test_crash_mid_snapshot;
           Alcotest.test_case "crashed daemon recovers to identical answers" `Slow
