@@ -43,11 +43,29 @@ open Cmdliner
 
 (* ---------- shared arguments ---------- *)
 
+(* Numeric ranges are checked in the converters, so misuse is a usage
+   error and exit 2 before anything is built. *)
+
+(* [conv] restricted to values >= [lo] *)
+let at_least conv lo =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when v >= lo -> Ok v
+    | Ok _ -> Error (`Msg (Format.asprintf "%s is below the minimum %a" s (Arg.conv_printer conv) lo))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let result_conv of_string to_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (of_string s)),
+      fun fmt v -> Format.pp_print_string fmt (to_string v) )
+
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed (constructions are deterministic given the seed).")
 
 let k_arg =
-  Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Space-stretch trade-off parameter (k >= 1).")
+  Arg.(value & opt (at_least int 1) 3 & info [ "k" ] ~docv:"K" ~doc:"Space-stretch trade-off parameter (k >= 1).")
 
 let workload_conv =
   let parse s =
@@ -86,7 +104,7 @@ let graph_file_arg =
   Arg.(value & opt (some string) None & info [ "g"; "graph" ] ~docv:"FILE" ~doc:"Load the graph from FILE instead of generating a workload.")
 
 let aspect_arg =
-  Arg.(value & opt (some float) None & info [ "aspect" ] ~docv:"A" ~doc:"Stretch edge weights to approach aspect ratio A (power of two recommended).")
+  Arg.(value & opt (some (at_least float 1.0)) None & info [ "aspect" ] ~docv:"A" ~doc:"Stretch edge weights to approach aspect ratio A (power of two recommended).")
 
 let load_graph ~seed ~graph_file ~workload ~aspect =
   match graph_file with
@@ -102,6 +120,16 @@ let load_graph ~seed ~graph_file ~workload ~aspect =
       match aspect with
       | None -> Experiment.make_graph ~seed workload
       | Some a -> Experiment.make_graph_with_aspect ~seed ~target_aspect:a workload)
+
+(* the name a table title or JSON row gives the graph *)
+let graph_label ~graph_file ~workload =
+  match graph_file with Some path -> path | None -> Experiment.workload_name workload
+
+(* A node flag is checked against the loaded graph before anything is
+   built over it; out of range is a usage error like any other. *)
+let check_node g flag u =
+  let n = Graph.n g in
+  if u < 0 || u >= n then invalid_arg (Printf.sprintf "%s %d is out of range [0, %d)" flag u n)
 
 (* Long-running subcommands (daemon, serve, chaos) write JSONL
    incrementally; on SIGINT/SIGTERM every open writer is flushed before
@@ -156,6 +184,7 @@ let decompose_cmd =
   let node = Arg.(value & opt int 0 & info [ "node" ] ~docv:"U" ~doc:"Node index to decompose.") in
   let run seed k workload graph_file aspect u =
     let g = load_graph ~seed ~graph_file ~workload ~aspect in
+    check_node g "--node" u;
     let apsp = Apsp.compute g in
     let d = Decomposition.build apsp ~k in
     Printf.printf "log2 Δ = %d\n" (Decomposition.log_delta d);
@@ -220,6 +249,8 @@ let route_cmd =
   let dst = Arg.(value & opt int 1 & info [ "dst" ] ~docv:"D" ~doc:"Destination node index.") in
   let run seed k workload graph_file aspect scheme src dst =
     let g = load_graph ~seed ~graph_file ~workload ~aspect in
+    check_node g "--src" src;
+    check_node g "--dst" dst;
     let apsp = Apsp.compute g in
     let sch = build_scheme apsp ~k ~seed scheme in
     let m = Simulator.measure apsp sch src dst in
@@ -239,6 +270,7 @@ let tables_cmd =
   let node = Arg.(value & opt int 0 & info [ "node" ] ~docv:"U" ~doc:"Node whose table to dump.") in
   let run seed k workload graph_file aspect u =
     let g = load_graph ~seed ~graph_file ~workload ~aspect in
+    check_node g "--node" u;
     let apsp = Apsp.compute_parallel g in
     let agm = Agm06.build ~params:(Params.scaled ~k ~seed ()) apsp in
     print_string (Agm06.describe_node agm u)
@@ -249,7 +281,7 @@ let tables_cmd =
 (* ---------- eval ---------- *)
 
 let eval_cmd =
-  let pairs_n = Arg.(value & opt int 1000 & info [ "pairs" ] ~docv:"P" ~doc:"Number of sampled source-destination pairs.") in
+  let pairs_n = Arg.(value & opt (at_least int 0) 1000 & info [ "pairs" ] ~docv:"P" ~doc:"Number of sampled source-destination pairs.") in
   let schemes_arg =
     Arg.(value & opt (list string) scheme_names & info [ "schemes" ] ~docv:"LIST" ~doc:"Comma-separated schemes to compare.")
   in
@@ -265,7 +297,7 @@ let eval_cmd =
     let pairs = sample_pairs_exn ~seed:(seed + 1) apsp ~count:pairs_n in
     let table =
       T.create
-        ~title:(Printf.sprintf "%s, %d pairs, k=%d" (Experiment.workload_name workload) pairs_n k)
+        ~title:(Printf.sprintf "%s, %d pairs, k=%d" (graph_label ~graph_file ~workload) pairs_n k)
         [
           ("scheme", T.Left); ("delivered", T.Right); ("stretch mean", T.Right);
           ("p99", T.Right); ("max", T.Right); ("bits mean", T.Right); ("bits max", T.Right);
@@ -345,7 +377,7 @@ let eval_cmd =
 let resilience_cmd =
   let module Sweep = Cr_resilience.Sweep in
   let module Fsim = Cr_resilience.Fsim in
-  let pairs_n = Arg.(value & opt int 400 & info [ "pairs" ] ~docv:"P" ~doc:"Number of sampled source-destination pairs.") in
+  let pairs_n = Arg.(value & opt (at_least int 0) 400 & info [ "pairs" ] ~docv:"P" ~doc:"Number of sampled source-destination pairs.") in
   let schemes_arg =
     Arg.(value & opt (list string) [ "agm06"; "tz"; "tree"; "full" ]
          & info [ "schemes" ] ~docv:"LIST" ~doc:"Comma-separated schemes to sweep.")
@@ -373,10 +405,10 @@ let resilience_cmd =
          & info [ "model" ] ~docv:"M" ~doc:"Fault model: edges (independent edge failure), nodes (fail-stop crashes), targeted (most-traversed edges).")
   in
   let ttl_arg =
-    Arg.(value & opt (some int) None & info [ "ttl" ] ~docv:"T" ~doc:"Hop budget per message (default max 256 (16n)).")
+    Arg.(value & opt (some (at_least int 1)) None & info [ "ttl" ] ~docv:"T" ~doc:"Hop budget per message (default max 256 (16n)).")
   in
   let retries_arg =
-    Arg.(value & opt int 0 & info [ "retries" ] ~docv:"R" ~doc:"Bounded reroute attempts after a stall (default 0).")
+    Arg.(value & opt (at_least int 0) 0 & info [ "retries" ] ~docv:"R" ~doc:"Bounded reroute attempts after a stall (default 0).")
   in
   let json_arg =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"Write the per-cell JSON lines to FILE instead of stdout.")
@@ -392,7 +424,7 @@ let resilience_cmd =
       T.create
         ~title:
           (Printf.sprintf "%s, %d pairs, k=%d, model=%s, ttl=%d, retries<=%d"
-             (Experiment.workload_name workload) (Array.length pairs) k
+             (graph_label ~graph_file ~workload) (Array.length pairs) k
              (Sweep.model_to_string model) policy.Fsim.ttl policy.Fsim.max_retries)
         [
           ("scheme", T.Left); ("rate", T.Right); ("delivered", T.Right); ("ratio", T.Right);
@@ -454,21 +486,6 @@ type serving = {
   cache_mode : Engine.cache_mode;
   dist : Workload.dist;
 }
-
-(* [conv] restricted to values >= [lo] *)
-let at_least conv lo =
-  let parse s =
-    match Arg.conv_parser conv s with
-    | Ok v when v >= lo -> Ok v
-    | Ok _ -> Error (`Msg (Format.asprintf "%s is below the minimum %a" s (Arg.conv_printer conv) lo))
-    | Error _ as e -> e
-  in
-  Arg.conv (parse, Arg.conv_printer conv)
-
-let result_conv of_string to_string =
-  Arg.conv
-    ( (fun s -> Result.map_error (fun m -> `Msg m) (of_string s)),
-      fun fmt v -> Format.pp_print_string fmt (to_string v) )
 
 let serving_term ?guards ?domains ?cache_mode ?(dist = false) ~cache () =
   let defined doc default arg = match doc with Some doc -> arg doc | None -> Term.const default in
@@ -533,7 +550,7 @@ let serve_cmd =
          & info [ "schemes" ] ~docv:"LIST" ~doc:"Comma-separated schemes to serve.")
   in
   let queries_arg =
-    Arg.(value & opt int 20000 & info [ "queries" ] ~docv:"Q" ~doc:"Queries per scheme in the closed-loop run.")
+    Arg.(value & opt (at_least int 0) 20000 & info [ "queries" ] ~docv:"Q" ~doc:"Queries per scheme in the closed-loop run.")
   in
   let serving =
     serving_term ~guards:"off" ~domains:"Worker-domain pool width (default min(8, recommended))."
@@ -549,9 +566,7 @@ let serve_cmd =
     install_signal_handlers ();
     let g = load_graph ~seed ~graph_file ~workload ~aspect in
     let apsp = Apsp.compute_parallel g in
-    let wl_label =
-      match graph_file with Some path -> path | None -> Experiment.workload_name workload
-    in
+    let wl_label = graph_label ~graph_file ~workload in
     let schemes = List.map (fun name -> build_scheme apsp ~k ~seed name) schemes in
     (* stream each report to disk as it is produced: an interrupted run
        keeps every finished scheme's line intact *)
@@ -624,7 +639,7 @@ let oracle_cmd =
   let module Po = Cr_oracle.Path_oracle in
   let module So = Cr_oracle.Sparse_oracle in
   let queries_arg =
-    Arg.(value & opt int 20000 & info [ "queries" ] ~docv:"Q" ~doc:"Oracle queries in the closed-loop run.")
+    Arg.(value & opt (at_least int 0) 20000 & info [ "queries" ] ~docv:"Q" ~doc:"Oracle queries in the closed-loop run.")
   in
   let serving =
     serving_term ~guards:"off" ~domains:"Worker-domain pool width (default min(8, recommended))."
@@ -640,9 +655,7 @@ let oracle_cmd =
     install_signal_handlers ();
     let g = load_graph ~seed ~graph_file ~workload ~aspect in
     let apsp = Apsp.compute_parallel g in
-    let wl_label =
-      match graph_file with Some path -> path | None -> Experiment.workload_name workload
-    in
+    let wl_label = graph_label ~graph_file ~workload in
     let oracle = Po.build ~k ~seed apsp in
     let report =
       try
@@ -733,7 +746,7 @@ let chaos_cmd =
   let module Sweep = Cr_engine.Chaos_sweep in
   let module Serve = Cr_engine.Serve in
   let queries_arg =
-    Arg.(value & opt int 4000 & info [ "queries" ] ~docv:"Q" ~doc:"Queries per grid cell.")
+    Arg.(value & opt (at_least int 0) 4000 & info [ "queries" ] ~docv:"Q" ~doc:"Queries per grid cell.")
   in
   let serving =
     serving_term ~domains:"Worker-domain pool width per cell."
@@ -747,9 +760,7 @@ let chaos_cmd =
     install_signal_handlers ();
     let g = load_graph ~seed ~graph_file ~workload ~aspect in
     let apsp = Apsp.compute_parallel g in
-    let wl_label =
-      match graph_file with Some path -> path | None -> Experiment.workload_name workload
-    in
+    let wl_label = graph_label ~graph_file ~workload in
     let sch = build_scheme apsp ~k ~seed scheme in
     let writer = Option.map Cr_util.Jsonl.Writer.create json in
     let on_cell c =
@@ -814,13 +825,16 @@ let chaos_cmd =
 
 let daemon_cmd =
   let module Daemon = Cr_daemon.Daemon in
+  let module Journal = Cr_daemon.Journal in
+  let module Crashpoint = Cr_daemon.Crashpoint in
+  let module Server = Cr_daemon.Server in
   let serving =
     serving_term ~guards:"serving"
       ~cache:"Shared answer-cache capacity in entries (0 disables). Generation-aged by epoch id: every repair invalidates in O(1), so answers never cross epochs."
       ()
   in
   let staleness_arg =
-    Arg.(value & opt int 32
+    Arg.(value & opt (at_least int 0) 32
          & info [ "staleness-every" ] ~docv:"N"
              ~doc:"Re-price every Nth answered route against the live post-mutation graph (0 disables).")
   in
@@ -839,7 +853,7 @@ let daemon_cmd =
          & info [ "events" ] ~docv:"FILE" ~doc:"Stream one strict-JSON repair event per line to FILE.")
   in
   let fsync_arg =
-    Arg.(value & opt string "every"
+    Arg.(value & opt (result_conv Journal.fsync_of_string Journal.fsync_to_string) Journal.Every
          & info [ "fsync" ] ~docv:"POLICY"
              ~doc:"Journal durability: every (fsync per record), batch[:N] (fsync every N records) or off (flush only). ok replies are sent after the record is durable per this policy.")
   in
@@ -849,7 +863,7 @@ let daemon_cmd =
              ~doc:"Write an atomic snapshot checkpoint to DIR every --snapshot-every journaled mutations (requires --journal).")
   in
   let snapshot_every_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt (at_least int 0) 64
          & info [ "snapshot-every" ] ~docv:"N" ~doc:"Checkpoint interval in journaled mutations.")
   in
   let recover_arg =
@@ -857,38 +871,61 @@ let daemon_cmd =
          & info [ "recover" ] ~docv:"DIR"
              ~doc:"Recover before serving: load the newest valid snapshot from DIR, replay the valid --journal suffix, truncate any torn tail, and continue journaling in place (requires --journal).")
   in
+  (* SITE[:N] -> (site, N), N >= 1 and 1 when absent *)
+  let crashpoint_conv =
+    let parse spec =
+      let site, after =
+        match String.index_opt spec ':' with
+        | None -> (spec, Some 1)
+        | Some i ->
+            ( String.sub spec 0 i,
+              int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1)) )
+      in
+      match (Crashpoint.of_string site, after) with
+      | Some site, Some n when n >= 1 -> Ok (site, n)
+      | None, _ ->
+          Error
+            (`Msg
+              (Printf.sprintf "unknown site %S (try %s)" site
+                 (String.concat ", " (List.map Crashpoint.to_string Crashpoint.all))))
+      | Some _, _ -> Error (`Msg (Printf.sprintf "bad hit count in %S" spec))
+    in
+    Arg.conv (parse, fun fmt (site, n) -> Format.fprintf fmt "%s:%d" (Crashpoint.to_string site) n)
+  in
   let crashpoint_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some crashpoint_conv) None
          & info [ "crashpoint" ] ~docv:"SITE[:N]"
              ~doc:"Fault injection: SIGKILL self at the Nth hit (default 1st) of SITE — pre-flush, post-flush-pre-ack or mid-snapshot. For crash-recovery testing.")
   in
   let listen_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some (result_conv Server.addr_of_string Server.addr_to_string)) None
          & info [ "listen" ] ~docv:"ADDR"
              ~doc:"Serve many concurrent clients over a socket instead of stdin/stdout: [HOST:]PORT (TCP, host defaults to 127.0.0.1) or unix:PATH. SIGTERM/SIGINT drain gracefully (stop accepting, flush in-flight responses up to --drain seconds) and exit 143/130.")
   in
   let netchaos_arg =
-    Arg.(value & opt string "none"
+    (* the preset name is checked here; [run] seeds it with --chaos-seed *)
+    let preset s = Result.map (fun _ -> s) (Server.netchaos_of_string ~seed:0 s) in
+    Arg.(value & opt (result_conv preset Fun.id) "none"
          & info [ "netchaos" ] ~docv:"P"
              ~doc:"Deterministic network fault injection on the socket transport: none, slow (delayed writes), torn (short writes), rude (mid-request disconnects) or net (all three). Decisions are pure in (connection id, request index) under --chaos-seed, so runs replay.")
   in
   let max_conns_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt (at_least int 1) 64
          & info [ "max-conns" ] ~docv:"N"
              ~doc:"Connection cap for --listen; clients beyond it are shed with a structured err busy.")
   in
   let max_line_arg =
-    Arg.(value & opt int 4096
+    Arg.(value & opt (at_least int 16) 4096
          & info [ "max-line" ] ~docv:"BYTES"
              ~doc:"Request-line byte bound for --listen; longer lines get err line too long and the connection is closed.")
   in
   let idle_timeout_arg =
-    Arg.(value & opt float 30.0
+    Arg.(value & opt (at_least float 0.0) 30.0
          & info [ "idle-timeout" ] ~docv:"S"
              ~doc:"Per-connection idle/read deadline in seconds for --listen (0 disables).")
   in
   let drain_arg =
-    Arg.(value & opt float 5.0
+    Arg.(value & opt (at_least float 0.0) 5.0
          & info [ "drain" ] ~docv:"S"
              ~doc:"Drain deadline for --listen: how long SIGTERM waits for in-flight responses before force-closing stragglers.")
   in
@@ -897,35 +934,7 @@ let daemon_cmd =
       netchaos max_conns max_line idle_timeout drain =
     if listen = None then install_signal_handlers ();
     at_exit Cr_util.Domain_pool.shutdown_shared;
-    let fsync =
-      match Cr_daemon.Journal.fsync_of_string fsync with
-      | Ok f -> f
-      | Error msg ->
-          Printf.eprintf "crt: --fsync: %s\n" msg;
-          exit 2
-    in
-    (match crashpoint with
-    | None -> ()
-    | Some spec ->
-        let site_s, after =
-          match String.index_opt spec ':' with
-          | None -> (spec, 1)
-          | Some i -> (
-              let s = String.sub spec 0 i in
-              let n = String.sub spec (i + 1) (String.length spec - i - 1) in
-              match int_of_string_opt n with
-              | Some n when n >= 1 -> (s, n)
-              | _ ->
-                  Printf.eprintf "crt: --crashpoint: bad hit count %S\n" n;
-                  exit 2)
-        in
-        (match Cr_daemon.Crashpoint.of_string site_s with
-        | Some site -> Cr_daemon.Crashpoint.arm_kill ~after site
-        | None ->
-            Printf.eprintf "crt: --crashpoint: unknown site %S (try %s)\n" site_s
-              (String.concat ", "
-                 (List.map Cr_daemon.Crashpoint.to_string Cr_daemon.Crashpoint.all));
-            exit 2));
+    Option.iter (fun (site, after) -> Crashpoint.arm_kill ~after site) crashpoint;
     if (snapshots <> None || recover <> None) && journal = None then begin
       Printf.eprintf "crt: --snapshots/--recover need --journal (checkpoints record a journal offset)\n";
       exit 2
@@ -942,15 +951,14 @@ let daemon_cmd =
              of a crash, not an operator error: replay the valid
              prefix, say exactly what was dropped, and serve *)
           try
-            let r = Cr_daemon.Journal.load path in
-            (match r.Cr_daemon.Journal.truncation with
+            let r = Journal.load path in
+            (match r.Journal.truncation with
             | Some tr ->
                 Printf.eprintf
                   "crt: %s: line %d: %s; replaying the %d valid records before it\n" path
-                  tr.Cr_daemon.Journal.lineno tr.Cr_daemon.Journal.reason
-                  r.Cr_daemon.Journal.read_records
+                  tr.Journal.lineno tr.Journal.reason r.Journal.read_records
             | None -> ());
-            Graph.apply_all g r.Cr_daemon.Journal.mutations
+            Graph.apply_all g r.Journal.mutations
           with
           | Invalid_argument msg | Sys_error msg ->
               Printf.eprintf "crt: replay %s: %s\n" path msg;
@@ -979,22 +987,8 @@ let daemon_cmd =
     | None ->
         Daemon.serve_loop d stdin stdout;
         Daemon.close d
-    | Some addr_s ->
-        let module Server = Cr_daemon.Server in
-        let address =
-          match Server.addr_of_string addr_s with
-          | Ok a -> a
-          | Error msg ->
-              Printf.eprintf "crt: --listen: %s\n" msg;
-              exit 2
-        in
-        let nc =
-          match Server.netchaos_of_string ~seed:chaos_seed netchaos with
-          | Ok c -> c
-          | Error msg ->
-              Printf.eprintf "crt: --netchaos: %s\n" msg;
-              exit 2
-        in
+    | Some address ->
+        let nc = Result.get_ok (Server.netchaos_of_string ~seed:chaos_seed netchaos) in
         let config =
           { Server.default_config with
             Server.max_conns; max_line; idle_timeout_s = idle_timeout; drain_s = drain; nc }
@@ -1025,12 +1019,10 @@ let daemon_cmd =
         let srv =
           try Server.create ~config d address with
           | Unix.Unix_error (err, _, arg) ->
-              Printf.eprintf "crt: --listen %s: %s%s\n" addr_s (Unix.error_message err)
+              Printf.eprintf "crt: --listen %s: %s%s\n" (Server.addr_to_string address)
+                (Unix.error_message err)
                 (if arg = "" then "" else " (" ^ arg ^ ")");
               exit 1
-          | Invalid_argument msg ->
-              Printf.eprintf "crt: %s\n" msg;
-              exit 2
         in
         srv_ref := Some srv;
         if !stop_early then Server.stop srv;
@@ -1065,10 +1057,8 @@ let trace_cmd =
   in
   let run seed k workload graph_file aspect scheme src dst json =
     let g = load_graph ~seed ~graph_file ~workload ~aspect in
-    let n = Graph.n g in
-    if src < 0 || src >= n || dst < 0 || dst >= n then (
-      Printf.eprintf "crt: --src/--dst must be in [0, %d)\n" n;
-      exit 1);
+    check_node g "--src" src;
+    check_node g "--dst" dst;
     let apsp = Apsp.compute g in
     let sch = build_scheme apsp ~k ~seed scheme in
     let events = ref [] in
@@ -1076,11 +1066,7 @@ let trace_cmd =
     let events = List.rev !events in
     let cost, hops = Simulator.walk_cost g r.Scheme.walk in
     let shortest = Apsp.distance apsp src dst in
-    let stretch =
-      if not r.Scheme.delivered then infinity
-      else if src = dst || shortest = 0.0 then 1.0
-      else cost /. shortest
-    in
+    let stretch = Simulator.stretch ~delivered:r.Scheme.delivered ~cost shortest in
     match json with
     | Some path ->
         let summary =
@@ -1162,7 +1148,7 @@ let build_cmd =
     in
     let storage = sch.Scheme.storage in
     Printf.printf "%s over %s: n=%d m=%d\n" sch.Scheme.name
-      (match graph_file with Some path -> path | None -> Experiment.workload_name workload)
+      (graph_label ~graph_file ~workload)
       (Graph.n g) (Graph.m g);
     Printf.printf "table bits: max %s, mean %s, total %s; header %d bits\n"
       (T.fmt_bits (Storage.max_node_bits storage))

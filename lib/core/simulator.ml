@@ -76,17 +76,21 @@ let walk_cost g walk =
       | Invalid_hop msg -> raise (Invalid_walk msg)
       | _ -> (c.checked_cost, c.checked_hops))
 
+(* Edge weights are positive, so [d = 0] exactly when source and
+   destination coincide. *)
+let stretch ~delivered ~cost d =
+  if not delivered then infinity
+  else if d = 0.0 then 1.0
+  else if d = infinity then infinity
+  else cost /. d
+
 let measure apsp (scheme : Scheme.t) src dst =
   let g = Apsp.graph apsp in
   let r = scheme.Scheme.route src dst in
   let c = check_walk g ~src ~dst ~delivered:r.Scheme.delivered r.Scheme.walk in
   (match c.outcome with Invalid_hop msg -> raise (Invalid_walk msg) | _ -> ());
-  let d = Apsp.distance apsp src dst in
   let stretch =
-    if not r.Scheme.delivered then infinity
-    else if src = dst then 1.0
-    else if d = 0.0 || d = infinity then infinity
-    else c.checked_cost /. d
+    stretch ~delivered:r.Scheme.delivered ~cost:c.checked_cost (Apsp.distance apsp src dst)
   in
   { src; dst; delivered = r.Scheme.delivered; cost = c.checked_cost; hops = c.checked_hops; stretch }
 

@@ -55,6 +55,12 @@ val walk_cost : Cr_graph.Graph.t -> int list -> float * int
 (** Cost and hop count of a walk.
     @raise Invalid_walk on a non-edge or an empty walk. *)
 
+val stretch : delivered:bool -> cost:float -> float -> float
+(** [stretch ~delivered ~cost d] prices a walk of weight [cost] against
+    the shortest distance [d]: [cost /. d], 1.0 when [d = 0] (source =
+    destination), infinite when undelivered or unreachable.  Scheme,
+    oracle, resilience and daemon answers are all priced by it. *)
+
 val measure : Cr_graph.Apsp.t -> Scheme.t -> int -> int -> measured
 (** Routes [src → dst] through the scheme and validates/prices the result
     via {!check_walk}.

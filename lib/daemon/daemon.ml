@@ -100,6 +100,16 @@ type t = {
   pcache : Cr_oracle.Path_oracle.answer option Ttcache.t option;
 }
 
+(* Queued mutations plus the batch being repaired; the caller holds
+   [lock]. *)
+let backlog_locked t = Queue.length t.pending + if t.repairing then 1 else 0
+
+(* One strict-JSON line to the [events] stream, if any.  The caller
+   holds [lock]: the repair worker and the server domain both write
+   events, and the lock keeps their bytes from interleaving. *)
+let write_event t fields =
+  Option.iter (fun w -> Jsonl.Writer.write w (Jsonl.obj fields)) t.events
+
 (* ---- background repair ---------------------------------------------- *)
 
 let drain_batch t =
@@ -108,22 +118,16 @@ let drain_batch t =
   Queue.clear t.pending;
   List.rev !batch
 
-let repair_event t ~epoch_id ~batch ~sources ~impact ~wall_s =
-  match t.events with
-  | None -> ()
-  | Some w ->
-      Jsonl.Writer.write w
-        (Jsonl.obj
-           [
-             ("event", Jsonl.str "repair");
-             ("epoch", Jsonl.int epoch_id);
-             ("mutations", Jsonl.int (List.length batch));
-             ("sources", Jsonl.int sources);
-             ("levels", Jsonl.int (List.length impact.Dirty.levels));
-             ("trees", Jsonl.int (List.length impact.Dirty.sparse_trees));
-             ("covers", Jsonl.int (List.length impact.Dirty.dense_covers));
-             ("wall_ms", Jsonl.float (1e3 *. wall_s));
-           ])
+let build_epoch ~params ~id apsp =
+  let agm = Agm06.build ~params apsp in
+  {
+    id;
+    graph = Apsp.graph apsp;
+    apsp;
+    agm;
+    scheme = Agm06.scheme agm;
+    oracle = Cr_oracle.Path_oracle.build ~k:params.Params.k ~seed:params.Params.seed apsp;
+  }
 
 let merge_impact a b =
   Dirty.
@@ -149,33 +153,7 @@ let repair_batch t base batch =
       apsp := apsp';
       sources := !sources + n)
     batch;
-  let agm = Agm06.build ~params:t.cfg.params !apsp in
-  let params = t.cfg.params in
-  let epoch =
-    {
-      id = base.id + 1;
-      graph = Apsp.graph !apsp;
-      apsp = !apsp;
-      agm;
-      scheme = Agm06.scheme agm;
-      oracle =
-        Cr_oracle.Path_oracle.build ~k:params.Params.k ~seed:params.Params.seed !apsp;
-    }
-  in
-  (epoch, !sources, !impact)
-
-let restart_event t ~restart ~delay_s ~error =
-  match t.events with
-  | None -> ()
-  | Some w ->
-      Jsonl.Writer.write w
-        (Jsonl.obj
-           [
-             ("event", Jsonl.str "repair_restart");
-             ("restart", Jsonl.int restart);
-             ("delay_ms", Jsonl.float (1e3 *. delay_s));
-             ("error", Jsonl.str error);
-           ])
+  (build_epoch ~params:t.cfg.params ~id:(base.id + 1) !apsp, !sources, !impact)
 
 let requeue_front t batch =
   (* the failed batch goes back ahead of anything accepted meanwhile,
@@ -222,7 +200,17 @@ let worker_loop t =
           Ring.push t.repair_s wall_s;
           Counters.incr t.counters "daemon.repairs";
           Counters.add t.counters "daemon.repair.sources" sources;
-          repair_event t ~epoch_id:epoch.id ~batch ~sources ~impact ~wall_s;
+          write_event t
+            [
+              ("event", Jsonl.str "repair");
+              ("epoch", Jsonl.int epoch.id);
+              ("mutations", Jsonl.int (List.length batch));
+              ("sources", Jsonl.int sources);
+              ("levels", Jsonl.int (List.length impact.Dirty.levels));
+              ("trees", Jsonl.int (List.length impact.Dirty.sparse_trees));
+              ("covers", Jsonl.int (List.length impact.Dirty.dense_covers));
+              ("wall_ms", Jsonl.float (1e3 *. wall_s));
+            ];
           Condition.broadcast t.cond;
           Mutex.unlock t.lock;
           loop ~failures:0
@@ -245,7 +233,13 @@ let worker_loop t =
             t.repairing <- false;
             requeue_front t batch;
             Counters.incr t.counters "daemon.repair.restarts";
-            restart_event t ~restart:failures ~delay_s ~error:msg;
+            write_event t
+              [
+                ("event", Jsonl.str "repair_restart");
+                ("restart", Jsonl.int failures);
+                ("delay_ms", Jsonl.float (1e3 *. delay_s));
+                ("error", Jsonl.str msg);
+              ];
             Mutex.unlock t.lock;
             if delay_s > 0.0 then !Clock.sleep delay_s;
             loop ~failures
@@ -255,17 +249,6 @@ let worker_loop t =
   loop ~failures:0
 
 (* ---- construction ---------------------------------------------------- *)
-
-let build_epoch ~params ~id apsp =
-  let agm = Agm06.build ~params apsp in
-  {
-    id;
-    graph = Apsp.graph apsp;
-    apsp;
-    agm;
-    scheme = Agm06.scheme agm;
-    oracle = Cr_oracle.Path_oracle.build ~k:params.Params.k ~seed:params.Params.seed apsp;
-  }
 
 (* Recovery: newest valid snapshot (if any) replaces the base graph,
    then the checksummed journal suffix past the snapshot's recorded
@@ -316,6 +299,12 @@ let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(stalen
   if snapshot_every < 0 then invalid_arg "Daemon.create: snapshot_every must be >= 0";
   if snapshot_dir <> None && journal = None then
     invalid_arg "Daemon.create: snapshots need a journal (the checkpoint records its offset)";
+  (* refused here, not at the first checkpoint: otherwise every
+     mutation is acked while no checkpoint can ever be written *)
+  (match snapshot_dir with
+  | Some dir when Sys.file_exists dir && not (Sys.is_directory dir) ->
+      invalid_arg (Printf.sprintf "Daemon.create: snapshot path %s is not a directory" dir)
+  | _ -> ());
   let t0 = !Clock.now () in
   let live, seq, recovered =
     if recover then
@@ -375,66 +364,41 @@ let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(stalen
 
 let recovery t = t.recovered
 
-let close t =
+(* Stop and join the worker, then end the journal with [finish] and
+   close the event writer. *)
+let shut_down t finish =
   Mutex.lock t.lock;
   t.stop <- true;
   Condition.broadcast t.cond;
   Mutex.unlock t.lock;
-  (match t.worker with
-  | Some d ->
-      Domain.join d;
-      t.worker <- None
-  | None -> ());
-  (match t.journal with
-  | Some w ->
-      Journal.close w;
-      t.journal <- None
-  | None -> ());
-  match t.events with
-  | Some w ->
-      Jsonl.Writer.close w;
-      t.events <- None
-  | None -> ()
+  Option.iter Domain.join t.worker;
+  t.worker <- None;
+  Option.iter finish t.journal;
+  t.journal <- None;
+  Option.iter Jsonl.Writer.close t.events;
+  t.events <- None
 
-let crash t =
-  (* test seam for unclean death: stop the worker (a domain cannot be
-     killed mid-flight) but *abandon* the journal — buffered bytes are
-     lost exactly as on SIGKILL — and drop the event writer the same
-     way.  What recovery finds on disk afterwards is what a real crash
-     would have left. *)
-  Mutex.lock t.lock;
-  t.stop <- true;
-  Condition.broadcast t.cond;
-  Mutex.unlock t.lock;
-  (match t.worker with
-  | Some d ->
-      Domain.join d;
-      t.worker <- None
-  | None -> ());
-  (match t.journal with
-  | Some w ->
-      Journal.abandon w;
-      t.journal <- None
-  | None -> ());
-  match t.events with
-  | Some w ->
-      Jsonl.Writer.close w;
-      t.events <- None
-  | None -> ()
+let close t = shut_down t Journal.close
+
+(* test seam for unclean death: the worker still stops (a domain cannot
+   be killed mid-flight), but the journal is *abandoned* — buffered
+   bytes are lost exactly as on SIGKILL.  What recovery finds on disk
+   afterwards is what a real crash would have left. *)
+let crash t = shut_down t Journal.abandon
 
 (* ---- introspection ---------------------------------------------------- *)
 
-let epoch_id t =
+(* the serving epoch and the backlog, read together under [lock] *)
+let snapshot t =
   Mutex.lock t.lock;
-  let id = t.serving.id in
+  let ep = t.serving in
+  let bl = backlog_locked t in
   Mutex.unlock t.lock;
-  id
+  (ep, bl)
 
-let backlog t =
-  Mutex.lock t.lock;
-  let d = Queue.length t.pending + if t.repairing then 1 else 0 in
-  Mutex.unlock t.lock;
-  d
+let epoch_id t = (fst (snapshot t)).id
+
+let backlog t = snd (snapshot t)
 
 let live_graph t = t.live
 
@@ -444,7 +408,7 @@ let quitting t = t.quit
 
 let sync t =
   Mutex.lock t.lock;
-  while t.poisoned = None && ((not (Queue.is_empty t.pending)) || t.repairing) do
+  while t.poisoned = None && backlog_locked t > 0 do
     Condition.wait t.cond t.lock
   done;
   let r = match t.poisoned with None -> Ok t.serving.id | Some msg -> Error msg in
@@ -460,22 +424,14 @@ let poll_sync t =
     match t.poisoned with
     | Some msg -> Some (Error msg)
     | None ->
-        if Queue.is_empty t.pending && not t.repairing then Some (Ok t.serving.id) else None
+        if backlog_locked t = 0 then Some (Ok t.serving.id) else None
   in
   Mutex.unlock t.lock;
   r
 
 let emit_event t fields =
-  match t.events with
-  | None -> ()
-  | Some w ->
-      (* serialized under [lock]: repair/restart events are written by
-         the worker domain with the lock held, so a server-domain event
-         can never interleave bytes with them *)
-      Mutex.lock t.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.lock)
-        (fun () -> Jsonl.Writer.write w (Jsonl.obj fields))
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () -> write_event t fields)
 
 (* ---- query path ------------------------------------------------------- *)
 
@@ -495,16 +451,12 @@ let measure_on ep u v =
   in
   let dist = Apsp.distance ep.apsp u v in
   let delivered = Simulator.is_delivered checked.Simulator.outcome in
-  let stretch =
-    if not delivered then infinity
-    else if dist = 0.0 then 1.0
-    else checked.Simulator.checked_cost /. dist
-  in
+  let cost = checked.Simulator.checked_cost in
   {
     delivered;
-    cost = checked.Simulator.checked_cost;
+    cost;
     hops = checked.Simulator.checked_hops;
-    stretch;
+    stretch = Simulator.stretch ~delivered ~cost dist;
     walk = r.Scheme.walk;
     dist;
   }
@@ -546,38 +498,20 @@ let guarded t ~backlog f =
       t.qindex <- q + 1;
       Guard.Chain.run t.guard t.cfg.chaos ~batch:t.no_batch ~q f
 
-let snapshot t =
-  Mutex.lock t.lock;
-  let ep = t.serving in
-  let bl = Queue.length t.pending + if t.repairing then 1 else 0 in
-  Mutex.unlock t.lock;
-  (ep, bl)
-
 let cached_measure t ep u v =
   match t.acache with
   | None -> measure_on ep u v
-  | Some tt -> (
-      let key = (u * Graph.n ep.graph) + v in
-      match Ttcache.find tt ~gen:ep.id ~key with
-      | Some ans -> ans
-      | None ->
-          let ans = measure_on ep u v in
-          Ttcache.add tt ~gen:ep.id ~key ans;
-          ans)
+  | Some tt ->
+      Ttcache.memo tt ~gen:ep.id ~key:((u * Graph.n ep.graph) + v) (fun () -> measure_on ep u v)
 
 let cached_path t ep u v =
   match t.pcache with
   | None -> Cr_oracle.Path_oracle.path ep.oracle u v
   | Some tt ->
       let cu, cv = (min u v, max u v) in
-      let key = (cu * Graph.n ep.graph) + cv in
       let a =
-        match Ttcache.find tt ~gen:ep.id ~key with
-        | Some a -> a
-        | None ->
-            let a = Cr_oracle.Path_oracle.path ep.oracle cu cv in
-            Ttcache.add tt ~gen:ep.id ~key a;
-            a
+        Ttcache.memo tt ~gen:ep.id ~key:((cu * Graph.n ep.graph) + cv) (fun () ->
+            Cr_oracle.Path_oracle.path ep.oracle cu cv)
       in
       if u = cu then a
       else
@@ -619,12 +553,11 @@ let render_dist t ep u v ans =
   Counters.incr t.counters "daemon.dists";
   Printf.sprintf "ok dist %d %d %.17g epoch=%d" u v ans.dist ep.id
 
-let render_path t ep u v = function
-  | None ->
-      Counters.incr t.counters "daemon.paths";
-      Printf.sprintf "ok path %d %d unreachable epoch=%d" u v ep.id
+let render_path t ep u v a =
+  Counters.incr t.counters "daemon.paths";
+  match a with
+  | None -> Printf.sprintf "ok path %d %d unreachable epoch=%d" u v ep.id
   | Some a ->
-      Counters.incr t.counters "daemon.paths";
       let walk = String.concat "-" (List.map string_of_int a.Cr_oracle.Path_oracle.walk) in
       Printf.sprintf "ok path %d %d est=%.17g hops=%d via=%d walk=%s epoch=%d" u v
         a.Cr_oracle.Path_oracle.est
@@ -695,7 +628,7 @@ let accept_mutation t mu =
         | None -> ());
         Mutex.lock t.lock;
         Queue.push mu t.pending;
-        let bl = Queue.length t.pending + if t.repairing then 1 else 0 in
+        let bl = backlog_locked t in
         Condition.broadcast t.cond;
         Mutex.unlock t.lock;
         Printf.sprintf "ok mutate %s backlog=%d" (Graph.mutation_to_string mu) bl
@@ -799,12 +732,12 @@ let sync_response = function
   | Ok id -> Printf.sprintf "ok sync epoch=%d backlog=0" id
   | Error msg -> Printf.sprintf "err sync repair poisoned: %s" msg
 
-(* [handle_line] is the transport-independent dispatch: the line number
-   is the caller's, so every socket connection numbers its own session
-   from 1, and a [quit] is reported back instead of flipping global
-   state — one client quitting must not take down its neighbors. *)
-let handle_line t ~lineno line =
-  match Protocol.parse ~lineno line with
+(* [dispatch] is the transport-independent step after the parse: the
+   line number was the caller's, so every socket connection numbers its
+   own session from 1, and a [quit] is reported back instead of
+   flipping global state — one client quitting must not take down its
+   neighbors. *)
+let dispatch t = function
   | Ok None -> ([], false)
   | Error msg ->
       Counters.incr t.counters "daemon.parse_errors";
@@ -825,6 +758,8 @@ let handle_line t ~lineno line =
               Protocol.grammar,
             false )
       | Protocol.Quit -> ([ "ok bye" ], true))
+
+let handle_line t ~lineno line = dispatch t (Protocol.parse ~lineno line)
 
 let handle t line =
   t.lineno <- t.lineno + 1;

@@ -86,8 +86,9 @@ val create :
     entries never match — so answers after [sync] are byte-identical
     with the cache on or off.
     @raise Invalid_argument on a negative [staleness_every],
-    [snapshot_every] or [cache], a [snapshot_dir] without [journal], or
-    an unnormalized graph. *)
+    [snapshot_every] or [cache], a [snapshot_dir] without [journal], a
+    [snapshot_dir] that exists but is not a directory, or an
+    unnormalized graph. *)
 
 val recovery : t -> recovery option
 (** [Some _] iff this daemon was created with [~recover:true]. *)
@@ -98,13 +99,19 @@ val handle : t -> string -> string list
     input lines internally so parse errors carry the session's 1-based
     line number. *)
 
+val dispatch : t -> (Protocol.command option, string) result -> string list * bool
+(** Answers one {!Protocol.parse} result: the response lines (none for
+    a blank or comment, one [err] line for a parse error, which
+    [stats] counts) and whether the command was [quit].  A transport
+    that parses a line itself, as the socket server does to spot a
+    [sync] it must park, hands the result here instead of parsing the
+    line twice.  The [quit] flag does not set {!quitting}, so one
+    socket connection quitting never affects another. *)
+
 val handle_line : t -> lineno:int -> string -> string list * bool
-(** Transport-independent dispatch: like {!handle} but the caller owns
-    the session's line numbering (each socket connection counts its own
-    lines from 1), and a [quit] command is reported as the [true] flag
-    instead of setting {!quitting} — so one connection quitting never
-    affects another.  {!handle} is [handle_line] over an internal
-    counter plus the {!quitting} flip. *)
+(** [dispatch t (Protocol.parse ~lineno line)], for a caller that
+    numbers its session's lines itself.  {!handle} is [handle_line]
+    over an internal counter plus the {!quitting} flip. *)
 
 val quitting : t -> bool
 (** Set once a [quit] command was handled. *)
@@ -126,7 +133,7 @@ val poll_sync : t -> (int, string) result option
 
 val sync_response : (int, string) result -> string
 (** The protocol line for a {!sync}/{!poll_sync} result — shared by
-    {!handle_line} and the socket server so a deferred sync answers
+    {!dispatch} and the socket server so a deferred sync answers
     byte-identically to a blocking one. *)
 
 val emit_event : t -> (string * string) list -> unit

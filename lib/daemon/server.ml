@@ -1,15 +1,16 @@
 module Jsonl = Cr_util.Jsonl
 module Rng = Cr_util.Rng
 
-(* One select-driven event loop, one daemon.  The daemon's dispatch
-   ([Daemon.handle_line]) is single-caller by design — line counters,
-   query indices and the EWMA cost estimate are plain mutable fields —
-   so the transport must serialize every call anyway.  An event loop
-   does that for free and buys the robustness semantics a thread per
-   connection cannot give cheaply: a bounded write queue per client
-   (backpressure = stop selecting that fd for read), deterministic
-   fault injection at the write edge, and a drain that can see every
-   in-flight response at once. *)
+(* One select-driven event loop, one daemon.  The loop parses each
+   request line once — it must spot a [sync] to park — and hands the
+   result to [Daemon.dispatch], which is single-caller by design (query
+   indices and guard state are plain mutable fields), so the transport
+   must serialize every call anyway.  An event loop does that for free
+   and buys the robustness semantics a thread per connection cannot
+   give cheaply: a bounded write queue per client (backpressure = stop
+   selecting that fd for read), deterministic fault injection at the
+   write edge, and a drain that can see every in-flight response at
+   once. *)
 
 (* ---- addresses -------------------------------------------------------- *)
 
@@ -255,14 +256,14 @@ let stop t = Atomic.set t.stop_flag true
 
 (* ---- connection lifecycle --------------------------------------------- *)
 
-let conn_event t c outcome =
+let conn_event t ~cid ~lines ~bytes_out outcome =
   Daemon.emit_event t.daemon
     [
       ("event", Jsonl.str "conn");
-      ("conn", Jsonl.int c.cid);
+      ("conn", Jsonl.int cid);
       ("outcome", Jsonl.str (outcome_to_string outcome));
-      ("lines", Jsonl.int c.lineno);
-      ("bytes_out", Jsonl.int c.written);
+      ("lines", Jsonl.int lines);
+      ("bytes_out", Jsonl.int bytes_out);
     ]
 
 let count_outcome t = function
@@ -277,7 +278,7 @@ let close_conn t c outcome =
     count_outcome t outcome;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     t.conns <- List.filter (fun c' -> c'.cid <> c.cid) t.conns;
-    conn_event t c outcome
+    conn_event t ~cid:c.cid ~lines:c.lineno ~bytes_out:c.written outcome
   end
 
 let enqueue t c s =
@@ -317,39 +318,32 @@ let handle_one t c line =
   c.reqs <- c.reqs + 1;
   t.stats.lines <- t.stats.lines + 1;
   let req = c.reqs in
-  (* a sync with repair still in flight parks the connection instead of
-     blocking the loop; everyone else keeps being served *)
-  let deferred =
-    match Protocol.parse ~lineno:c.lineno line with
-    | Ok (Some Protocol.Sync) when Daemon.poll_sync t.daemon = None -> true
-    | _ -> false
-  in
-  if deferred then begin
-    c.waiting_sync <- true;
-    c.sync_req <- req
-  end
-  else begin
-    let responses, quit = Daemon.handle_line t.daemon ~lineno:c.lineno line in
-    List.iter (fun r -> enqueue t c (r ^ "\n")) responses;
-    apply_netchaos t c ~req;
-    if quit then finish t c Served
-  end
+  match Protocol.parse ~lineno:c.lineno line with
+  | Ok (Some Protocol.Sync) when Daemon.poll_sync t.daemon = None ->
+      (* a sync with repair still in flight parks the connection instead
+         of blocking the loop; everyone else keeps being served *)
+      c.waiting_sync <- true;
+      c.sync_req <- req
+  | parsed ->
+      let responses, quit = Daemon.dispatch t.daemon parsed in
+      List.iter (fun r -> enqueue t c (r ^ "\n")) responses;
+      apply_netchaos t c ~req;
+      if quit then finish t c Served
+
+(* bound the request size: an endless line must not grow the buffer
+   without limit, and the refusal is structured *)
+let refuse_long_line t c =
+  t.stats.oversized <- t.stats.oversized + 1;
+  c.lineno <- c.lineno + 1;
+  enqueue t c (Printf.sprintf "err line %d too long max=%d\n" c.lineno t.cfg.max_line);
+  Buffer.clear c.rbuf;
+  finish t c Disconnected
 
 let rec process_lines t c =
   if (not c.dead) && (not c.waiting_sync) && c.ending = None then begin
     let buf = Buffer.contents c.rbuf in
     match String.index_opt buf '\n' with
-    | None ->
-        if Buffer.length c.rbuf > t.cfg.max_line then begin
-          (* bound the request size: an endless line must not grow the
-             buffer without limit, and the refusal is structured *)
-          t.stats.oversized <- t.stats.oversized + 1;
-          c.lineno <- c.lineno + 1;
-          enqueue t c
-            (Printf.sprintf "err line %d too long max=%d\n" c.lineno t.cfg.max_line);
-          Buffer.clear c.rbuf;
-          finish t c Disconnected
-        end
+    | None -> if Buffer.length c.rbuf > t.cfg.max_line then refuse_long_line t c
     | Some nl ->
         let line = String.sub buf 0 nl in
         let line =
@@ -360,14 +354,7 @@ let rec process_lines t c =
         in
         Buffer.clear c.rbuf;
         Buffer.add_substring c.rbuf buf (nl + 1) (String.length buf - nl - 1);
-        if String.length line > t.cfg.max_line then begin
-          t.stats.oversized <- t.stats.oversized + 1;
-          c.lineno <- c.lineno + 1;
-          enqueue t c
-            (Printf.sprintf "err line %d too long max=%d\n" c.lineno t.cfg.max_line);
-          Buffer.clear c.rbuf;
-          finish t c Disconnected
-        end
+        if String.length line > t.cfg.max_line then refuse_long_line t c
         else begin
           handle_one t c line;
           process_lines t c
@@ -411,14 +398,7 @@ let service_accept t =
           (if t.draining then "err busy draining\n"
            else Printf.sprintf "err busy conns=%d max=%d\n" active t.cfg.max_conns);
         (try Unix.close fd with Unix.Unix_error _ -> ());
-        Daemon.emit_event t.daemon
-          [
-            ("event", Jsonl.str "conn");
-            ("conn", Jsonl.int cid);
-            ("outcome", Jsonl.str (outcome_to_string Shed));
-            ("lines", Jsonl.int 0);
-            ("bytes_out", Jsonl.int 0);
-          ]
+        conn_event t ~cid ~lines:0 ~bytes_out:0 Shed
       end
       else
         let c =

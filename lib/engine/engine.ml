@@ -184,16 +184,10 @@ let run_custom (type r) ?(chaos = Guard.Chaos.none) ?(canon = id_canon) ?(orient
                     let m = measure s d in
                     Lru.add c key m;
                     m)
-            | None, Some tt -> (
-                let key = (s * n) + d in
+            | None, Some tt ->
                 (* engines serve one immutable build, so the generation
                    is constant; epoch-style aging is the daemon's use *)
-                match Ttcache.find tt ~gen:0 ~key with
-                | Some m -> m
-                | None ->
-                    let m = measure s d in
-                    Ttcache.add tt ~gen:0 ~key m;
-                    m)
+                Ttcache.memo tt ~gen:0 ~key:((s * n) + d) (fun () -> measure s d)
           in
           let measure s d =
             let cs, cd = canon s d in

@@ -12,18 +12,27 @@ let compute g =
     balls = Array.make n None;
   }
 
+module Pool = Cr_util.Domain_pool
+
+(* [parallel_for] on a pool of its own, joined before it returns.  A
+   worker left parked in the shared pool stops for every minor
+   collection of the domain that goes on alone, which slows the
+   single-domain scheme build after an APSP or a repair and makes its
+   time vary with the host's scheduling. *)
+let parallel_for ~chunk ~n f =
+  let pool = Pool.create ~domains:(Pool.default_domains ()) in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> Pool.parallel_for ~chunk pool ~n f)
+
 let compute_parallel ?domains g =
   let n = Graph.n g in
-  let module Pool = Cr_util.Domain_pool in
   let domains = match domains with Some d -> max 1 d | None -> Pool.default_domains () in
   if domains <= 1 || n < 2 * domains then compute g
   else begin
-    (* one placeholder result; every slot is overwritten below.  The
-       sources run on the shared, spawn-once pool: each Dijkstra only
-       reads the immutable graph and writes its own slot, so any
-       execution order yields the same array. *)
+    (* one placeholder result; every slot is overwritten below.  Each
+       Dijkstra only reads the immutable graph and writes its own slot,
+       so any execution order yields the same array. *)
     let results = Array.make n (Dijkstra.run g 0) in
-    Pool.parallel_for ~chunk:16 (Pool.shared ()) ~n (fun s -> results.(s) <- Dijkstra.run g s);
+    parallel_for ~chunk:16 ~n (fun s -> results.(s) <- Dijkstra.run g s);
     { graph = g; results; balls = Array.make n None }
   end
 
@@ -130,12 +139,9 @@ let repair t g' ~dirty ~structural =
     done;
     let todo = Array.of_list !todo in
     let nd = Array.length todo in
-    let module Pool = Cr_util.Domain_pool in
     if nd < 2 * Pool.default_domains () then
       Array.iter (fun s -> results.(s) <- Dijkstra.run g' s) todo
-    else
-      Pool.parallel_for ~chunk:4 (Pool.shared ()) ~n:nd (fun i ->
-          results.(todo.(i)) <- Dijkstra.run g' todo.(i));
+    else parallel_for ~chunk:4 ~n:nd (fun i -> results.(todo.(i)) <- Dijkstra.run g' todo.(i));
     { graph = g'; results; balls = Array.make n None }
   end
 

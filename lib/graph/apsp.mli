@@ -10,15 +10,16 @@ val compute : Graph.t -> t
 (** Runs [n] Dijkstras sequentially. *)
 
 val compute_parallel : ?domains:int -> Graph.t -> t
-(** Same result, with the sources partitioned across the shared
-    spawn-once domain pool ({!Cr_util.Domain_pool.shared}), so repeated
-    APSP builds in one process pay no per-call domain-spawn cost.
-    [domains] defaults to {!Cr_util.Domain_pool.default_domains}; it
-    gates the sequential fallback ([domains <= 1] or a tiny graph runs
-    {!compute} in the caller) while the actual width is the shared
-    pool's.  Each Dijkstra only reads the (immutable) graph and writes
-    its own result slot, so the result is identical — not merely
-    statistically equal — to {!compute}'s. *)
+(** Same result, with the sources partitioned across a pool of
+    {!Cr_util.Domain_pool.default_domains} lanes that is spawned for
+    the call and joined before it returns, so no idle worker is left to
+    slow the single-domain work that follows.  [domains] defaults to
+    {!Cr_util.Domain_pool.default_domains}; it gates the sequential
+    fallback ([domains <= 1] or a tiny graph runs {!compute} in the
+    caller) while the actual width is the default one.  Each Dijkstra
+    only reads the (immutable) graph and writes its own result slot, so
+    the result is identical — not merely statistically equal — to
+    {!compute}'s. *)
 
 val graph : t -> Graph.t
 
@@ -41,11 +42,12 @@ val dirty_sources : t -> Graph.mutation -> bool array
 val repair : t -> Graph.t -> dirty:bool array -> structural:bool -> t
 (** [repair t g' ~dirty ~structural] is the incremental ground-truth
     update: a fresh APSP over [g'] (the graph {e after} the mutation)
-    that re-runs Dijkstra only for [dirty] sources — in parallel on the
-    shared pool when there are enough — and shares every clean source's
-    result from [t].  With [structural] set (adjacency changed), clean
-    sources get their [parent_port] arrays re-derived against [g'],
-    since port numbers shift even where paths do not.  The result is
+    that re-runs Dijkstra only for [dirty] sources — in parallel, on a
+    pool of its own as in {!compute_parallel}, when there are enough —
+    and shares every clean source's result from [t].  With
+    [structural] set (adjacency changed), clean sources get their
+    [parent_port] arrays re-derived against [g'], since port numbers
+    shift even where paths do not.  The result is
     bit-identical to [compute g'] when [dirty] over-approximates
     honestly (pinned by the repair-equivalence property test).
     @raise Invalid_argument on node-count or length mismatch, or if a

@@ -71,7 +71,7 @@ let measure_canonical apsp oracle src dst =
           dist = d;
           ok = priced_ok chk ~est;
           hops = chk.Sim.checked_hops;
-          stretch = (if d > 0.0 && d < infinity then est /. d else infinity);
+          stretch = Sim.stretch ~delivered:true ~cost:est d;
         }
 
 let measure apsp oracle src dst =
@@ -86,8 +86,7 @@ let referee_sparse apsp so pairs =
         match Sparse_oracle.path so u v with
         | Some { Sparse_oracle.est; walk; _ }
           when priced_ok (Sim.check_walk g ~src:u ~dst:v ~delivered:true walk) ~est ->
-            let d = Apsp.distance apsp u v in
-            Some (if d = 0.0 then 1.0 else est /. d)
+            Some (Sim.stretch ~delivered:true ~cost:est (Apsp.distance apsp u v))
         | _ -> None)
       (Array.to_list pairs)
   in

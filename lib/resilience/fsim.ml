@@ -29,13 +29,7 @@ let run ?trace policy plan apsp (scheme : Scheme.t) ~src ~dst =
   let stalls_seen = Hashtbl.create 8 in
   let finish outcome =
     let stretch =
-      match outcome with
-      | Sim.Delivered ->
-          if src = dst then 1.0
-          else
-            let d = Apsp.distance apsp src dst in
-            if d = 0.0 || d = infinity then infinity else !cost /. d
-      | _ -> infinity
+      Sim.stretch ~delivered:(Sim.is_delivered outcome) ~cost:!cost (Apsp.distance apsp src dst)
     in
     { outcome; walk = List.rev !walk_rev; cost = !cost; hops = !hops; retries = !retries; stretch }
   in

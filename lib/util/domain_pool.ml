@@ -2,11 +2,11 @@
 
    OCaml 5 domains are heavyweight (each owns a minor heap and takes a
    slot of the runtime's fixed domain table), so spawning fresh domains
-   per parallel region — as the first Apsp.compute_parallel did — wastes
-   milliseconds per call and caps how often parallelism pays off.  This
-   pool spawns its workers once; each [parallel_for] publishes one job
-   (a chunked atomic work counter) to the sleeping workers, the caller
-   participates as the extra lane, and the workers go back to sleep.
+   per parallel region wastes milliseconds per call and caps how often
+   parallelism pays off.  This pool spawns its workers once; each
+   [parallel_for] publishes one job (a chunked atomic work counter) to
+   the sleeping workers, the caller participates as the extra lane, and
+   the workers go back to sleep.
 
    Correctness notes:
    - Results must be written to per-index slots by the body; the pool
@@ -312,13 +312,6 @@ let shared () =
   in
   Mutex.unlock shared_lock;
   p
-
-let resize_shared domains =
-  Mutex.lock shared_lock;
-  let old = !shared_pool in
-  shared_pool := Some (create ~domains);
-  Mutex.unlock shared_lock;
-  Option.iter shutdown old
 
 (* Graceful process-wide teardown: joins the shared workers and clears
    the singleton, so a later [shared ()] re-initializes from scratch.

@@ -83,16 +83,14 @@ val default_domains : unit -> int
 
 val shared : unit -> t
 (** The process-wide pool, created on first use with
-    {!default_domains} lanes.  [Apsp.compute_parallel], the batch
-    engine's default, [Experiment.run_scheme] and the resilience
-    sweeps all run on this pool, so a process pays the spawn cost once
-    no matter how many tables it builds. *)
-
-val resize_shared : int -> unit
-(** Replaces the shared pool with a fresh one of the given width (the
-    old pool is shut down): the resize half of the shared pool's
-    lifecycle API.  Do not call while a [parallel_for] on the shared
-    pool is in flight. *)
+    {!default_domains} lanes.  The batch engine's default,
+    [Experiment.run_scheme] and the resilience sweeps all run on this
+    pool, so a process pays the spawn cost once no matter how many
+    sweeps it runs.  Its workers stay parked between jobs, and a parked
+    worker stops for every minor collection of the domains still
+    running, so [Apsp.compute_parallel] and [Apsp.repair], which are
+    followed by long single-domain builds, join a pool of their own
+    instead. *)
 
 val shutdown_shared : unit -> unit
 (** Joins the shared pool's workers and clears the singleton.

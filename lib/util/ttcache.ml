@@ -151,6 +151,14 @@ let add t ~gen ~key v =
   Atomic.set t.slots.(idx) (Some (key, gen, v));
   Atomic.set t.tags.(idx) (pack fp gen)
 
+let memo t ~gen ~key f =
+  match find t ~gen ~key with
+  | Some v -> v
+  | None ->
+      let v = f () in
+      add t ~gen ~key v;
+      v
+
 let stats t =
   {
     hits = Atomic.get t.n_hits;

@@ -59,6 +59,11 @@ val add : 'v t -> gen:int -> key:int -> 'v -> unit
     generation.  An insert can be lost to a concurrent writer of the
     same window — the cost is a future miss, by design. *)
 
+val memo : 'v t -> gen:int -> key:int -> (unit -> 'v) -> 'v
+(** [memo t ~gen ~key f] is the cached value of [key] at [gen], else
+    [f ()], which it then {!add}s — the one find-then-add sequence
+    every caller shares.  [f] must obey the contract above. *)
+
 val stats : 'v t -> stats
 (** Monotone counter snapshot (atomic counters, so exact even under
     concurrent use). *)

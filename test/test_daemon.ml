@@ -828,17 +828,17 @@ let test_journal_fsync_failure_policy () =
 
 let test_snapshot_failures_surface () =
   (* a checkpoint that cannot be written must not stop acks, but it
-     must show in stats: here a regular file holds the snapshot
-     directory's path *)
+     must show in stats: here a regular file takes the snapshot
+     directory's path after the daemon started *)
   let g = mk_graph ~n:24 81 in
   let mu = List.hd (script g 81 1) in
   in_temp_dir (fun dir ->
       let snaps = Filename.concat dir "snaps" in
-      close_out (open_out snaps);
       let d =
         Daemon.create ~policy:Guard.Policy.off ~staleness_every:0
           ~journal:(Filename.concat dir "j.log") ~snapshot_dir:snaps ~snapshot_every:1 ~params g
       in
+      close_out (open_out snaps);
       checkb "mutation still acked" true
         (contains (feed1 d (Graph.mutation_to_string mu)) "ok mutate");
       let stats = Daemon.stats_json d in
@@ -846,6 +846,24 @@ let test_snapshot_failures_surface () =
         (contains stats "\"snapshot_failures\":1");
       checkb "and no written one" true (contains stats "\"snapshots\":0");
       Daemon.close d)
+
+let test_snapshot_path_not_a_directory () =
+  (* a snapshot path taken by a regular file could never hold a
+     checkpoint, so the daemon refuses it at startup instead of acking
+     mutations it can only fail to checkpoint *)
+  let g = mk_graph ~n:24 83 in
+  in_temp_dir (fun dir ->
+      let snaps = Filename.concat dir "snaps" in
+      close_out (open_out snaps);
+      match
+        Daemon.create ~policy:Guard.Policy.off ~staleness_every:0
+          ~journal:(Filename.concat dir "j.log") ~snapshot_dir:snaps ~params g
+      with
+      | d ->
+          Daemon.close d;
+          Alcotest.fail "a regular-file snapshot path was accepted"
+      | exception Invalid_argument msg ->
+          checkb "the error names the path" true (contains msg snaps))
 
 let test_daemon_crash_loses_unflushed_recover_matches () =
   (* end-to-end: with fsync off nothing is buffered past [append]'s
@@ -983,6 +1001,8 @@ let () =
             test_journal_fsync_failure_policy;
           Alcotest.test_case "snapshot failures are counted, never swallowed" `Quick
             test_snapshot_failures_surface;
+          Alcotest.test_case "a snapshot path that is not a directory is refused" `Quick
+            test_snapshot_path_not_a_directory;
           Alcotest.test_case "crash mid-snapshot leaves no checkpoint" `Quick
             test_crash_mid_snapshot;
           Alcotest.test_case "crashed daemon recovers to identical answers" `Slow
