@@ -1,6 +1,7 @@
 module Graph = Cr_graph.Graph
 module Apsp = Cr_graph.Apsp
 module Ball = Cr_graph.Ball
+module Dijkstra = Cr_graph.Dijkstra
 module Bits = Cr_util.Bits
 module Landmarks = Cr_landmark.Landmarks
 module Tree = Cr_tree.Tree
@@ -82,25 +83,24 @@ let build ?params ?(mode = Full) ?profile apsp =
   let cap = Params.landmark_cap params ~n in
   let storage = Storage.create ~n in
   let idb = Bits.id_bits ~n in
-  (* ---- nearby landmark sets S(u,i) and their inversion ---- *)
-  let s_sets = Array.make n [||] in
-  let members_of = Array.make n [] in
-  prof "nearby-sets" (fun () ->
-      for u = 0 to n - 1 do
-        let ball = Apsp.ball apsp u in
-        let tbl = Hashtbl.create (k * cap) in
-        for i = 0 to k - 1 do
-          Array.iter
-            (fun v -> Hashtbl.replace tbl v ())
-            (Landmarks.nearby landmarks ball ~level:i ~cap)
-        done;
-        let arr = Array.of_seq (Hashtbl.to_seq_keys tbl) in
-        Array.sort Int.compare arr;
-        s_sets.(u) <- arr
-      done;
-      for u = n - 1 downto 0 do
-        Array.iter (fun v -> members_of.(v) <- u :: members_of.(v)) s_sets.(u)
-      done);
+  (* ---- nearby landmark sets S(u), inverted: members_of.(v) = {u : v ∈ S(u)} ---- *)
+  let members_of =
+    prof "nearby-sets" (fun () ->
+        let s_sets = Array.init n (fun u -> Landmarks.nearby_set landmarks (Apsp.ball apsp u) ~cap) in
+        let count = Array.make n 0 in
+        Array.iter (Array.iter (fun v -> count.(v) <- count.(v) + 1)) s_sets;
+        let members_of = Array.map (fun c -> Array.make c 0) count in
+        Array.fill count 0 n 0;
+        Array.iteri
+          (fun u s ->
+            Array.iter
+              (fun v ->
+                members_of.(v).(count.(v)) <- u;
+                count.(v) <- count.(v) + 1)
+              s)
+          s_sets;
+        members_of)
+  in
   (* ---- global fallback root: closest-to-everything top-rank landmark ---- *)
   let top_rank = ref 0 in
   for v = 0 to n - 1 do
@@ -143,17 +143,9 @@ let build ?params ?(mode = Full) ?profile apsp =
   Hashtbl.replace sparse_centers global_root ();
   (* ---- per-center trees with Lemma 4 routing; full storage sweep ---- *)
   let centers = Hashtbl.create (Hashtbl.length sparse_centers) in
-  let build_center_tree v ~keep_all ~category =
-    let keep =
-      if keep_all then fun _ -> true
-      else begin
-        let members = Hashtbl.create 16 in
-        List.iter (fun u -> Hashtbl.replace members u ()) members_of.(v);
-        Hashtbl.replace members v ();
-        fun w -> Hashtbl.mem members w
-      end
-    in
-    let tree = Tree.of_sssp g (Apsp.sssp apsp v) ~keep in
+  (* T(v) spans the root and [members] *)
+  let build_center_tree v ~members ~category =
+    let tree = Tree.of_sssp g (Apsp.sssp apsp v) ~members in
     let ni = Ni.build ~seed:(seed + v + 1) ~k ~n_global:n tree in
     Array.iter
       (fun w -> Storage.add storage ~node:w ~category ~bits:(Ni.node_storage_bits ni w))
@@ -163,13 +155,16 @@ let build ?params ?(mode = Full) ?profile apsp =
   (* The global tree spans everything and is accounted under "fallback". *)
   let global_ni =
     prof "sparse-trees" (fun () ->
-        let global_ni = build_center_tree global_root ~keep_all:true ~category:"fallback" in
+        let global_ni =
+          build_center_tree global_root ~members:(Apsp.sssp apsp global_root).Dijkstra.order
+            ~category:"fallback"
+        in
         (* Every node v held in someone's S(u) gets a tree T(v); its storage
            is charged to its members.  Trees of centers actually used for
            routing are retained. *)
         for v = 0 to n - 1 do
-          if v <> global_root && members_of.(v) <> [] then begin
-            let ni = build_center_tree v ~keep_all:false ~category:"sparse-trees" in
+          if v <> global_root && Array.length members_of.(v) > 0 then begin
+            let ni = build_center_tree v ~members:members_of.(v) ~category:"sparse-trees" in
             if Hashtbl.mem sparse_centers v then Hashtbl.replace centers v ni
           end
         done;
@@ -195,7 +190,7 @@ let build ?params ?(mode = Full) ?profile apsp =
           (fun level ->
             let allowed u = Decomposition.in_level_graph decomp u level in
             let rho = Decomposition.radius_of_exponent level in
-            let cover = Cover.build ~allowed ~k ~rho g in
+            let cover = Cover.build ~apsp ~allowed ~k ~rho g in
             let dense_rts =
               Array.map
                 (fun (c : Cover.cluster) -> Dense.build c.Cover.tree)

@@ -19,7 +19,7 @@ let build ?(k = 3) apsp =
   let levels =
     Array.init (log_delta + 1) (fun i ->
         let rho = 2.0 ** float_of_int i in
-        let cover = Cover.build ~k ~rho g in
+        let cover = Cover.build ~apsp ~k ~rho g in
         let rts =
           Array.map (fun (c : Cover.cluster) -> Dense.build c.Cover.tree) (Cover.clusters cover)
         in

@@ -58,7 +58,8 @@ let build ?(seed = 5) apsp =
   let trees = Hashtbl.create (Array.length landmarks) in
   Array.iter
     (fun l ->
-      let tree = Tree.of_sssp g (Apsp.sssp apsp l) ~keep:(fun _ -> true) in
+      let res = Apsp.sssp apsp l in
+      let tree = Tree.of_sssp g res ~members:res.Dijkstra.order in
       Hashtbl.replace trees l (tree, Tree_labels.build tree))
     landmarks;
   (* closest landmark of each node (same component) *)

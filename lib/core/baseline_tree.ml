@@ -20,7 +20,8 @@ let build apsp =
   let g = Apsp.graph apsp in
   let n = Graph.n g in
   let center = pick_center apsp n in
-  let tree = Tree.of_sssp g (Apsp.sssp apsp center) ~keep:(fun _ -> true) in
+  let res = Apsp.sssp apsp center in
+  let tree = Tree.of_sssp g res ~members:res.Dijkstra.order in
   let rt = Dense.build tree in
   let storage = Storage.create ~n in
   Array.iter

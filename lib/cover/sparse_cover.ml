@@ -1,5 +1,7 @@
 module Graph = Cr_graph.Graph
 module Dijkstra = Cr_graph.Dijkstra
+module Apsp = Cr_graph.Apsp
+module Ball = Cr_graph.Ball
 module Tree = Cr_tree.Tree
 module Bits = Cr_util.Bits
 
@@ -16,23 +18,27 @@ type t = {
 }
 
 let ball_of g allowed rho u =
-  let res = Dijkstra.run_restricted g ~allowed:(fun v -> allowed.(v)) ~bound:rho u in
-  let acc = ref [] in
-  Array.iteri (fun v d -> if d < infinity then acc := v :: !acc) res.Dijkstra.dist;
-  Array.of_list !acc
+  (Dijkstra.run_restricted g ~allowed:(fun v -> allowed.(v)) ~bound:rho u).Dijkstra.order
 
 (* Awerbuch–Peleg ball coarsening, organized in phases so that clusters
    created within one phase are pairwise disjoint: a node then belongs to
    at most (#phases) clusters, which is what keeps the cover sparse.
 
-   Within a phase, a cluster starts from an uncovered eligible center's
-   rho-ball and keeps absorbing the balls of other uncovered eligible
-   centers that intersect it, as long as each round multiplies the
-   cluster size by more than n^{1/k}; at most k-1 rounds can pass, so the
-   radius stays below (2k-1) rho.  Absorbed balls are covered; balls that
-   merely touch the cluster become ineligible for the rest of the phase
-   and try again in the next one. *)
-let build ?allowed ~k ~rho g =
+   Within a phase, a cluster starts from the first uncovered eligible
+   center's rho-ball and absorbs, round by round, the balls of the other
+   uncovered eligible centers that intersect it.  Every round but the
+   last multiplies the cluster size by more than n^{1/k}, so there are at
+   most k rounds and the radius stays below (2k+1) rho.  Absorbed balls
+   are covered; balls that merely touch the cluster become ineligible for
+   the rest of the phase and try again in the next one.
+
+   The work is bounded by the balls themselves: [holders.(x)] lists the
+   centers whose ball contains x, so a round looks only at the balls
+   that meet the nodes the previous round added (a ball meeting older
+   nodes was absorbed then), and a finished cluster blocks exactly the
+   balls that meet it.  Eligibility only shrinks within a phase, so the
+   search for the next center resumes where the last one stopped. *)
+let build ?apsp ?allowed ~k ~rho g =
   if k < 1 then invalid_arg "Sparse_cover.build: k < 1";
   if not (rho > 0.0) then invalid_arg "Sparse_cover.build: rho <= 0";
   let n = Graph.n g in
@@ -44,94 +50,107 @@ let build ?allowed ~k ~rho g =
   let kappa =
     float_of_int (max 2 (Bits.ceil_pow (float_of_int (max 2 n)) (1.0 /. float_of_int k)))
   in
-  let balls = Array.make n [||] in
-  for u = 0 to n - 1 do
-    if allowed.(u) then balls.(u) <- ball_of g allowed rho u
-  done;
+  let sc = Dijkstra.scratch g in
+  (* With nothing excluded, the restricted rho-ball is the ball of the
+     unrestricted metric, which [apsp] already holds in order. *)
+  let rho_ball =
+    match apsp with
+    | Some a when Array.for_all Fun.id allowed -> fun u -> Ball.ball (Apsp.ball a u) rho
+    | _ -> fun u -> (Dijkstra.run_in sc ~allowed:(fun v -> allowed.(v)) ~bound:rho u).Dijkstra.order
+  in
+  let balls = Array.init n (fun u -> if allowed.(u) then rho_ball u else [||]) in
+  let holders =
+    let count = Array.make n 0 in
+    Array.iter (Array.iter (fun x -> count.(x) <- count.(x) + 1)) balls;
+    let h = Array.map (fun c -> Array.make c 0) count in
+    Array.fill count 0 n 0;
+    Array.iteri
+      (fun u ball ->
+        Array.iter
+          (fun x ->
+            h.(x).(count.(x)) <- u;
+            count.(x) <- count.(x) + 1)
+          ball)
+      balls;
+    h
+  in
   let covered = Array.make n false in
   let home = Array.make n (-1) in
   let clusters = ref [] in
   let n_clusters = ref 0 in
   let in_y = Array.make n false in
-  let phase_mark = Array.make n false in
+  (* [blocked.(u) = phase]: u's ball meets a cluster of this phase;
+     [merged.(u) = cluster]: u's ball is absorbed by the cluster *)
+  let blocked = Array.make n (-1) and merged = Array.make n (-1) in
   let uncovered_left = ref 0 in
   for u = 0 to n - 1 do
     if allowed.(u) then incr uncovered_left
   done;
+  let phase = ref 0 in
   while !uncovered_left > 0 do
-    (* one phase *)
-    Array.fill phase_mark 0 n false;
-    let eligible u =
-      allowed.(u) && (not covered.(u)) && not (Array.exists (fun x -> phase_mark.(x)) balls.(u))
-    in
+    let eligible u = allowed.(u) && (not covered.(u)) && blocked.(u) <> !phase in
+    let cursor = ref 0 in
     let progress = ref true in
     while !progress do
-      (* find the first eligible uncovered center *)
-      let v = ref (-1) in
-      (let u = ref 0 in
-       while !v < 0 && !u < n do
-         if eligible !u then v := !u;
-         incr u
-       done);
-      if !v < 0 then progress := false
+      while !cursor < n && not (eligible !cursor) do
+        incr cursor
+      done;
+      if !cursor >= n then progress := false
       else begin
-        let v = !v in
+        let v = !cursor in
+        let ci = !n_clusters in
         let members = ref [] in
         let size = ref 0 in
-        let add x =
-          if not in_y.(x) then begin
-            in_y.(x) <- true;
-            members := x :: !members;
-            incr size
-          end
+        (* adds a ball to Y; returns the nodes it added *)
+        let absorb ball added =
+          Array.fold_left
+            (fun added x ->
+              if in_y.(x) then added
+              else begin
+                in_y.(x) <- true;
+                x :: added
+              end)
+            added ball
         in
-        Array.iter add balls.(v);
-        let merged = ref [ v ] in
-        let is_merged = Hashtbl.create 16 in
-        Hashtbl.replace is_merged v ();
+        let frontier = ref (absorb balls.(v) []) in
+        size := List.length !frontier;
+        members := !frontier;
+        merged.(v) <- ci;
+        let absorbed = ref [ v ] in
         (* Expansion rounds: absorb every eligible uncovered ball touching
            the current union.  Rounds that more-than-kappa-multiply the
            size keep going; the first non-multiplying round is still
            committed (the cluster must contain the balls that intersect
            its kernel — that is what makes coverage per cluster large
-           enough for sparsity) and ends the growth.  At most k rounds
-           total, so the radius stays below (2k+1) rho. *)
+           enough for sparsity) and ends the growth. *)
         let continue_growing = ref true in
         while !continue_growing do
           let prev_size = !size in
           let layer = ref [] in
-          for u = 0 to n - 1 do
-            if eligible u && not (Hashtbl.mem is_merged u) then
-              if Array.exists (fun x -> in_y.(x)) balls.(u) then layer := u :: !layer
-          done;
+          List.iter
+            (fun x ->
+              Array.iter
+                (fun u ->
+                  if merged.(u) <> ci && eligible u then begin
+                    merged.(u) <- ci;
+                    layer := u :: !layer
+                  end)
+                holders.(x))
+            !frontier;
           if !layer = [] then continue_growing := false
           else begin
-            let added = ref [] in
-            List.iter
-              (fun u ->
-                Array.iter
-                  (fun x ->
-                    if not in_y.(x) then begin
-                      in_y.(x) <- true;
-                      added := x :: !added
-                    end)
-                  balls.(u))
-              !layer;
-            let new_size = prev_size + List.length !added in
+            let added = List.fold_left (fun added u -> absorb balls.(u) added) [] !layer in
+            let new_size = prev_size + List.length added in
             size := new_size;
-            members := List.rev_append !added !members;
-            List.iter
-              (fun u ->
-                Hashtbl.replace is_merged u ();
-                merged := u :: !merged)
-              !layer;
+            members := List.rev_append added !members;
+            absorbed := List.rev_append !layer !absorbed;
+            frontier := added;
             if float_of_int new_size <= kappa *. float_of_int prev_size then
               continue_growing := false
           end
         done;
         let member_arr = Array.of_list !members in
-        Array.sort Int.compare member_arr;
-        let ci = !n_clusters in
+        Array.stable_sort Int.compare member_arr;
         let cover u =
           if not covered.(u) then begin
             covered.(u) <- true;
@@ -139,7 +158,7 @@ let build ?allowed ~k ~rho g =
             decr uncovered_left
           end
         in
-        List.iter cover !merged;
+        List.iter cover !absorbed;
         (* opportunistically cover any center whose ball fits entirely
            inside the cluster *)
         Array.iter
@@ -149,11 +168,9 @@ let build ?allowed ~k ~rho g =
           member_arr;
         (* spanning tree: SPT from v inside the cluster, edges <= 2 rho *)
         let res =
-          Dijkstra.run_restricted g
-            ~allowed:(fun x -> x >= 0 && x < n && in_y.(x))
-            ~max_edge:(2.0 *. rho) v
+          Dijkstra.run_in sc ~allowed:(fun x -> in_y.(x)) ~max_edge:(2.0 *. rho) v
         in
-        let tree = Tree.of_sssp g res ~keep:(fun x -> in_y.(x)) in
+        let tree = Tree.of_sssp g res ~members:member_arr in
         Array.iter
           (fun x ->
             if not (Tree.mem tree x) then
@@ -164,10 +181,11 @@ let build ?allowed ~k ~rho g =
         Array.iter
           (fun x ->
             in_y.(x) <- false;
-            phase_mark.(x) <- true)
+            Array.iter (fun u -> blocked.(u) <- !phase) holders.(x))
           member_arr
       end
-    done
+    done;
+    incr phase
   done;
   let clusters = Array.of_list (List.rev !clusters) in
   let containing = Array.make n [] in

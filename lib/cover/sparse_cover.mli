@@ -26,7 +26,9 @@
     Absorbed balls are covered by the final cluster; balls that merely
     touch it sit out the rest of the phase, so clusters created within a
     phase are pairwise disjoint and the overlap of the whole cover is at
-    most the number of phases. *)
+    most the number of phases.  An index from each node to the balls
+    containing it keeps the work proportional to the total size of the
+    balls, which run on one reused Dijkstra scratch. *)
 
 type cluster = {
   center : int;
@@ -36,8 +38,12 @@ type cluster = {
 
 type t
 
-val build : ?allowed:(int -> bool) -> k:int -> rho:float -> Cr_graph.Graph.t -> t
-(** Builds the cover.  [allowed] defaults to every node. *)
+val build :
+  ?apsp:Cr_graph.Apsp.t -> ?allowed:(int -> bool) -> k:int -> rho:float -> Cr_graph.Graph.t -> t
+(** Builds the cover.  [allowed] defaults to every node.  When every
+    node is allowed, the [ρ]-balls are those of the whole graph, and with
+    [apsp] (the ground truth of this graph) they are read from it instead
+    of being searched again; the cover is the same either way. *)
 
 val clusters : t -> cluster array
 

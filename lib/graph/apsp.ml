@@ -1,16 +1,11 @@
 type t = {
   graph : Graph.t;
   results : Dijkstra.result array;
-  balls : Ball.t option array;
 }
 
 let compute g =
   let n = Graph.n g in
-  {
-    graph = g;
-    results = Array.init n (fun s -> Dijkstra.run g s);
-    balls = Array.make n None;
-  }
+  { graph = g; results = Array.init n (fun s -> Dijkstra.run g s) }
 
 module Pool = Cr_util.Domain_pool
 
@@ -33,7 +28,7 @@ let compute_parallel ?domains g =
        so any execution order yields the same array. *)
     let results = Array.make n (Dijkstra.run g 0) in
     parallel_for ~chunk:16 ~n (fun s -> results.(s) <- Dijkstra.run g s);
-    { graph = g; results; balls = Array.make n None }
+    { graph = g; results }
   end
 
 let graph t = t.graph
@@ -110,7 +105,7 @@ let repair t g' ~dirty ~structural =
   let n = Graph.n t.graph in
   if Graph.n g' <> n then invalid_arg "Apsp.repair: node count changed";
   if Array.length dirty <> n then invalid_arg "Apsp.repair: dirty array length mismatch";
-  if n = 0 then { graph = g'; results = [||]; balls = [||] }
+  if n = 0 then { graph = g'; results = [||] }
   else begin
     let refresh_ports (r : Dijkstra.result) =
       if not structural then r
@@ -142,7 +137,7 @@ let repair t g' ~dirty ~structural =
     if nd < 2 * Pool.default_domains () then
       Array.iter (fun s -> results.(s) <- Dijkstra.run g' s) todo
     else parallel_for ~chunk:4 ~n:nd (fun i -> results.(todo.(i)) <- Dijkstra.run g' todo.(i));
-    { graph = g'; results; balls = Array.make n None }
+    { graph = g'; results }
   end
 
 let repair_mutation t mu =
@@ -153,13 +148,7 @@ let repair_mutation t mu =
 
 let sssp t u = t.results.(u)
 
-let ball t u =
-  match t.balls.(u) with
-  | Some b -> b
-  | None ->
-      let b = Ball.of_dijkstra t.results.(u) in
-      t.balls.(u) <- Some b;
-      b
+let ball t u = Ball.of_dijkstra t.results.(u)
 
 let fold_pairs f init t =
   let n = Graph.n t.graph in

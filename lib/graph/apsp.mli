@@ -67,7 +67,7 @@ val sssp : t -> int -> Dijkstra.result
 (** The stored single-source result for a node. *)
 
 val ball : t -> int -> Ball.t
-(** Ball index of a node (built lazily, cached). *)
+(** Ball index of a node: an O(1) view of its stored result. *)
 
 val aspect_ratio : t -> float
 (** Δ = max d(u,v) / min d(u,v) over connected pairs with u ≠ v;

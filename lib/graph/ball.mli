@@ -5,14 +5,17 @@
     - [N(u, m, Z)]: the [m] nodes of [Z] closest to [u], ties broken
       lexicographically by node index.
 
-    Built once from a Dijkstra result; all queries are then
-    O(log n) (sizes) or O(answer) (enumerations). *)
+    A view of a Dijkstra result, whose [order] already lists the
+    reachable nodes by (distance, index): building one copies and sorts
+    nothing, and queries are O(log n) (sizes), O(1) ({!kth}) or
+    O(answer) (enumerations). *)
 
 type t
 
 val of_dijkstra : Dijkstra.result -> t
-(** Index the distances of one source.  Unreachable nodes are excluded
-    from every ball. *)
+(** The ball index of one source, sharing the result's arrays (so not
+    of a {!Dijkstra.run_in} result that a later run will overwrite).
+    Unreachable nodes are excluded from every ball. *)
 
 val source : t -> int
 
@@ -25,6 +28,11 @@ val ball_size : t -> float -> int
 val ball : t -> float -> int array
 (** Members of [B(u, r)] in nondecreasing distance order (lexicographic
     tie-break). *)
+
+val kth : t -> int -> int
+(** [kth t m] is the [m]-th closest node (1-based; [kth t 1] is the
+    source): enumerates a ball without copying it.
+    @raise Invalid_argument if [m] exceeds {!reachable}. *)
 
 val kth_distance : t -> int -> float
 (** [kth_distance t m] is the distance of the [m]-th closest node

@@ -3,57 +3,114 @@ type result = {
   dist : float array;
   parent : int array;
   parent_port : int array;
+  order : int array;
 }
 
-let run_general g ~allowed ~max_edge ~bound s =
+type scratch = {
+  graph : Graph.t;
+  s_dist : float array;
+  s_parent : int array;
+  s_port : int array;
+  heap : Heap.t;
+  settled : int array; (* the current run's nodes, in settle order *)
+  mutable count : int;
+}
+
+let scratch g =
   let n = Graph.n g in
-  if s < 0 || s >= n then invalid_arg "Dijkstra: source out of range";
-  if not (allowed s) then invalid_arg "Dijkstra: source not allowed";
-  let dist = Array.make n infinity in
-  let parent = Array.make n (-1) in
-  let parent_port = Array.make n (-1) in
-  let heap = Heap.create n in
-  dist.(s) <- 0.0;
-  Heap.insert heap s 0.0;
-  let settled = Array.make n false in
-  while not (Heap.is_empty heap) do
-    let u, du = Heap.pop_min heap in
-    if not settled.(u) then begin
-      settled.(u) <- true;
-      (* No equal-distance parent rewriting: with extreme aspect ratios,
-         floating-point rounding can make [du +. w = du], and a
-         lexicographic tie-break would then create parent cycles.  The
-         heap's strict (priority, element) total order already makes the
-         settle order — and so the tree — a pure function of the graph
-         and source, independent of relaxation history; [Apsp.repair]
-         relies on that to share clean sources' results bit-identically
-         across mutations that cannot affect them. *)
-      let relax (v, w) =
-        if allowed v && w <= max_edge && not settled.(v) then begin
-          let dv = du +. w in
-          if dv <= bound && dv < dist.(v) then begin
-            dist.(v) <- dv;
-            parent.(v) <- u;
-            (match Graph.port g v u with
-            | Some p -> parent_port.(v) <- p
-            | None -> assert false);
-            Heap.insert_or_decrease heap v dv
-          end
-        end
-      in
-      Array.iter relax (Graph.neighbors g u)
-    end
+  {
+    graph = g;
+    s_dist = Array.make n infinity;
+    s_parent = Array.make n (-1);
+    s_port = Array.make n (-1);
+    heap = Heap.create n;
+    settled = Array.make (max n 1) 0;
+    count = 0;
+  }
+
+(* Dijkstra settles nodes in nondecreasing distance, and the heap's
+   (priority, element) order breaks ties by index.  The settle order
+   differs from (distance, index) order only where a node enters the
+   heap after an equal-distance node with a larger index was settled: a
+   relaxation of zero length, which rounding produces when [du +. w = du]
+   at extreme aspect ratios.  One pass detects that case, and only then
+   is the order sorted. *)
+let sort_by_distance dist order =
+  let len = Array.length order in
+  let in_order a b = dist.(a) < dist.(b) || (dist.(a) = dist.(b) && a < b) in
+  let j = ref 1 in
+  while !j < len && in_order order.(!j - 1) order.(!j) do
+    incr j
   done;
-  { source = s; dist; parent; parent_port }
+  if !j < len then
+    Array.stable_sort
+      (fun a b -> match Float.compare dist.(a) dist.(b) with 0 -> Int.compare a b | c -> c)
+      order
 
 let all _ = true
 
-let run g s = run_general g ~allowed:all ~max_edge:infinity ~bound:infinity s
+let run_in sc ?(allowed = all) ?(max_edge = infinity) ?(bound = infinity) s =
+  let g = sc.graph in
+  let n = Graph.n g in
+  if s < 0 || s >= n then invalid_arg "Dijkstra: source out of range";
+  if not (allowed s) then invalid_arg "Dijkstra: source not allowed";
+  let dist = sc.s_dist and parent = sc.s_parent and parent_port = sc.s_port in
+  let heap = sc.heap and settled = sc.settled in
+  (* forget the previous run by resetting only the nodes it reached *)
+  for j = 0 to sc.count - 1 do
+    let v = settled.(j) in
+    dist.(v) <- infinity;
+    parent.(v) <- -1;
+    parent_port.(v) <- -1
+  done;
+  let count = ref 0 in
+  dist.(s) <- 0.0;
+  Heap.insert heap s 0.0;
+  while not (Heap.is_empty heap) do
+    let u = Heap.pop heap in
+    let du = dist.(u) in
+    settled.(!count) <- u;
+    incr count;
+    (* No equal-distance parent rewriting: with extreme aspect ratios,
+       floating-point rounding can make [du +. w = du], and a
+       lexicographic tie-break would then create parent cycles.  The
+       heap's strict (priority, element) total order already makes the
+       settle order — and so the tree — a pure function of the graph
+       and source, independent of relaxation history; [Apsp.repair]
+       relies on that to share clean sources' results bit-identically
+       across mutations that cannot affect them.  A settled node needs
+       no test of its own: its distance is at most [du], so [dv] never
+       improves on it. *)
+    let adj = Graph.neighbors g u in
+    for j = 0 to Array.length adj - 1 do
+      let v, w = adj.(j) in
+      if allowed v && w <= max_edge then begin
+        let dv = du +. w in
+        if dv <= bound && dv < dist.(v) then begin
+          dist.(v) <- dv;
+          parent.(v) <- u;
+          Heap.insert_or_decrease heap v dv
+        end
+      end
+    done
+  done;
+  sc.count <- !count;
+  (* the port towards each node's final parent, once per node *)
+  for j = 1 to !count - 1 do
+    let v = settled.(j) in
+    match Graph.port g v parent.(v) with
+    | Some p -> parent_port.(v) <- p
+    | None -> assert false
+  done;
+  let order = Array.sub settled 0 !count in
+  sort_by_distance dist order;
+  { source = s; dist; parent; parent_port; order }
 
-let run_bounded g s r = run_general g ~allowed:all ~max_edge:infinity ~bound:r s
+let run g s = run_in (scratch g) s
 
-let run_restricted g ~allowed ?(max_edge = infinity) ?(bound = infinity) s =
-  run_general g ~allowed ~max_edge ~bound s
+let run_bounded g s r = run_in (scratch g) ~bound:r s
+
+let run_restricted g ~allowed ?max_edge ?bound s = run_in (scratch g) ~allowed ?max_edge ?bound s
 
 let path_to res t =
   if res.dist.(t) = infinity then raise Not_found;

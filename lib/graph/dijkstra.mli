@@ -12,6 +12,11 @@ type result = {
   parent : int array;  (** predecessor on a shortest path; -1 for source/unreachable *)
   parent_port : int array;
       (** port at [v] leading to [parent.(v)]; -1 when parent is -1 *)
+  order : int array;
+      (** the reached nodes (finite [dist]) by (distance, index): the
+          settle order, sorted only in the rare case where a relaxation
+          of zero length (rounding at extreme aspect ratios) made the two
+          differ *)
 }
 
 val run : Graph.t -> int -> result
@@ -26,6 +31,20 @@ val run_restricted :
 (** Dijkstra in the subgraph induced by [allowed] nodes, optionally
     ignoring edges heavier than [max_edge] and/or stopping at distance
     [bound].  The source must be allowed. *)
+
+type scratch
+(** Graph-sized arrays that successive runs reuse: a run on a scratch
+    costs time in proportion to the nodes and edges it reaches, not to
+    the graph. *)
+
+val scratch : Graph.t -> scratch
+(** A scratch for runs on this graph. *)
+
+val run_in : scratch -> ?allowed:(int -> bool) -> ?max_edge:float -> ?bound:float -> int -> result
+(** [run_in sc s] is {!run_restricted}'s result on [sc]'s graph,
+    computed in [sc] ([allowed] defaults to every node).  Its [dist],
+    [parent] and [parent_port] arrays are [sc]'s own, valid until the
+    next run on [sc]; only [order] is the caller's to keep. *)
 
 val path_to : result -> int -> int list
 (** Node sequence from the source to a target along the tree (inclusive).

@@ -74,14 +74,20 @@ let insert_or_decrease h x p =
   end
   else insert h x p
 
-let pop_min h =
+let pop h =
   if h.size = 0 then raise Not_found;
-  let x = h.elts.(0) and p = h.prio.(0) in
+  let x = h.elts.(0) in
   let last = h.size - 1 in
   swap h 0 last;
   h.size <- last;
   h.pos.(x) <- -1;
   if last > 0 then sift_down h 0;
+  x
+
+let pop_min h =
+  if h.size = 0 then raise Not_found;
+  let p = h.prio.(0) in
+  let x = pop h in
   (x, p)
 
 let priority h x = if mem h x then h.prio.(h.pos.(x)) else raise Not_found

@@ -36,6 +36,11 @@ val pop_min : t -> int * float
     contents, independent of insertion order.
     @raise Not_found on an empty heap. *)
 
+val pop : t -> int
+(** {!pop_min} without the priority, for callers that keep it
+    themselves: no allocation.
+    @raise Not_found on an empty heap. *)
+
 val priority : t -> int -> float
 (** Current priority of a present element.
     @raise Not_found if absent. *)

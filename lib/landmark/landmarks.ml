@@ -46,23 +46,46 @@ let level_size t j =
 
 let nearby t ball ~level ~cap = Ball.closest_in ball cap (fun v -> in_level t v level)
 
+(* One closest-first scan: [found.(i)] counts the level-[i] landmarks
+   seen so far, and a node belongs to S(u) while some level it is in
+   still has room.  The scan stops once every level is full. *)
+let nearby_set t ball ~cap =
+  let found = Array.make t.k 0 in
+  let full = ref 0 in
+  let reach = Ball.reachable ball in
+  let out = Array.make (min reach (t.k * cap)) 0 in
+  let len = ref 0 in
+  let m = ref 1 in
+  while !full < t.k && !m <= reach do
+    let v = Ball.kth ball !m in
+    let hit = ref false in
+    for i = 0 to t.rank.(v) do
+      if found.(i) < cap then begin
+        found.(i) <- found.(i) + 1;
+        if found.(i) = cap then incr full;
+        hit := true
+      end
+    done;
+    if !hit then begin
+      out.(!len) <- v;
+      incr len
+    end;
+    incr m
+  done;
+  Array.sub out 0 !len
+
 let highest_rank_in t members =
   Array.fold_left (fun acc v -> max acc t.rank.(v)) (-1) members
 
 let center_in t ball ~radius =
-  let members = Ball.ball ball radius in
-  if Array.length members = 0 then None
-  else begin
-    let m = highest_rank_in t members in
-    (* members are sorted by distance, so the first with rank >= m is the
-       closest highest-rank landmark *)
-    let rec find i =
-      if i >= Array.length members then None
-      else if t.rank.(members.(i)) >= m then Some members.(i)
-      else find (i + 1)
-    in
-    find 0
-  end
+  (* the ball is enumerated closest first, so the first node of the
+     highest rank seen is the closest highest-rank landmark *)
+  let best = ref (-1) in
+  for m = 1 to Ball.ball_size ball radius do
+    let v = Ball.kth ball m in
+    if !best < 0 || t.rank.(v) > t.rank.(!best) then best := v
+  done;
+  if !best < 0 then None else Some !best
 
 let lnn t = Float.log (float_of_int (max 3 t.n))
 

@@ -39,6 +39,11 @@ val nearby : t -> Cr_graph.Ball.t -> level:int -> cap:int -> int array
     closest level-[level] landmarks to the ball's source — the [S(u,i)]
     sets of the paper (with [cap] supplied by the caller's parameters). *)
 
+val nearby_set : t -> Cr_graph.Ball.t -> cap:int -> int array
+(** [nearby_set t ball ~cap] = [S(u)], the union of {!nearby} over the
+    levels [0 .. k-1], closest first — computed in one scan of the
+    ball. *)
+
 val highest_rank_in : t -> int array -> int
 (** Largest rank present among the given nodes — [m(u,i)] for a
     neighborhood ball given as its member array; -1 on an empty array. *)

@@ -8,7 +8,8 @@ type search_result = { walk : int list; outcome : outcome }
 type t = {
   tree : Tree.t;
   labels : Tree_labels.t;
-  dir : (int, int) Hashtbl.t array; (* by dfs index: ident -> graph id *)
+  dir : Directory.t; (* slot = DFS index: ident -> tree index *)
+  bits : int array; (* tree index -> storage bits, see [node_storage_bits] *)
 }
 
 (* Deterministic avalanche of an identifier into [0, m). *)
@@ -22,15 +23,32 @@ let slot_of ident m =
 let build tree =
   let labels = Tree_labels.build tree in
   let m = Tree.size tree in
-  let dir = Array.init m (fun _ -> Hashtbl.create 2) in
-  Array.iter
-    (fun v ->
-      if Tree.is_member tree v then begin
-        let ident = Graph.name_of (Tree.graph tree) v in
-        Hashtbl.replace dir.(slot_of ident m) ident v
-      end)
-    (Tree.nodes tree);
-  { tree; labels; dir }
+  let g = Tree.graph tree in
+  let nodes = Tree.nodes tree in
+  let ident_of i = Graph.name_of g nodes.(i) in
+  (* members in identifier order, as the directory takes them *)
+  let members = Array.of_list (List.filter (Tree.is_member_at tree) (List.init m Fun.id)) in
+  Array.stable_sort (fun a b -> Int.compare (ident_of a) (ident_of b)) members;
+  let ident = Array.map ident_of members in
+  let dir =
+    Directory.build ~slots:m ~slot:(Array.map (fun x -> slot_of x m) ident) ~ident ~target:members
+  in
+  (* Bits stored at each node, once: own label, child intervals/ports,
+     and directory entries (identifier plus label each). *)
+  let ident_bits = 2 * Bits.id_bits ~n:(Graph.n g) in
+  let interval_bits = 2 * Bits.bits_for (max 2 m) in
+  let bits = Array.make m 0 in
+  Array.iteri
+    (fun q i ->
+      let child_bits = Array.length (Tree.children_at tree i) * interval_bits in
+      let dir_bits =
+        Directory.fold_targets dir q
+          (fun acc u -> acc + ident_bits + Tree_labels.label_bits_at labels u)
+          0
+      in
+      bits.(i) <- Tree_labels.node_storage_bits_at labels i + child_bits + dir_bits)
+    (Tree.preorder tree);
+  { tree; labels; dir; bits }
 
 let tree t = t.tree
 
@@ -39,45 +57,29 @@ let append_path tree walk_rev a b =
   | [] -> walk_rev
   | _first :: rest -> List.rev_append rest walk_rev
 
-(* Descend from the root to the node with the given DFS index by interval
-   containment — every step is a local decision on stored child
-   intervals. *)
-let descend tree q =
-  let rec go v acc =
-    if Tree.dfs_index tree v = q then List.rev (v :: acc)
-    else begin
-      let ch = Tree.children tree v in
-      let next = ref (-1) in
-      Array.iter
-        (fun c ->
-          let lo, hi = Tree.subtree_interval tree c in
-          if q >= lo && q < hi then next := c)
-        ch;
-      assert (!next >= 0);
-      go !next (v :: acc)
-    end
-  in
-  go (Tree.root tree) []
-
+(* The search descends from the root to the node with DFS index q, each
+   step a local decision on stored child intervals; the walk that makes
+   is the tree path from the root to that node. *)
 let search ?trace t ident =
   let tree = t.tree in
   let root = Tree.root tree in
   let m = Tree.size tree in
   let q = slot_of ident m in
-  let down = descend tree q in
-  let dir_node = List.nth down (List.length down - 1) in
+  let dir_node = Tree.dfs_node tree q in
+  let down = Tree.path tree root dir_node in
   (match trace with
   | None -> ()
   | Some f -> f (Cr_obs.Trace.Tree_step { round = 1; from_node = root; to_node = dir_node }));
   let walk_rev = List.rev down in
-  match Hashtbl.find_opt t.dir.(q) ident with
-  | Some v ->
+  match Directory.find t.dir q ident with
+  | i when i >= 0 ->
+      let v = (Tree.nodes tree).(i) in
       (match trace with
       | None -> ()
       | Some f -> f (Cr_obs.Trace.Tree_step { round = 2; from_node = dir_node; to_node = v }));
       let walk_rev = append_path tree walk_rev dir_node v in
       { walk = List.rev walk_rev; outcome = Found v }
-  | None ->
+  | _ ->
       let walk_rev = append_path tree walk_rev dir_node root in
       { walk = List.rev walk_rev; outcome = Not_found_reported }
 
@@ -85,22 +87,6 @@ let cost_bound t =
   let k = Bits.bits_for (max 2 (Tree.size t.tree)) in
   (4.0 *. Tree.radius t.tree) +. (2.0 *. float_of_int k *. Tree.max_edge t.tree)
 
-let node_storage_bits t v =
-  let tree = t.tree in
-  let n = Graph.n (Tree.graph tree) in
-  let idb = Bits.id_bits ~n in
-  let ident_bits = 2 * idb in
-  let own = Tree_labels.node_storage_bits t.labels v in
-  let m = Tree.size tree in
-  let interval_bits = 2 * Bits.bits_for (max 2 m) in
-  let child_bits = Array.length (Tree.children tree v) * interval_bits in
-  let q = Tree.dfs_index tree v in
-  let dir_bits =
-    Hashtbl.fold
-      (fun _id u acc -> acc + ident_bits + Tree_labels.label_bits (Tree_labels.label t.labels u))
-      t.dir.(q) 0
-  in
-  own + child_bits + dir_bits
+let node_storage_bits t v = t.bits.(Tree.tree_index t.tree v)
 
-let total_storage_bits t =
-  Array.fold_left (fun acc v -> acc + node_storage_bits t v) 0 (Tree.nodes t.tree)
+let total_storage_bits t = Array.fold_left ( + ) 0 t.bits

@@ -6,6 +6,20 @@ type outcome = Found of int | Not_found_reported
 
 type search_result = { walk : int list; outcome : outcome; rounds : int }
 
+(* What every hash seed's attempt shares: the tree's nodes by position
+   ([tidx] their tree index, [order] their graph id, [idents] their
+   network identifier), [position] from tree index back to position,
+   [by_ident] the positions in ascending identifier order, and the
+   level starts. *)
+type layout = {
+  tidx : int array;
+  order : int array;
+  position : int array;
+  idents : int array;
+  by_ident : int array;
+  level_start : int array;
+}
+
 type t = {
   tree : Tree.t;
   labels : Tree_labels.t;
@@ -17,7 +31,8 @@ type t = {
   position : int array; (* tree index -> position *)
   level_start : int array; (* level_start.(l) = first position with l digits *)
   name_len : int array; (* per tree index *)
-  dir : (int, int) Hashtbl.t array; (* per tree index: ident -> graph id *)
+  dir : Directory.t; (* slot = position: ident -> tree index *)
+  bits : int array; (* tree index -> storage bits, see [node_storage_bits] *)
   max_load : int;
 }
 
@@ -76,54 +91,95 @@ let ident tree v = Graph.name_of (Tree.graph tree) v
 let sigma_for ~n_global ~k =
   max 2 (Bits.ceil_pow (float_of_int (max 2 n_global)) (1.0 /. float_of_int k))
 
-let try_build ~seed ~k ~n_global ~cap tree labels order position level_start =
-  let m = Array.length order in
+(* Number of assigned trie children of the node at position p, and the
+   position of the first. *)
+let trie_children ~sigma ~k starts ~m p =
+  let l = level_of_position starts ~k p in
+  if l >= k then (0, 0)
+  else begin
+    let first_child = starts.(l + 1) + ((p - starts.(l)) * sigma) in
+    if first_child >= m then (0, 0) else (min sigma (m - first_child), first_child)
+  end
+
+let try_build ~seed ~k ~n_global ~cap tree labels (lay : layout) =
+  let m = Array.length lay.order in
+  let level_start = lay.level_start in
   let sigma = sigma_for ~n_global ~k in
   let hash = Digit_hash.create ~seed ~sigma ~digits:k in
   let name_len = Array.make m 0 in
-  Array.iteri
-    (fun p v -> name_len.(Tree.tree_index tree v) <- level_of_position level_start ~k p)
-    order;
+  Array.iteri (fun p i -> name_len.(i) <- level_of_position level_start ~k p) lay.tidx;
+  (* prefix.((p * (k + 1)) + l): the position named by the first l hash
+     digits of the identifier at position p, or m if unassigned *)
+  let prefix = Array.make (m * (k + 1)) m in
+  for p = 0 to m - 1 do
+    let v = ref 0 in
+    for l = 0 to k do
+      if l > 0 then v := (!v * sigma) + Digit_hash.digit hash lay.idents.(p) (l - 1);
+      let q = level_start.(l) + !v in
+      if q < m then prefix.((p * (k + 1)) + l) <- q
+    done
+  done;
   (* Directory of each named node: the [cap] prefix-matching nodes closest
-     to the root.  Scanning nodes in distance order and appending to the
-     directories of all their hash-prefix names keeps each directory
-     sorted by closeness with a single pass. *)
-  let dir = Array.init m (fun _ -> Hashtbl.create 4) in
+     to the root.  Scanning nodes in distance order and offering each to
+     the directories of all its hash-prefix names admits the closest ones
+     in a single pass. *)
   let full = Array.make m 0 in
+  let admitted = Array.make (m * (k + 1)) false in
+  for j = 0 to (m * (k + 1)) - 1 do
+    let q = prefix.(j) in
+    if q < m && full.(q) < cap then begin
+      full.(q) <- full.(q) + 1;
+      admitted.(j) <- true
+    end
+  done;
+  let e = Array.fold_left ( + ) 0 full in
+  let slot = Array.make e 0 and ident = Array.make e 0 and target = Array.make e 0 in
+  let j = ref 0 in
   Array.iter
-    (fun z ->
-      let idz = ident tree z in
-      let h = Digit_hash.hash hash idz in
+    (fun p ->
       for l = 0 to k do
-        match position_of_name ~sigma level_start ~m h l with
-        | Some p ->
-            let wi = Tree.tree_index tree order.(p) in
-            if full.(wi) < cap then begin
-              Hashtbl.replace dir.(wi) idz z;
-              full.(wi) <- full.(wi) + 1
-            end
-        | None -> ()
+        if admitted.((p * (k + 1)) + l) then begin
+          slot.(!j) <- prefix.((p * (k + 1)) + l);
+          ident.(!j) <- lay.idents.(p);
+          target.(!j) <- lay.tidx.(p);
+          incr j
+        end
       done)
-    order;
+    lay.by_ident;
+  let dir = Directory.build ~slots:m ~slot ~ident ~target in
   let max_load = Array.fold_left max 0 full in
   (* Validate the Lemma-4 delivery precondition: every node v with name
      length l is present in the directory of the node named by the first
      max(0, l-1) hash digits of v's identifier (for l = 0, the root must
      know itself). *)
   let ok = ref true in
-  Array.iter
-    (fun v ->
-      let vi = Tree.tree_index tree v in
-      let pref_len = max 0 (name_len.(vi) - 1) in
-      let idv = ident tree v in
-      let h = Digit_hash.hash hash idv in
-      match position_of_name ~sigma level_start ~m h pref_len with
-      | Some p ->
-          let wi = Tree.tree_index tree order.(p) in
-          if Hashtbl.find_opt dir.(wi) idv <> Some v then ok := false
-      | None -> ok := false)
-    order;
-  if !ok then
+  for p = 0 to m - 1 do
+    let pref_len = max 0 (name_len.(lay.tidx.(p)) - 1) in
+    let q = prefix.((p * (k + 1)) + pref_len) in
+    if q >= m || Directory.find dir q lay.idents.(p) <> lay.tidx.(p) then ok := false
+  done;
+  if !ok then begin
+    (* Bits stored at each node, once: hash function, own routing info,
+       trie children (presence bitmap over sigma slots plus one label
+       each), and directory entries (identifier plus label each). *)
+    let n = Graph.n (Tree.graph tree) in
+    let ident_bits = 2 * Bits.id_bits ~n in
+    let hash_bits = Digit_hash.storage_bits ~n in
+    let bits = Array.make m 0 in
+    for p = 0 to m - 1 do
+      let i = lay.tidx.(p) in
+      let cc, first_child = trie_children ~sigma ~k level_start ~m p in
+      let trie_bits = ref sigma in
+      for c = first_child to first_child + cc - 1 do
+        trie_bits := !trie_bits + Tree_labels.label_bits_at labels lay.tidx.(c)
+      done;
+      let dir_bits =
+        Directory.fold_targets dir p
+          (fun acc u -> acc + ident_bits + Tree_labels.label_bits_at labels u)
+          0
+      in
+      bits.(i) <- hash_bits + Tree_labels.node_storage_bits_at labels i + !trie_bits + dir_bits
+    done;
     Some
       {
         tree;
@@ -132,24 +188,32 @@ let try_build ~seed ~k ~n_global ~cap tree labels order position level_start =
         sigma;
         cap;
         hash;
-        order;
-        position;
+        order = lay.order;
+        position = lay.position;
         level_start;
         name_len;
         dir;
+        bits;
         max_load;
       }
+  end
   else None
 
 let build ?(seed = 0x5EED) ~k ~n_global tree =
   if k < 1 then invalid_arg "Ni_tree_routing.build: k < 1";
   let labels = Tree_labels.build tree in
-  let order = Tree.by_root_distance tree in
-  let m = Array.length order in
+  let tidx = Tree.by_root_distance_at tree in
+  let m = Array.length tidx in
+  let order = Array.map (fun i -> (Tree.nodes tree).(i)) tidx in
   let position = Array.make m 0 in
-  Array.iteri (fun p v -> position.(Tree.tree_index tree v) <- p) order;
+  Array.iteri (fun p i -> position.(i) <- p) tidx;
+  let idents = Array.map (ident tree) order in
+  let by_ident = Array.init m Fun.id in
+  Array.stable_sort (fun a b -> Int.compare idents.(a) idents.(b)) by_ident;
   let sigma = sigma_for ~n_global ~k in
-  let level_start = compute_level_starts ~sigma ~k m in
+  let lay =
+    { tidx; order; position; idents; by_ident; level_start = compute_level_starts ~sigma ~k m }
+  in
   let base_cap = max 1 (sigma * Bits.bits_for (max 2 n_global)) in
   (* Re-seed on (vanishingly rare) hash overload; double the directory
      capacity if 64 seeds all fail — a constructive version of the
@@ -158,10 +222,7 @@ let build ?(seed = 0x5EED) ~k ~n_global tree =
     let rec seeds i =
       if i >= 64 then None
       else
-        match
-          try_build ~seed:(seed + (tries * 64) + i) ~k ~n_global ~cap tree labels order
-            position level_start
-        with
+        match try_build ~seed:(seed + (tries * 64) + i) ~k ~n_global ~cap tree labels lay with
         | Some t -> Some t
         | None -> seeds (i + 1)
     in
@@ -197,16 +258,17 @@ let search ?trace t ~bound ident_target =
   let root = Tree.root t.tree in
   let h = Digit_hash.hash t.hash ident_target in
   let m = Array.length t.order in
+  let nodes = Tree.nodes t.tree in
   let rec go current walk_rev round =
-    let ci = Tree.tree_index t.tree current in
-    match Hashtbl.find_opt t.dir.(ci) ident_target with
-    | Some v ->
+    match Directory.find t.dir t.position.(Tree.tree_index t.tree current) ident_target with
+    | i when i >= 0 ->
+        let v = nodes.(i) in
         (match trace with
         | None -> ()
         | Some f -> f (Cr_obs.Trace.Tree_step { round; from_node = current; to_node = v }));
         let walk_rev = append_path t.tree walk_rev current v in
         { walk = List.rev walk_rev; outcome = Found v; rounds = round }
-    | None ->
+    | _ ->
         if round = bound then begin
           let walk_rev = append_path t.tree walk_rev current root in
           { walk = List.rev walk_rev; outcome = Not_found_reported; rounds = round }
@@ -233,46 +295,14 @@ let search ?trace t ~bound ident_target =
 
 let guaranteed_bound t vs =
   Array.fold_left
-    (fun acc v -> if Tree.mem t.tree v then max acc (max 1 (name_digits t v)) else t.k)
+    (fun acc v ->
+      match Tree.tree_index t.tree v with
+      | i -> max acc (max 1 t.name_len.(i))
+      | exception Not_found -> t.k)
     1 vs
 
-(* Number of assigned trie children of the node at position p. *)
-let trie_child_count t p =
-  let l = level_of_position t.level_start ~k:t.k p in
-  if l >= t.k then 0
-  else begin
-    let m = Array.length t.order in
-    let value = p - t.level_start.(l) in
-    let first_child = t.level_start.(l + 1) + (value * t.sigma) in
-    if first_child >= m then 0 else min t.sigma (m - first_child)
-  end
+let node_storage_bits t v = t.bits.(Tree.tree_index t.tree v)
 
-let node_storage_bits t v =
-  let i = Tree.tree_index t.tree v in
-  let n = Graph.n (Tree.graph t.tree) in
-  let idb = Bits.id_bits ~n in
-  let ident_bits = 2 * idb in
-  let hash_bits = Digit_hash.storage_bits ~n in
-  let own = Tree_labels.node_storage_bits t.labels v in
-  let label_bits_of u = Tree_labels.label_bits (Tree_labels.label t.labels u) in
-  (* trie children: presence bitmap over sigma slots plus one label each *)
-  let p = t.position.(i) in
-  let cc = trie_child_count t p in
-  let trie_bits = ref t.sigma in
-  let l = t.name_len.(i) in
-  if cc > 0 then begin
-    let value = p - t.level_start.(l) in
-    let first_child = t.level_start.(l + 1) + (value * t.sigma) in
-    for c = first_child to first_child + cc - 1 do
-      trie_bits := !trie_bits + label_bits_of t.order.(c)
-    done
-  end;
-  let dir_bits =
-    Hashtbl.fold (fun _id u acc -> acc + ident_bits + label_bits_of u) t.dir.(i) 0
-  in
-  hash_bits + own + !trie_bits + dir_bits
-
-let total_storage_bits t =
-  Array.fold_left (fun acc v -> acc + node_storage_bits t v) 0 (Tree.nodes t.tree)
+let total_storage_bits t = Array.fold_left ( + ) 0 t.bits
 
 let max_prefix_load t = t.max_load

@@ -4,107 +4,110 @@ module Dijkstra = Cr_graph.Dijkstra
 type t = {
   graph : Graph.t;
   root : int;
-  nodes : int array; (* tree index -> graph id *)
-  idx : (int, int) Hashtbl.t; (* graph id -> tree index *)
-  parent : int array; (* tree index -> graph id of parent, -1 for root *)
+  nodes : int array; (* tree index -> graph id, ascending *)
+  parent : int array; (* tree index -> tree index of the parent, -1 for the root *)
   children : int array array; (* tree index -> graph ids, ascending *)
   depth_w : float array;
   depth_h : int array;
   member : bool array;
-  mutable dfs : int array option; (* graph ids in preorder *)
-  mutable dfs_idx : (int, int) Hashtbl.t option;
-  mutable subtree_hi : int array option; (* by dfs position: end of interval *)
+  dfs : int array; (* preorder position -> tree index *)
+  dfs_pos : int array; (* tree index -> preorder position *)
+  sub_size : int array; (* tree index -> size of its subtree *)
 }
 
-let of_sssp g (res : Dijkstra.result) ~keep =
-  let n = Graph.n g in
-  let in_tree = Array.make n false in
-  let member = Array.make n false in
-  let any = ref false in
-  (* Mark kept nodes and pull in ancestors as relays. *)
-  for v = 0 to n - 1 do
-    if res.Dijkstra.dist.(v) < infinity && keep v then begin
-      any := true;
-      member.(v) <- true;
-      let rec up x =
-        if not in_tree.(x) then begin
-          in_tree.(x) <- true;
-          if x <> res.Dijkstra.source then up res.Dijkstra.parent.(x)
-        end
-      in
-      up v
-    end
-  done;
-  if not !any then invalid_arg "Tree.of_sssp: no kept node reachable";
-  in_tree.(res.Dijkstra.source) <- true;
-  let nodes =
-    let acc = ref [] in
-    for v = n - 1 downto 0 do
-      if in_tree.(v) then acc := v :: !acc
-    done;
-    Array.of_list !acc
-  in
-  let m = Array.length nodes in
-  let idx = Hashtbl.create (2 * m) in
-  Array.iteri (fun i v -> Hashtbl.replace idx v i) nodes;
-  let parent = Array.make m (-1) in
-  let child_lists = Array.make m [] in
-  Array.iteri
-    (fun i v ->
-      if v <> res.Dijkstra.source then begin
-        let p = res.Dijkstra.parent.(v) in
-        parent.(i) <- p;
-        let pi = Hashtbl.find idx p in
-        child_lists.(pi) <- v :: child_lists.(pi)
-      end)
-    nodes;
-  let children = Array.map (fun l -> Array.of_list (List.sort compare l)) child_lists in
-  let depth_w = Array.make m 0.0 in
-  let depth_h = Array.make m 0 in
-  (* nodes ascending by graph id is not topological; compute depths by
-     walking up with memoization. *)
-  let computed = Array.make m false in
-  let rec fill i =
-    if not computed.(i) then begin
-      let v = nodes.(i) in
-      if parent.(i) = -1 then begin
-        depth_w.(i) <- 0.0;
-        depth_h.(i) <- 0
-      end
-      else begin
-        let pi = Hashtbl.find idx parent.(i) in
-        fill pi;
-        let w =
-          match Graph.edge_weight g parent.(i) v with
-          | Some w -> w
-          | None -> invalid_arg "Tree.of_sssp: tree edge not in graph"
-        in
-        depth_w.(i) <- depth_w.(pi) +. w;
-        depth_h.(i) <- depth_h.(pi) + 1
-      end;
-      computed.(i) <- true
-    end
-  in
-  for i = 0 to m - 1 do
-    fill i
-  done;
-  let member_arr = Array.map (fun v -> member.(v) || v = res.Dijkstra.source) nodes in
-  {
-    graph = g;
-    root = res.Dijkstra.source;
-    nodes;
-    idx;
-    parent;
-    children;
-    depth_w;
-    depth_h;
-    member = member_arr;
-    dfs = None;
-    dfs_idx = None;
-    subtree_hi = None;
-  }
+(* Graph-sized marks for collecting a tree's nodes: [stamp.(v) = gen]
+   says v is collected for the tree being built, and [slot.(v)] is then
+   its tree index.  Stamping with a fresh generation per tree means the
+   arrays are never cleared, so a tree costs time and space in
+   proportion to its own size.  One per domain, grown to the largest
+   graph seen. *)
+type marks = { mutable stamp : int array; mutable slot : int array; mutable gen : int }
 
-let spanning g root = of_sssp g (Dijkstra.run g root) ~keep:(fun _ -> true)
+let marks_key = Domain.DLS.new_key (fun () -> { stamp = [||]; slot = [||]; gen = 0 })
+
+let of_sssp g (res : Dijkstra.result) ~members =
+  let n = Graph.n g in
+  let mk = Domain.DLS.get marks_key in
+  if Array.length mk.stamp < n then begin
+    mk.stamp <- Array.make n 0;
+    mk.slot <- Array.make n 0
+  end;
+  mk.gen <- mk.gen + 1;
+  let gen = mk.gen and stamp = mk.stamp and slot = mk.slot in
+  let root = res.Dijkstra.source in
+  (* Collect the reachable members and pull in their ancestors as relays,
+     climbing only until the path meets a node already collected. *)
+  stamp.(root) <- gen;
+  let acc = ref [ root ] and any = ref false in
+  Array.iter
+    (fun v ->
+      if res.Dijkstra.dist.(v) < infinity then begin
+        any := true;
+        let x = ref v in
+        while stamp.(!x) <> gen do
+          stamp.(!x) <- gen;
+          acc := !x :: !acc;
+          x := res.Dijkstra.parent.(!x)
+        done
+      end)
+    members;
+  if not !any then invalid_arg "Tree.of_sssp: no member reachable";
+  let nodes = Array.of_list !acc in
+  Array.stable_sort Int.compare nodes;
+  let m = Array.length nodes in
+  Array.iteri (fun i v -> slot.(v) <- i) nodes;
+  let member = Array.make m false in
+  member.(slot.(root)) <- true;
+  Array.iter (fun v -> if res.Dijkstra.dist.(v) < infinity then member.(slot.(v)) <- true) members;
+  let parent =
+    Array.map (fun v -> if v = root then -1 else slot.(res.Dijkstra.parent.(v))) nodes
+  in
+  (* children by ascending id: fill in tree-index order *)
+  let n_children = Array.make m 0 in
+  Array.iter (fun p -> if p >= 0 then n_children.(p) <- n_children.(p) + 1) parent;
+  let children = Array.map (fun c -> if c = 0 then [||] else Array.make c 0) n_children in
+  let fill = Array.make m 0 in
+  Array.iteri
+    (fun i p ->
+      if p >= 0 then begin
+        children.(p).(fill.(p)) <- nodes.(i);
+        fill.(p) <- fill.(p) + 1
+      end)
+    parent;
+  (* A tree path is the shortest path it was cut from, so a node's
+     weighted depth is its distance in [res], bit for bit. *)
+  let depth_w = Array.map (fun v -> res.Dijkstra.dist.(v)) nodes in
+  (* preorder, children in ascending id; hop depths on the way down *)
+  let depth_h = Array.make m 0 in
+  let dfs = Array.make m 0 and dfs_pos = Array.make m 0 in
+  let stack = Array.make m 0 in
+  let top = ref 1 and pos = ref 0 in
+  stack.(0) <- slot.(root);
+  while !top > 0 do
+    decr top;
+    let i = stack.(!top) in
+    dfs.(!pos) <- i;
+    dfs_pos.(i) <- !pos;
+    incr pos;
+    let ch = children.(i) in
+    for c = Array.length ch - 1 downto 0 do
+      let ci = slot.(ch.(c)) in
+      depth_h.(ci) <- depth_h.(i) + 1;
+      stack.(!top) <- ci;
+      incr top
+    done
+  done;
+  (* subtree sizes, children before parents *)
+  let sub_size = Array.make m 1 in
+  for p = m - 1 downto 1 do
+    let i = dfs.(p) in
+    sub_size.(parent.(i)) <- sub_size.(parent.(i)) + sub_size.(i)
+  done;
+  { graph = g; root; nodes; parent; children; depth_w; depth_h; member; dfs; dfs_pos; sub_size }
+
+let spanning g root =
+  let res = Dijkstra.run g root in
+  of_sssp g res ~members:res.Dijkstra.order
 
 let graph t = t.graph
 
@@ -114,16 +117,28 @@ let size t = Array.length t.nodes
 
 let nodes t = t.nodes
 
-let mem t v = Hashtbl.mem t.idx v
+(* [nodes] is sorted: binary search, -1 when absent *)
+let find t v =
+  let lo = ref 0 and hi = ref (Array.length t.nodes) in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if t.nodes.(mid) <= v then lo := mid else hi := mid
+  done;
+  if !hi > !lo && t.nodes.(!lo) = v then !lo else -1
+
+let mem t v = find t v >= 0
 
 let tree_index t v =
-  match Hashtbl.find_opt t.idx v with Some i -> i | None -> raise Not_found
+  let i = find t v in
+  if i < 0 then raise Not_found else i
 
 let is_member t v =
-  match Hashtbl.find_opt t.idx v with Some i -> t.member.(i) | None -> false
+  let i = find t v in
+  i >= 0 && t.member.(i)
 
-
-let parent t v = t.parent.(tree_index t v)
+let parent t v =
+  let p = t.parent.(tree_index t v) in
+  if p < 0 then -1 else t.nodes.(p)
 
 let children t v = t.children.(tree_index t v)
 
@@ -138,92 +153,49 @@ let max_edge t =
   Array.iteri
     (fun i p ->
       if p >= 0 then begin
-        match Graph.edge_weight t.graph p t.nodes.(i) with
+        match Graph.edge_weight t.graph t.nodes.(p) t.nodes.(i) with
         | Some w -> if w > !best then best := w
         | None -> assert false
       end)
     t.parent;
   !best
 
-let lca t a b =
-  let ia = ref (tree_index t a) and ib = ref (tree_index t b) in
+let lca_index t ia ib =
+  let ia = ref ia and ib = ref ib in
   while t.depth_h.(!ia) > t.depth_h.(!ib) do
-    ia := tree_index t t.parent.(!ia)
+    ia := t.parent.(!ia)
   done;
   while t.depth_h.(!ib) > t.depth_h.(!ia) do
-    ib := tree_index t t.parent.(!ib)
+    ib := t.parent.(!ib)
   done;
   while !ia <> !ib do
-    ia := tree_index t t.parent.(!ia);
-    ib := tree_index t t.parent.(!ib)
+    ia := t.parent.(!ia);
+    ib := t.parent.(!ib)
   done;
-  t.nodes.(!ia)
+  !ia
+
+let lca t a b = t.nodes.(lca_index t (tree_index t a) (tree_index t b))
 
 let path t a b =
-  let l = lca t a b in
-  let rec up x acc = if x = l then x :: acc else up t.parent.(tree_index t x) (x :: acc) in
-  let up_a = List.rev (up a []) (* a ... l *) in
-  let down_b = up b [] (* l ... b *) in
-  match down_b with
-  | _l :: rest -> up_a @ rest
-  | [] -> assert false
+  let ia = tree_index t a and ib = tree_index t b in
+  let l = lca_index t ia ib in
+  (* [climb x []] is the path from just below [l] down to [x] *)
+  let rec climb x acc = if x = l then acc else climb t.parent.(x) (t.nodes.(x) :: acc) in
+  List.rev_append (climb ia []) (t.nodes.(l) :: climb ib [])
 
 let path_length t a b =
   let l = lca t a b in
   depth t a +. depth t b -. (2.0 *. depth t l)
 
-let ensure_dfs t =
-  match t.dfs with
-  | Some _ -> ()
-  | None ->
-      let m = size t in
-      let order = Array.make m (-1) in
-      let hi = Array.make m (-1) in
-      let pos = ref 0 in
-      (* explicit stack to avoid deep recursion on path graphs *)
-      let stack = Stack.create () in
-      (* frames: (graph node, post) where post=true means finish *)
-      Stack.push (t.root, false) stack;
-      let my_pos = Hashtbl.create m in
-      while not (Stack.is_empty stack) do
-        let v, post = Stack.pop stack in
-        if post then begin
-          let p = Hashtbl.find my_pos v in
-          hi.(p) <- !pos
-        end
-        else begin
-          let p = !pos in
-          incr pos;
-          order.(p) <- v;
-          Hashtbl.replace my_pos v p;
-          Stack.push (v, true) stack;
-          let ch = t.children.(tree_index t v) in
-          for i = Array.length ch - 1 downto 0 do
-            Stack.push (ch.(i), false) stack
-          done
-        end
-      done;
-      let idx_tbl = Hashtbl.create m in
-      Array.iteri (fun i v -> Hashtbl.replace idx_tbl v i) order;
-      t.dfs <- Some order;
-      t.dfs_idx <- Some idx_tbl;
-      t.subtree_hi <- Some hi
+let dfs_order t = Array.map (fun i -> t.nodes.(i)) t.dfs
 
-let dfs_order t =
-  ensure_dfs t;
-  Option.get t.dfs
+let dfs_index t v = t.dfs_pos.(tree_index t v)
 
-let dfs_index t v =
-  ensure_dfs t;
-  match Hashtbl.find_opt (Option.get t.dfs_idx) v with
-  | Some i -> i
-  | None -> raise Not_found
+let dfs_node t q = t.nodes.(t.dfs.(q))
 
 let subtree_interval t v =
-  ensure_dfs t;
-  let lo = dfs_index t v in
-  let hi = (Option.get t.subtree_hi).(lo) in
-  (lo, hi)
+  let i = tree_index t v in
+  (t.dfs_pos.(i), t.dfs_pos.(i) + t.sub_size.(i))
 
 let members t =
   let acc = ref [] in
@@ -232,11 +204,22 @@ let members t =
   done;
   Array.of_list !acc
 
-let by_root_distance t =
-  let arr = Array.copy t.nodes in
-  let key v =
-    let i = tree_index t v in
-    (t.depth_w.(i), v)
-  in
-  Array.sort (fun a b -> compare (key a) (key b)) arr;
-  arr
+let by_root_distance_at t =
+  let order = Array.init (size t) Fun.id in
+  (* tree index order is id order *)
+  Array.stable_sort
+    (fun i j -> match Float.compare t.depth_w.(i) t.depth_w.(j) with 0 -> Int.compare i j | c -> c)
+    order;
+  order
+
+let by_root_distance t = Array.map (fun i -> t.nodes.(i)) (by_root_distance_at t)
+
+let parent_at t i = t.parent.(i)
+
+let children_at t i = t.children.(i)
+
+let subtree_size_at t i = t.sub_size.(i)
+
+let is_member_at t i = t.member.(i)
+
+let preorder t = t.dfs

@@ -9,11 +9,13 @@
 
 type t
 
-val of_sssp : Cr_graph.Graph.t -> Cr_graph.Dijkstra.result -> keep:(int -> bool) -> t
-(** [of_sssp g res ~keep] extracts the subtree of the shortest-path tree
-    [res] spanning the root and every reachable node with [keep v = true];
-    nodes on the connecting paths are added as relays.
-    @raise Invalid_argument if no kept node is reachable. *)
+val of_sssp : Cr_graph.Graph.t -> Cr_graph.Dijkstra.result -> members:int array -> t
+(** [of_sssp g res ~members] extracts the subtree of the shortest-path
+    tree [res] spanning the root and every reachable node of [members];
+    nodes on the connecting paths are added as relays.  Time and space
+    are proportional to the tree, not to the graph: only the tree's own
+    entries of [res] are read.
+    @raise Invalid_argument if no member is reachable. *)
 
 val spanning : Cr_graph.Graph.t -> int -> t
 (** Full shortest-path tree from a root (all reachable nodes kept). *)
@@ -27,8 +29,8 @@ val size : t -> int
 (** Number of tree nodes (members + relays). *)
 
 val nodes : t -> int array
-(** Graph ids of all tree nodes; index in this array is the node's
-    {e tree index}. *)
+(** Graph ids of all tree nodes, ascending; index in this array is the
+    node's {e tree index}. *)
 
 val mem : t -> int -> bool
 (** Whether a graph node belongs to the tree. *)
@@ -68,11 +70,14 @@ val path_length : t -> int -> int -> float
 
 val dfs_order : t -> int array
 (** Graph ids in preorder DFS (children visited in ascending id order);
-    the root is first.  Cached after first call. *)
+    the root is first. *)
 
 val dfs_index : t -> int -> int
 (** Position of a graph node in {!dfs_order}.
     @raise Not_found if absent. *)
+
+val dfs_node : t -> int -> int
+(** [dfs_node t q] is the graph id at position [q] of {!dfs_order}. *)
 
 val subtree_interval : t -> int -> int * int
 (** [(lo, hi)] such that the DFS indexes of the subtree of the node are
@@ -84,3 +89,27 @@ val members : t -> int array
 val by_root_distance : t -> int array
 (** All tree nodes (graph ids) sorted by (weighted depth, graph id) —
     the [a_0, a_1, …] enumeration used by Lemma 4. *)
+
+(** {2 By tree index}
+
+    Accessors keyed by tree index, for construction passes that visit
+    every node of a tree and so should not look each one up. *)
+
+val parent_at : t -> int -> int
+(** Tree index of the parent; -1 for the root. *)
+
+val children_at : t -> int -> int array
+(** {!children} (graph ids) by tree index. *)
+
+val subtree_size_at : t -> int -> int
+(** Number of nodes in the subtree. *)
+
+val is_member_at : t -> int -> bool
+(** {!is_member} by tree index. *)
+
+val by_root_distance_at : t -> int array
+(** {!by_root_distance} as tree indexes. *)
+
+val preorder : t -> int array
+(** Tree indexes in {!dfs_order}; the array is the tree's own, not to be
+    modified. *)

@@ -11,63 +11,69 @@ type t = {
   heavy : int array; (* tree index -> graph id of heavy child, -1 for leaf *)
   offset_bits : int;
   slot_bits : int;
+  bits : int array; (* tree index -> label_bits of its label *)
 }
 
 let equal_label a b = a.branches = b.branches && a.offset = b.offset
 
+(* The public [label_bits] has no tree context, so it uses
+   self-describing per-field widths; [node_storage_bits] below uses the
+   tighter per-tree fixed widths. *)
+let label_bits (l : label) =
+  let b = Array.length l.branches in
+  let field v = Bits.bits_for (max 2 (v + 1)) in
+  Array.fold_left (fun acc (o, c) -> acc + field o + field c) (Bits.bits_for (b + 2) + field l.offset) l.branches
+
 let build tree =
   let m = Tree.size tree in
   let nodes = Tree.nodes tree in
-  (* subtree sizes, processing nodes in reverse DFS order (leaves first) *)
-  let order = Tree.dfs_order tree in
-  let sizes = Hashtbl.create m in
-  for i = m - 1 downto 0 do
-    let v = order.(i) in
-    let s =
-      Array.fold_left (fun acc c -> acc + Hashtbl.find sizes c) 1 (Tree.children tree v)
-    in
-    Hashtbl.replace sizes v s
+  (* Heavy child: the first child with the largest subtree.  Tree indexes
+     ascend with ids, so this visits each node's children in ascending
+     order. *)
+  let heavy_i = Array.make m (-1) in
+  let best = Array.make m 0 in
+  for i = 0 to m - 1 do
+    let p = Tree.parent_at tree i in
+    if p >= 0 && Tree.subtree_size_at tree i > best.(p) then begin
+      best.(p) <- Tree.subtree_size_at tree i;
+      heavy_i.(p) <- i
+    end
   done;
-  let heavy = Array.make m (-1) in
-  Array.iteri
-    (fun i v ->
-      let ch = Tree.children tree v in
-      let best = ref (-1) and best_size = ref (-1) in
-      Array.iter
-        (fun c ->
-          let s = Hashtbl.find sizes c in
-          if s > !best_size then begin
-            best := c;
-            best_size := s
-          end)
-        ch;
-      heavy.(i) <- !best)
-    nodes;
-  let idx v = Tree.tree_index tree v in
+  (* Labels in preorder, parents before children.  Preorder visits a
+     node's children in ascending order, so counting them gives each
+     child's slot. *)
   let labels = Array.make m { branches = [||]; offset = 0 } in
-  (* assign labels in DFS order: parents before children *)
+  let next_slot = Array.make m 0 in
   Array.iter
-    (fun v ->
-      if v <> Tree.root tree then begin
-        let p = Tree.parent tree v in
-        let lp = labels.(idx p) in
-        if heavy.(idx p) = v then labels.(idx v) <- { lp with offset = lp.offset + 1 }
-        else begin
-          let ch = Tree.children tree p in
-          let slot = ref (-1) in
-          Array.iteri (fun s c -> if c = v then slot := s) ch;
-          assert (!slot >= 0);
-          labels.(idx v) <-
-            { branches = Array.append lp.branches [| (lp.offset, !slot) |]; offset = 0 }
-        end
+    (fun i ->
+      let p = Tree.parent_at tree i in
+      if p >= 0 then begin
+        let slot = next_slot.(p) in
+        next_slot.(p) <- slot + 1;
+        let lp = labels.(p) in
+        labels.(i) <-
+          (if heavy_i.(p) = i then { lp with offset = lp.offset + 1 }
+           else { branches = Array.append lp.branches [| (lp.offset, slot) |]; offset = 0 })
       end)
-    order;
-  let max_children = Array.fold_left (fun acc v -> max acc (Array.length (Tree.children tree v))) 1 nodes in
-  { tree; labels; heavy; offset_bits = Bits.bits_for (max m 2); slot_bits = Bits.bits_for max_children }
+    (Tree.preorder tree);
+  let max_children = ref 1 in
+  for i = 0 to m - 1 do
+    max_children := max !max_children (Array.length (Tree.children_at tree i))
+  done;
+  {
+    tree;
+    labels;
+    heavy = Array.map (fun h -> if h < 0 then -1 else nodes.(h)) heavy_i;
+    offset_bits = Bits.bits_for (max m 2);
+    slot_bits = Bits.bits_for !max_children;
+    bits = Array.map label_bits labels;
+  }
 
 let tree t = t.tree
 
 let label t v = t.labels.(Tree.tree_index t.tree v)
+
+let label_bits_at t i = t.bits.(i)
 
 (* label encoding: branch count header + per-branch (offset, slot) + final
    offset.  Widths are per-tree constants known to every node. *)
@@ -115,17 +121,10 @@ let route t a b =
   in
   go a []
 
-(* The public [label_bits] has no tree context, so it uses
-   self-describing per-field widths; [node_storage_bits] below uses the
-   tighter per-tree fixed widths. *)
-let label_bits (l : label) =
-  let b = Array.length l.branches in
-  let field v = Bits.bits_for (max 2 (v + 1)) in
-  Array.fold_left (fun acc (o, c) -> acc + field o + field c) (Bits.bits_for (b + 2) + field l.offset) l.branches
-
-let node_storage_bits t v =
-  let i = Tree.tree_index t.tree v in
+let node_storage_bits_at t i =
   let own = label_bits_in t t.labels.(i) in
   (* parent pointer + heavy-child pointer, as graph node ids *)
   let ptr = Bits.id_bits ~n:(Cr_graph.Graph.n (Tree.graph t.tree)) in
   own + (2 * ptr)
+
+let node_storage_bits t v = node_storage_bits_at t (Tree.tree_index t.tree v)

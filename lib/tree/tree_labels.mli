@@ -40,4 +40,11 @@ val node_storage_bits : t -> int -> int
 (** Bits a node needs to play its part: its own label, its parent port
     and per-child heavy flags/ports. *)
 
+val label_bits_at : t -> int -> int
+(** [label_bits] of the label of the node at a tree index, computed
+    once by {!build}. *)
+
+val node_storage_bits_at : t -> int -> int
+(** {!node_storage_bits} of the node at a tree index. *)
+
 val equal_label : label -> label -> bool

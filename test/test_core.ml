@@ -573,6 +573,87 @@ let test_agm06_cost_never_below_distance () =
         (m.Simulator.cost >= Apsp.distance apsp s d -. 1e-9))
     pairs
 
+(* One MD5 over everything a build decides: per-node per-category bits,
+   every phase plan, the centre count, the cover levels and each level's
+   clusters (centre, members, tree parents, every node's home), and the
+   walks of 200 sampled routes.  The graphs include the two cases where
+   Dijkstra's settle order is not (distance, index) order — expline and
+   a pl graph stretched to aspect 2^60 — and where most cover levels
+   admit only some nodes.  The literal is the digest of the reference
+   construction: a faster build must reproduce it unedited. *)
+let test_agm06_frozen_build_digest () =
+  let module Cover = Cr_cover.Sparse_cover in
+  let module Tree = Cr_tree.Tree in
+  let buf = Buffer.create (1 lsl 20) in
+  let add fmt = Printf.bprintf buf fmt in
+  let digest_build name ~k g =
+    add "graph %s k=%d\n" name k;
+    let apsp = Apsp.compute g in
+    let agm = Agm06.build ~params:(Params.scaled ~k ~seed:1 ()) apsp in
+    let n = Graph.n g in
+    let storage = (Agm06.scheme agm).Scheme.storage in
+    for u = 0 to n - 1 do
+      add "s %d" u;
+      List.iter (fun (cat, bits) -> add " %s=%d" cat bits) (Storage.node_categories storage u);
+      for i = 0 to k - 1 do
+        match Agm06.phase_plan agm u i with
+        | `Sparse (c, b) -> add " S%d,%d" c b
+        | `Dense (l, r) -> add " D%d,%d" l r
+      done;
+      add "\n"
+    done;
+    add "centers %d levels %s\n" (Agm06.center_count agm)
+      (String.concat "," (List.map string_of_int (Agm06.cover_levels agm)));
+    let decomp = Agm06.decomposition agm in
+    List.iter
+      (fun level ->
+        let allowed u = Decomposition.in_level_graph decomp u level in
+        let cover =
+          Cover.build ~allowed ~k ~rho:(Decomposition.radius_of_exponent level) g
+        in
+        add "level %d\n" level;
+        Array.iter
+          (fun (c : Cover.cluster) ->
+            add "c %d:" c.Cover.center;
+            Array.iter
+              (fun x -> add " %d/%d" x (Tree.parent c.Cover.tree x))
+              c.Cover.members;
+            add "\n")
+          (Cover.clusters cover);
+        add "home";
+        for u = 0 to n - 1 do
+          add " %d" (if allowed u then Cover.home cover u else -1)
+        done;
+        add "\n")
+      (Agm06.cover_levels agm);
+    let sch = Agm06.scheme agm in
+    Array.iter
+      (fun (s, d) ->
+        let r = sch.Scheme.route s d in
+        add "r %b %d:" r.Scheme.delivered r.Scheme.phases_used;
+        List.iter (fun v -> add " %d" v) r.Scheme.walk;
+        add "\n")
+      (Experiment.default_pairs ~seed:1 apsp ~count:200)
+  in
+  let plain w = Experiment.make_graph ~seed:1 w in
+  let pl n = Experiment.Power_law { n; exponent = 2.5 } in
+  List.iter
+    (fun (name, k, g) -> digest_build name ~k g)
+    [
+      ("er:256", 3, plain (Experiment.Erdos_renyi { n = 256; avg_degree = 4.0 }));
+      ("geo:256", 3, plain (Experiment.Geometric { n = 256; radius = 0.15 }));
+      ("pl:512", 3, plain (pl 512));
+      ("grid:16x16", 3, plain (Experiment.Grid { rows = 16; cols = 16 }));
+      ("expline:64:2", 3, plain (Experiment.Exp_line { n = 64; base = 2.0 }));
+      ( "pl:256 aspect 2^60",
+        3,
+        Experiment.make_graph_with_aspect ~seed:1 ~target_aspect:(2.0 ** 60.0) (pl 256) );
+      ("pl:256 k=2", 2, plain (pl 256));
+    ];
+  Alcotest.(check string)
+    "build digest" "0c81867387387bd36b7256b5c07aa8de"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -764,6 +845,7 @@ let () =
           Alcotest.test_case "describe node" `Quick test_agm06_describe_node;
           Alcotest.test_case "lemma 8 dense coverage" `Quick test_agm06_lemma8_dense_coverage;
           Alcotest.test_case "cost >= distance" `Quick test_agm06_cost_never_below_distance;
+          Alcotest.test_case "frozen build digest" `Quick test_agm06_frozen_build_digest;
         ] );
       ( "distance_oracle",
         [

@@ -220,7 +220,22 @@ let test_landmarks_nearby () =
   checkb "sorted by distance" true !ok;
   (* cap larger than level: returns whole level *)
   let all1 = Landmarks.nearby lm ball ~level:1 ~cap:10_000 in
-  checki "whole level" (Landmarks.level_size lm 1) (Array.length all1)
+  checki "whole level" (Landmarks.level_size lm 1) (Array.length all1);
+  (* S(u) is the union of the per-level sets, from every source and at
+     caps that fill every level, some levels, or none *)
+  for u = 0 to 199 do
+    let ball = Ball.of_dijkstra (Dijkstra.run g u) in
+    List.iter
+      (fun cap ->
+        let union =
+          List.init 3 (fun level -> Array.to_list (Landmarks.nearby lm ball ~level ~cap))
+          |> List.concat |> List.sort_uniq compare |> Array.of_list
+        in
+        let s = Landmarks.nearby_set lm ball ~cap in
+        Array.sort compare s;
+        Alcotest.(check (array int)) "S(u)" union s)
+      [ 1; 10; 60; 10_000 ]
+  done
 
 let test_landmarks_center_in () =
   let rng = Rng.create 29 in

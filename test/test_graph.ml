@@ -720,6 +720,50 @@ let sssp_equal (a : Dijkstra.result) (b : Dijkstra.result) =
   a.Dijkstra.dist = b.Dijkstra.dist
   && a.Dijkstra.parent = b.Dijkstra.parent
   && a.Dijkstra.parent_port = b.Dijkstra.parent_port
+  && a.Dijkstra.order = b.Dijkstra.order
+
+(* Every Ball query against a brute-force (distance, index) sort of
+   Dijkstra's distances, from every source.  The ball index takes its
+   order from Dijkstra's settle order, which differs from sorted order
+   where rounding makes a relaxation of zero length: the expline graph
+   and the pl graph stretched to aspect 2^60 are such cases. *)
+let ball_matches_brute_force g =
+  let ok = ref true in
+  let expect _query a b = if a <> b then ok := false in
+  for s = 0 to Graph.n g - 1 do
+    let res = Dijkstra.run g s in
+    let b = Ball.of_dijkstra res in
+    let d = res.Dijkstra.dist in
+    let sorted =
+      List.init (Graph.n g) Fun.id
+      |> List.filter (fun v -> d.(v) < infinity)
+      |> List.map (fun v -> (d.(v), v))
+      |> List.sort compare |> List.map snd |> Array.of_list
+    in
+    let len = Array.length sorted in
+    expect "reachable" (Ball.reachable b) len;
+    for m = 1 to len do
+      expect "kth_distance" (Ball.kth_distance b m) d.(sorted.(m - 1))
+    done;
+    List.iter
+      (fun m -> expect "closest" (Ball.closest b m) (Array.sub sorted 0 (min m len)))
+      [ 0; 1; len / 2; len; len + 1 ];
+    Array.iter
+      (fun v ->
+        let r = d.(v) in
+        let within = Array.of_list (List.filter (fun x -> d.(x) <= r) (Array.to_list sorted)) in
+        expect "ball_size" (Ball.ball_size b r) (Array.length within);
+        expect "ball" (Ball.ball b r) within)
+      sorted;
+    List.iter
+      (fun m ->
+        let pred v = v mod 3 = s mod 3 in
+        let within = List.filter pred (Array.to_list sorted) in
+        expect "closest_in" (Ball.closest_in b m pred)
+          (Array.of_list (List.filteri (fun i _ -> i < m) within)))
+      [ 1; 5; len ]
+  done;
+  !ok
 
 let qcheck_tests =
   let open QCheck in
@@ -790,6 +834,22 @@ let qcheck_tests =
           if not (sssp_equal (Apsp.sssp apsp s) (Apsp.sssp fresh s)) then ok := false
         done;
         !ok);
+    Test.make ~name:"ball queries equal a sorted brute force (er, geo)" ~count:20
+      (pair (int_range 0 100000) (int_range 10 60))
+      (fun (seed, n) ->
+        let rng = Rng.create seed in
+        let g =
+          if seed mod 2 = 0 then Generators.erdos_renyi rng ~n ~avg_degree:3.0
+          else Generators.random_geometric rng ~n ~radius:0.3
+        in
+        ball_matches_brute_force (Graph.normalize g));
+    Test.make ~name:"ball queries equal a sorted brute force (expline, aspect 2^60)" ~count:1 unit
+      (fun () ->
+        let module E = Compact_routing.Experiment in
+        ball_matches_brute_force (E.make_graph ~seed:1 (E.Exp_line { n = 64; base = 2.0 }))
+        && ball_matches_brute_force
+             (E.make_graph_with_aspect ~seed:1 ~target_aspect:(2.0 ** 60.0)
+                (E.Power_law { n = 256; exponent = 2.5 })));
     Test.make ~name:"gio roundtrip preserves structure" ~count:20 arb_graph (fun g ->
         let g' = Gio.of_string (Gio.to_string g) in
         Graph.n g = Graph.n g' && Graph.m g = Graph.m g');

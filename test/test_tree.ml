@@ -48,7 +48,7 @@ let test_tree_spanning () =
 let test_tree_keep_with_relays () =
   let g = small_graph () in
   (* keep only node 3: nodes 1, 2 must be pulled in as relays *)
-  let t = Tree.of_sssp g (Dijkstra.run g 0) ~keep:(fun v -> v = 3) in
+  let t = Tree.of_sssp g (Dijkstra.run g 0) ~members:[| 3 |] in
   checki "size" 4 (Tree.size t);
   checkb "3 member" true (Tree.is_member t 3);
   checkb "2 relay" false (Tree.is_member t 2);
@@ -60,7 +60,7 @@ let test_tree_no_kept_raises () =
   let g = small_graph () in
   checkb "raises" true
     (try
-       ignore (Tree.of_sssp g (Dijkstra.run g 0) ~keep:(fun _ -> false));
+       ignore (Tree.of_sssp g (Dijkstra.run g 0) ~members:[||]);
        false
      with Invalid_argument _ -> true)
 
@@ -440,7 +440,7 @@ let test_dense_absent_roundtrip () =
 let test_dense_relays_not_searchable () =
   let g = small_graph () in
   (* keep only node 3: nodes 1,2 are relays *)
-  let t = Tree.of_sssp g (Dijkstra.run g 0) ~keep:(fun v -> v = 3) in
+  let t = Tree.of_sssp g (Dijkstra.run g 0) ~members:[| 3 |] in
   let d = Dense.build t in
   let r3 = Dense.search d (Graph.name_of g 3) in
   checkb "member found" true (match r3.Dense.outcome with Dense.Found u -> u = 3 | _ -> false);
