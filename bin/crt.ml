@@ -830,7 +830,7 @@ let daemon_cmd =
   let module Server = Cr_daemon.Server in
   let serving =
     serving_term ~guards:"serving"
-      ~cache:"Shared answer-cache capacity in entries (0 disables). Generation-aged by epoch id: every repair invalidates in O(1), so answers never cross epochs."
+      ~cache:"Capacity in entries of each shared answer cache, one for route and one for path answers (0 disables; dist reads the epoch's distances and is never cached). Generation-aged by epoch id: every repair invalidates in O(1), so answers never cross epochs."
       ()
   in
   let staleness_arg =

@@ -51,27 +51,39 @@ let build ?apsp ?allowed ~k ~rho g =
     float_of_int (max 2 (Bits.ceil_pow (float_of_int (max 2 n)) (1.0 /. float_of_int k)))
   in
   let sc = Dijkstra.scratch g in
-  (* With nothing excluded, the restricted rho-ball is the ball of the
-     unrestricted metric, which [apsp] already holds in order. *)
-  let rho_ball =
+  (* u's rho-ball is the first [ball_len.(u)] nodes of [balls.(u)], the
+     order of a search from u, sized before the next search reuses the
+     scratch.  With nothing excluded, that search is one [apsp] already
+     holds, so the ball is shared, not copied. *)
+  let search =
     match apsp with
-    | Some a when Array.for_all Fun.id allowed -> fun u -> Ball.ball (Apsp.ball a u) rho
-    | _ -> fun u -> (Dijkstra.run_in sc ~allowed:(fun v -> allowed.(v)) ~bound:rho u).Dijkstra.order
+    | Some a when Array.for_all Fun.id allowed -> Apsp.sssp a
+    | _ -> fun u -> Dijkstra.run_in sc ~allowed:(fun v -> allowed.(v)) ~bound:rho u
   in
-  let balls = Array.init n (fun u -> if allowed.(u) then rho_ball u else [||]) in
+  let balls = Array.make n [||] and ball_len = Array.make n 0 in
+  for u = 0 to n - 1 do
+    if allowed.(u) then begin
+      let res = search u in
+      balls.(u) <- res.Dijkstra.order;
+      ball_len.(u) <- Ball.ball_size (Ball.of_dijkstra res) rho
+    end
+  done;
   let holders =
     let count = Array.make n 0 in
-    Array.iter (Array.iter (fun x -> count.(x) <- count.(x) + 1)) balls;
+    for u = 0 to n - 1 do
+      for i = 0 to ball_len.(u) - 1 do
+        count.(balls.(u).(i)) <- count.(balls.(u).(i)) + 1
+      done
+    done;
     let h = Array.map (fun c -> Array.make c 0) count in
     Array.fill count 0 n 0;
-    Array.iteri
-      (fun u ball ->
-        Array.iter
-          (fun x ->
-            h.(x).(count.(x)) <- u;
-            count.(x) <- count.(x) + 1)
-          ball)
-      balls;
+    for u = 0 to n - 1 do
+      for i = 0 to ball_len.(u) - 1 do
+        let x = balls.(u).(i) in
+        h.(x).(count.(x)) <- u;
+        count.(x) <- count.(x) + 1
+      done
+    done;
     h
   in
   let covered = Array.make n false in
@@ -101,18 +113,19 @@ let build ?apsp ?allowed ~k ~rho g =
         let ci = !n_clusters in
         let members = ref [] in
         let size = ref 0 in
-        (* adds a ball to Y; returns the nodes it added *)
-        let absorb ball added =
-          Array.fold_left
-            (fun added x ->
-              if in_y.(x) then added
-              else begin
-                in_y.(x) <- true;
-                x :: added
-              end)
-            added ball
+        (* adds u's ball to Y; returns the nodes it added *)
+        let absorb u added =
+          let added = ref added in
+          for i = 0 to ball_len.(u) - 1 do
+            let x = balls.(u).(i) in
+            if not in_y.(x) then begin
+              in_y.(x) <- true;
+              added := x :: !added
+            end
+          done;
+          !added
         in
-        let frontier = ref (absorb balls.(v) []) in
+        let frontier = ref (absorb v []) in
         size := List.length !frontier;
         members := !frontier;
         merged.(v) <- ci;
@@ -139,7 +152,7 @@ let build ?apsp ?allowed ~k ~rho g =
             !frontier;
           if !layer = [] then continue_growing := false
           else begin
-            let added = List.fold_left (fun added u -> absorb balls.(u) added) [] !layer in
+            let added = List.fold_left (fun added u -> absorb u added) [] !layer in
             let new_size = prev_size + List.length added in
             size := new_size;
             members := List.rev_append added !members;
@@ -161,10 +174,9 @@ let build ?apsp ?allowed ~k ~rho g =
         List.iter cover !absorbed;
         (* opportunistically cover any center whose ball fits entirely
            inside the cluster *)
+        let rec fits u i = i = ball_len.(u) || (in_y.(balls.(u).(i)) && fits u (i + 1)) in
         Array.iter
-          (fun u ->
-            if allowed.(u) && (not covered.(u)) && Array.for_all (fun x -> in_y.(x)) balls.(u)
-            then cover u)
+          (fun u -> if allowed.(u) && (not covered.(u)) && fits u 0 then cover u)
           member_arr;
         (* spanning tree: SPT from v inside the cluster, edges <= 2 rho *)
         let res =

@@ -56,7 +56,6 @@ type answer = {
   hops : int;
   stretch : float;
   walk : int list;
-  dist : float;
 }
 
 (* [stats] percentiles cover the most recent [sample_window] repair
@@ -78,7 +77,6 @@ type t = {
   mutable quit : bool;
   mutable worker : unit Domain.t option;
   guard : Guard.Chain.t;  (* the query thread's guard chain *)
-  no_batch : Guard.Deadline.t;  (* unbounded: a daemon serves no batches *)
   mutable lineno : int;
   mutable qindex : int;  (* admitted queries: the chaos plan's index *)
   repair_s : float Ring.t;  (* per-batch repair wall times *)
@@ -89,14 +87,14 @@ type t = {
   mutable last_snapshot : (int * float) option;  (* epoch id, wall clock *)
   recovered : recovery option;
   mutable events : Jsonl.Writer.t option;
-  (* shared answer caches, generation = serving epoch id: an epoch swap
-     invalidates both in O(1) (old-epoch entries simply never match
-     again), so post-sync answers can never be served from a stale
-     epoch.  [route]/[dist] answers are keyed by the directed pair;
-     [path] answers by the canonical (min, max) pair, reversed on the
-     way out (Path_oracle.path's own canonicalization makes that
+  (* shared route and path caches (a [dist] is never cached), generation
+     = serving epoch id: an epoch swap invalidates both in O(1) (old-epoch
+     entries simply never match again), so post-sync answers can never be
+     served from a stale epoch.  [route] answers are keyed by the directed
+     pair; [path] answers by the canonical (min, max) pair, reversed on
+     the way out (Path_oracle.path's own canonicalization makes that
      byte-identical to computing the asked direction). *)
-  acache : answer Ttcache.t option;
+  rcache : answer Ttcache.t option;
   pcache : Cr_oracle.Path_oracle.answer option Ttcache.t option;
 }
 
@@ -340,7 +338,6 @@ let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(stalen
       quit = false;
       worker = None;
       guard = Guard.Chain.create policy;
-      no_batch = Guard.Deadline.start ();
       lineno = 0;
       qindex = 0;
       repair_s = Ring.create ~capacity:sample_window;
@@ -351,7 +348,7 @@ let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(stalen
       last_snapshot = None;
       recovered;
       events;
-      acache =
+      rcache =
         (if cache = 0 then None
          else Some (Ttcache.create ~salt:(Graph.hash live) ~capacity:cache ()));
       pcache =
@@ -449,16 +446,14 @@ let measure_on ep u v =
   let checked =
     Simulator.check_walk ep.graph ~src:u ~dst:v ~delivered:r.Scheme.delivered r.Scheme.walk
   in
-  let dist = Apsp.distance ep.apsp u v in
   let delivered = Simulator.is_delivered checked.Simulator.outcome in
   let cost = checked.Simulator.checked_cost in
   {
     delivered;
     cost;
     hops = checked.Simulator.checked_hops;
-    stretch = Simulator.stretch ~delivered ~cost dist;
+    stretch = Simulator.stretch ~delivered ~cost (Apsp.distance ep.apsp u v);
     walk = r.Scheme.walk;
-    dist;
   }
 
 (* Staleness: the serving epoch may lag the live (post-mutation) graph,
@@ -489,17 +484,19 @@ let sample_staleness t ~u ~v ~(ans : answer) =
 (* The guard chain of §8 as admission control: shed on the repair
    backlog, breaker, then chaos, retry and the per-query deadline.
    Chaos is keyed by the index of admitted queries, so a seeded session
-   replays unchanged. *)
+   replays unchanged.  A daemon serves no batches: its batch deadline
+   is the unbounded one. *)
 let guarded t ~backlog f =
-  match Guard.Chain.admit t.guard ~batch:t.no_batch ~queued:backlog with
+  let batch = Guard.Deadline.start () in
+  match Guard.Chain.admit t.guard ~batch ~queued:backlog with
   | Some rejection -> Error rejection
   | None ->
       let q = t.qindex in
       t.qindex <- q + 1;
-      Guard.Chain.run t.guard t.cfg.chaos ~batch:t.no_batch ~q f
+      Guard.Chain.run t.guard t.cfg.chaos ~batch ~q f
 
-let cached_measure t ep u v =
-  match t.acache with
+let cached_route t ep u v =
+  match t.rcache with
   | None -> measure_on ep u v
   | Some tt ->
       Ttcache.memo tt ~gen:ep.id ~key:((u * Graph.n ep.graph) + v) (fun () -> measure_on ep u v)
@@ -549,9 +546,11 @@ let render_route t ep u v ans =
   Printf.sprintf "ok route %d %d delivered=%b hops=%d cost=%.6g stretch=%.6g epoch=%d" u v
     ans.delivered ans.hops ans.cost ans.stretch ep.id
 
-let render_dist t ep u v ans =
+let distance_on _ ep u v = Apsp.distance ep.apsp u v
+
+let render_dist t ep u v d =
   Counters.incr t.counters "daemon.dists";
-  Printf.sprintf "ok dist %d %d %.17g epoch=%d" u v ans.dist ep.id
+  Printf.sprintf "ok dist %d %d %.17g epoch=%d" u v d ep.id
 
 let render_path t ep u v a =
   Counters.incr t.counters "daemon.paths";
@@ -645,7 +644,7 @@ let summary ring =
 
 let cache_sum t f =
   let one = function None -> 0 | Some tt -> f (Ttcache.stats tt) in
-  one t.acache + one t.pcache
+  one t.rcache + one t.pcache
 
 let stats_json t =
   let ep, bl = snapshot t in
@@ -653,6 +652,8 @@ let stats_json t =
   let poisoned = t.poisoned and repairing = t.repairing in
   Mutex.unlock t.lock;
   let rs = summary t.repair_s and ss = summary t.stale_stretch in
+  let hits = cache_sum t (fun s -> s.Ttcache.hits) in
+  let misses = cache_sum t (fun s -> s.Ttcache.misses) in
   let c name = Counters.get t.counters name in
   Jsonl.obj
     [
@@ -669,15 +670,11 @@ let stats_json t =
       ("paths", Jsonl.int (c "daemon.paths"));
       ("oracle_entries", Jsonl.int (Cr_oracle.Path_oracle.size_entries ep.oracle));
       ( "cache",
-        Jsonl.int (match t.acache with Some tt -> Ttcache.capacity tt | None -> 0) );
-      ("cache_hits", Jsonl.int (cache_sum t (fun s -> s.Ttcache.hits)));
-      ("cache_misses", Jsonl.int (cache_sum t (fun s -> s.Ttcache.misses)));
+        Jsonl.int (match t.rcache with Some tt -> Ttcache.capacity tt | None -> 0) );
+      ("cache_hits", Jsonl.int hits);
+      ("cache_misses", Jsonl.int misses);
       ("cache_aged", Jsonl.int (cache_sum t (fun s -> s.Ttcache.aged)));
-      ( "cache_hit_rate",
-        Jsonl.float
-          (Stats.ratio
-             (cache_sum t (fun s -> s.Ttcache.hits))
-             (cache_sum t (fun s -> s.Ttcache.hits) + cache_sum t (fun s -> s.Ttcache.misses))) );
+      ("cache_hit_rate", Jsonl.float (Stats.ratio hits (hits + misses)));
       ("mutations", Jsonl.int (c "daemon.mutations"));
       ("mutations_rejected", Jsonl.int (c "daemon.mutations.rejected"));
       ("parse_errors", Jsonl.int (c "daemon.parse_errors"));
@@ -744,8 +741,8 @@ let dispatch t = function
       ([ "err " ^ msg ], false)
   | Ok (Some cmd) -> (
       match cmd with
-      | Protocol.Route (u, v) -> ([ answer_query t "route" u v cached_measure render_route ], false)
-      | Protocol.Dist (u, v) -> ([ answer_query t "dist" u v cached_measure render_dist ], false)
+      | Protocol.Route (u, v) -> ([ answer_query t "route" u v cached_route render_route ], false)
+      | Protocol.Dist (u, v) -> ([ answer_query t "dist" u v distance_on render_dist ], false)
       | Protocol.Path (u, v) -> ([ answer_query t "path" u v cached_path render_path ], false)
       | Protocol.Mutate mu -> ([ accept_mutation t mu ], false)
       | Protocol.Sync -> ([ sync_response (sync t) ], false)

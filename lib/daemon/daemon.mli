@@ -1,8 +1,8 @@
 (** Long-running route daemon: online churn with incremental
     self-healing repair.
 
-    The daemon answers [route]/[dist] queries from an immutable
-    last-good {e epoch} — a [(graph, ground truth, scheme)] triple
+    The daemon answers [route]/[dist]/[path] queries from an immutable
+    last-good {e epoch} — graph, ground truth, scheme and path oracle,
     swapped whole under a mutex, never torn — while accepted mutations
     queue for a background repair domain.  Repair is incremental at the
     ground-truth layer ({!Cr_graph.Apsp.repair_mutation} recomputes
@@ -79,12 +79,12 @@ val create :
     that supervision restarts the worker).
 
     [cache] (entries; default 0 = off) enables two shared lock-free
-    answer caches ({!Cr_util.Ttcache}) whose generation is the serving
-    epoch id: [route]/[dist] answers keyed by directed pair, [path]
-    answers keyed by canonical [(min, max)] pair and reversed on the
-    way out.  An epoch swap invalidates both in O(1) — old-generation
-    entries never match — so answers after [sync] are byte-identical
-    with the cache on or off.
+    caches ({!Cr_util.Ttcache}) whose generation is the serving epoch
+    id: [route] answers keyed by directed pair, [path] answers keyed by
+    canonical [(min, max)] pair and reversed on the way out; a [dist]
+    reads the epoch's ground truth and is never cached.  An epoch swap
+    invalidates both in O(1) — old-generation entries never match — so
+    answers after [sync] are byte-identical with the cache on or off.
     @raise Invalid_argument on a negative [staleness_every],
     [snapshot_every] or [cache], a [snapshot_dir] without [journal], a
     [snapshot_dir] that exists but is not a directory, or an

@@ -347,6 +347,59 @@ let test_breaker_opens_under_persistent_faults () =
   checkb "breaker eventually opens" true
     (List.exists (fun r -> contains r "rejected=breaker_open") outcomes)
 
+(* [dist] prints the serving epoch's ground truth: it routes nothing and
+   takes no cache slot, so a dist-only session leaves the cache untouched
+   and answers byte-for-byte as a cache-off daemon does *)
+let test_dist_bypasses_cache () =
+  let n = 32 in
+  let g = mk_graph ~n 29 in
+  let rng = Rng.create 30 in
+  let pairs = List.init 20 (fun _ -> (Rng.int rng n, Rng.int rng n)) in
+  let lines =
+    List.map (fun (u, v) -> Printf.sprintf "dist %d %d" u v) (pairs @ pairs @ [ (3, 3) ])
+  in
+  let run cache =
+    let d = Daemon.create ~policy:Guard.Policy.off ~staleness_every:0 ~cache ~params g in
+    let replies = List.map (feed1 d) lines in
+    let stats = Daemon.stats_json d in
+    Daemon.close d;
+    (replies, stats)
+  in
+  let off, _ = run 0 and on, stats = run 64 in
+  List.iter2 (fun x y -> checks "dist cache on vs off" x y) off on;
+  checkb "no cache hits" true (contains stats "\"cache_hits\":0,");
+  checkb "no cache misses" true (contains stats "\"cache_misses\":0,");
+  checkb "dists counted" true (contains stats "\"dists\":41,")
+
+(* Chaos is keyed by the index of admitted queries, and every query
+   command takes one, [dist] included: with no retry the i-th admitted
+   query is lost exactly when the plan fails query i.  Out-of-range
+   queries are refused before admission and take no index. *)
+let test_every_query_keeps_its_chaos_index () =
+  let n = 32 in
+  let g = mk_graph ~n 31 in
+  let chaos = Guard.Chaos.plan ~label:"lossy" ~fail_rate:0.3 ~seed:7 () in
+  let d = Daemon.create ~policy:Guard.Policy.off ~chaos ~staleness_every:0 ~cache:64 ~params g in
+  let rng = Rng.create 32 in
+  let queries = 90 and lost = ref 0 in
+  for q = 0 to queries - 1 do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    let cmd = [| "route"; "dist"; "path" |].(q mod 3) in
+    let r = feed1 d (Printf.sprintf "%s %d %d" cmd u v) in
+    if q mod 10 = 9 then
+      checkb "out of range refused" true
+        (contains (feed1 d (Printf.sprintf "%s %d %d" cmd u n)) "out of range");
+    let expect_lost = Guard.Chaos.query_fails chaos ~q > 0 in
+    if expect_lost then incr lost;
+    checkb
+      (Printf.sprintf "query %d (%s) lost iff the plan fails it: %s" q cmd r)
+      expect_lost
+      (contains r "rejected=worker_lost");
+    if not expect_lost then checkb "answered" true (contains r ("ok " ^ cmd))
+  done;
+  Daemon.close d;
+  checkb "the plan lost some queries" true (!lost > 0 && !lost < queries)
+
 (* every route answer is sampled for staleness: once the sample windows
    are full, the daemon's retained memory must stop growing with the
    number of answers *)
@@ -969,6 +1022,9 @@ let () =
           Alcotest.test_case "breaker opens under persistent faults" `Quick
             test_breaker_opens_under_persistent_faults;
           Alcotest.test_case "sample windows bounded" `Quick test_sample_windows_bounded;
+          Alcotest.test_case "dist bypasses the answer cache" `Quick test_dist_bypasses_cache;
+          Alcotest.test_case "every query command keeps its chaos index" `Quick
+            test_every_query_keeps_its_chaos_index;
         ] );
       ( "repair",
         [
