@@ -207,7 +207,7 @@ let t3 () =
       T.add_row table
         [
           Printf.sprintf "%.0f" (Float.log (Apsp.aspect_ratio apsp) /. Float.log 2.0);
-          string_of_int (Baseline_ap.levels_built ap);
+          string_of_int (Baseline_ap.levels apsp);
           Printf.sprintf "%.0f" rap.Experiment.bits_mean;
           Printf.sprintf "%.0f" ragm.Experiment.bits_mean;
           T.fmt_float rap.Experiment.stretch_mean;

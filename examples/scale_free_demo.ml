@@ -48,7 +48,7 @@ let () =
       T.add_row table
         [
           Printf.sprintf "%.0f" log_delta;
-          string_of_int (Baseline_ap.levels_built ap);
+          string_of_int (Baseline_ap.levels apsp);
           Printf.sprintf "%.0f" rap.Experiment.bits_mean;
           Printf.sprintf "%.0f" ragm.Experiment.bits_mean;
           T.fmt_float rap.Experiment.stretch_mean;

@@ -4,16 +4,17 @@ module Tree = Cr_tree.Tree
 module Dense = Cr_tree.Dense_tree_routing
 module Cover = Cr_cover.Sparse_cover
 
-(* scheme (by physical identity) -> number of scales, for reporting *)
-let levels_count : (Scheme.t * int) list ref = ref []
+(* scales 0 .. ⌈log₂ max(1, diameter)⌉ *)
+let log_delta apsp =
+  let diameter = Apsp.diameter apsp in
+  max 0 (int_of_float (Float.ceil (Float.log (Float.max 1.0 diameter) /. Float.log 2.0)))
+
+let levels apsp = log_delta apsp + 1
 
 let build ?(k = 3) apsp =
   let g = Apsp.graph apsp in
   let n = Graph.n g in
-  let diameter = Apsp.diameter apsp in
-  let log_delta =
-    max 0 (int_of_float (Float.ceil (Float.log (Float.max 1.0 diameter) /. Float.log 2.0)))
-  in
+  let log_delta = log_delta apsp in
   let storage = Storage.create ~n in
   (* one cover per scale, over the whole graph: the log Δ dependence *)
   let levels =
@@ -98,14 +99,5 @@ let build ?(k = 3) apsp =
       scale 0 [ src ]
     end
   in
-  let scheme =
-    { Scheme.name = Printf.sprintf "awerbuch-peleg(k=%d)" k; graph = g; storage;
-      header_bits = Scheme.label_header_bits ~n; route }
-  in
-  levels_count := (scheme, log_delta + 1) :: !levels_count;
-  scheme
-
-let levels_built (scheme : Scheme.t) =
-  match List.find_opt (fun (s, _) -> s == scheme) !levels_count with
-  | Some (_, l) -> l
-  | None -> 0
+  { Scheme.name = Printf.sprintf "awerbuch-peleg(k=%d)" k; graph = g; storage;
+    header_bits = Scheme.label_header_bits ~n; route }

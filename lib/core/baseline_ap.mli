@@ -16,6 +16,6 @@
 val build : ?k:int -> Cr_graph.Apsp.t -> Scheme.t
 (** [k] defaults to 3. *)
 
-val levels_built : Scheme.t -> int
-(** Number of scales in the hierarchy (decoded from the storage
-    categories; exposed for the T3 report). *)
+val levels : Cr_graph.Apsp.t -> int
+(** Number of scales {!build} makes over this APSP:
+    [⌈log₂ max(1, diameter)⌉ + 1] (for the T3 report). *)

@@ -472,11 +472,7 @@ let sample_staleness t ~u ~v ~(ans : answer) =
       Counters.incr t.counters "daemon.stale.broken"
     else begin
       let live_d = (Dijkstra.run t.live u).Dijkstra.dist.(v) in
-      let s =
-        if live_d = 0.0 then 1.0
-        else if live_d = infinity then infinity
-        else checked.Simulator.checked_cost /. live_d
-      in
+      let s = Simulator.stretch ~delivered:true ~cost:checked.Simulator.checked_cost live_d in
       if Float.is_finite s then Ring.push t.stale_stretch s
     end
   end

@@ -9,13 +9,13 @@ let compute g =
 
 module Pool = Cr_util.Domain_pool
 
-(* [parallel_for] on a pool of its own, joined before it returns.  A
-   worker left parked in the shared pool stops for every minor
-   collection of the domain that goes on alone, which slows the
-   single-domain scheme build after an APSP or a repair and makes its
-   time vary with the host's scheduling. *)
-let parallel_for ~chunk ~n f =
-  let pool = Pool.create ~domains:(Pool.default_domains ()) in
+(* [parallel_for] on a pool of its own, [domains] lanes wide, joined
+   before it returns.  A worker left parked in the shared pool stops
+   for every minor collection of the domain that goes on alone, which
+   slows the single-domain scheme build after an APSP or a repair and
+   makes its time vary with the host's scheduling. *)
+let parallel_for ~domains ~chunk ~n f =
+  let pool = Pool.create ~domains in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> Pool.parallel_for ~chunk pool ~n f)
 
 let compute_parallel ?domains g =
@@ -27,7 +27,7 @@ let compute_parallel ?domains g =
        Dijkstra only reads the immutable graph and writes its own slot,
        so any execution order yields the same array. *)
     let results = Array.make n (Dijkstra.run g 0) in
-    parallel_for ~chunk:16 ~n (fun s -> results.(s) <- Dijkstra.run g s);
+    parallel_for ~domains ~chunk:16 ~n (fun s -> results.(s) <- Dijkstra.run g s);
     { graph = g; results }
   end
 
@@ -51,10 +51,13 @@ let distance t u v = t.results.(u).dist.(v)
      worse-than-final priorities; removing, adding, or reweighting it
      never changes which node is the current heap minimum, and the
      parent array is bit-identical too.
-   - ports: adjacency-changing mutations shift port numbers even for
-     clean sources, so [repair] refreshes [parent_port] against the new
-     graph when [structural] (a clean source's parent edges survive by
-     construction — a removed edge is never tight for a clean source).
+
+   A result names parent nodes, not ports, so a mutation that shifts
+   port numbers leaves a clean source's result exactly right: [repair]
+   shares it as it is.  A removed edge is never tight for a clean
+   source, so no clean parent array can use one; [repair] checks that
+   directly, since a parent edge that is gone means the dirty set
+   under-approximated.
 
    The repair-equivalence property test (test_daemon) pins all of this
    against from-scratch recomputation. *)
@@ -101,50 +104,43 @@ let dirty_sources t mu =
   | Graph.Node_up _ -> ());
   dirty
 
-let repair t g' ~dirty ~structural =
+(* The edges [mu] removes from [g], as (u, v) pairs. *)
+let removed_edges g = function
+  | Graph.Link_down (u, v) -> [ (u, v) ]
+  | Graph.Node_down u -> Array.to_list (Array.map (fun (v, _) -> (u, v)) (Graph.neighbors g u))
+  | Graph.Set_weight _ | Graph.Link_up _ | Graph.Node_up _ -> []
+
+(* [repair] over [g'], the graph [mu] makes of [t]'s *)
+let repair_on t g' mu ~dirty =
   let n = Graph.n t.graph in
-  if Graph.n g' <> n then invalid_arg "Apsp.repair: node count changed";
   if Array.length dirty <> n then invalid_arg "Apsp.repair: dirty array length mismatch";
-  if n = 0 then { graph = g'; results = [||] }
-  else begin
-    let refresh_ports (r : Dijkstra.result) =
-      if not structural then r
-      else begin
-        let parent_port =
-          Array.mapi
-            (fun x p ->
-              if p < 0 then -1
-              else
-                match Graph.port g' x p with
-                | Some port -> port
-                | None ->
-                    (* a clean source's parent edges always survive the
-                       mutation; reaching here means the dirty test
-                       under-approximated — fail loudly *)
-                    invalid_arg "Apsp.repair: clean source lost a parent edge")
-            r.Dijkstra.parent
-        in
-        { r with Dijkstra.parent_port }
-      end
-    in
-    let results = Array.make n t.results.(0) in
-    let todo = ref [] in
-    for s = n - 1 downto 0 do
-      if dirty.(s) then todo := s :: !todo else results.(s) <- refresh_ports t.results.(s)
-    done;
-    let todo = Array.of_list !todo in
-    let nd = Array.length todo in
-    if nd < 2 * Pool.default_domains () then
-      Array.iter (fun s -> results.(s) <- Dijkstra.run g' s) todo
-    else parallel_for ~chunk:4 ~n:nd (fun i -> results.(todo.(i)) <- Dijkstra.run g' todo.(i));
-    { graph = g'; results }
-  end
+  let removed = removed_edges t.graph mu in
+  let todo = ref [] in
+  for s = n - 1 downto 0 do
+    if dirty.(s) then todo := s :: !todo
+    else begin
+      let parent = t.results.(s).Dijkstra.parent in
+      if List.exists (fun (u, v) -> parent.(u) = v || parent.(v) = u) removed then
+        invalid_arg "Apsp.repair: clean source lost a parent edge"
+    end
+  done;
+  let results = Array.copy t.results in
+  let todo = Array.of_list !todo in
+  let nd = Array.length todo in
+  if nd < 2 * Pool.default_domains () then
+    Array.iter (fun s -> results.(s) <- Dijkstra.run g' s) todo
+  else
+    parallel_for ~domains:(Pool.default_domains ()) ~chunk:4 ~n:nd (fun i ->
+        results.(todo.(i)) <- Dijkstra.run g' todo.(i));
+  { graph = g'; results }
+
+let repair t mu ~dirty = repair_on t (Graph.apply t.graph mu) mu ~dirty
 
 let repair_mutation t mu =
   let g' = Graph.apply t.graph mu in
   let dirty = dirty_sources t mu in
   let count = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 dirty in
-  (repair t g' ~dirty ~structural:(Graph.structural mu), count)
+  (repair_on t g' mu ~dirty, count)
 
 let sssp t u = t.results.(u)
 

@@ -11,15 +11,14 @@ val compute : Graph.t -> t
 
 val compute_parallel : ?domains:int -> Graph.t -> t
 (** Same result, with the sources partitioned across a pool of
-    {!Cr_util.Domain_pool.default_domains} lanes that is spawned for
-    the call and joined before it returns, so no idle worker is left to
-    slow the single-domain work that follows.  [domains] defaults to
-    {!Cr_util.Domain_pool.default_domains}; it gates the sequential
-    fallback ([domains <= 1] or a tiny graph runs {!compute} in the
-    caller) while the actual width is the default one.  Each Dijkstra
-    only reads the (immutable) graph and writes its own result slot, so
-    the result is identical — not merely statistically equal — to
-    {!compute}'s. *)
+    [domains] lanes (default {!Cr_util.Domain_pool.default_domains})
+    that is spawned for the call and joined before it returns, so no
+    idle worker is left to slow the single-domain work that follows.
+    [domains <= 1] or a graph with fewer than [2 * domains] nodes runs
+    {!compute} in the caller.  Each Dijkstra only reads the
+    (immutable) graph and writes its own result slot, so the result is
+    identical — not merely statistically equal — to {!compute}'s, at
+    any width. *)
 
 val graph : t -> Graph.t
 
@@ -39,20 +38,20 @@ val dirty_sources : t -> Graph.mutation -> bool array
     @raise Invalid_argument if the mutation does not apply to [t]'s
     graph. *)
 
-val repair : t -> Graph.t -> dirty:bool array -> structural:bool -> t
-(** [repair t g' ~dirty ~structural] is the incremental ground-truth
-    update: a fresh APSP over [g'] (the graph {e after} the mutation)
-    that re-runs Dijkstra only for [dirty] sources — in parallel, on a
-    pool of its own as in {!compute_parallel}, when there are enough —
-    and shares every clean source's result from [t].  With
-    [structural] set (adjacency changed), clean sources get their
-    [parent_port] arrays re-derived against [g'], since port numbers
-    shift even where paths do not.  The result is
-    bit-identical to [compute g'] when [dirty] over-approximates
-    honestly (pinned by the repair-equivalence property test).
-    @raise Invalid_argument on node-count or length mismatch, or if a
-    supposedly clean source lost a parent edge (an under-approximating
-    [dirty]). *)
+val repair : t -> Graph.mutation -> dirty:bool array -> t
+(** [repair t mu ~dirty] is the incremental ground-truth update: a
+    fresh APSP over [Graph.apply (graph t) mu] that re-runs Dijkstra
+    only for [dirty] sources — in parallel, on a pool of its own as in
+    {!compute_parallel}, when there are enough — and shares every clean
+    source's result from [t] as it is (physically: results hold parent
+    nodes, not ports, so shifted port numbers leave them exact).  The
+    result is bit-identical to [compute (Graph.apply (graph t) mu)]
+    when [dirty] over-approximates honestly (pinned by the
+    repair-equivalence property test).
+    @raise Invalid_argument as {!Graph.apply}, on a length mismatch,
+    or if a clean source's parent array uses an edge [mu] removes (the
+    [Link_down] edge or a [Node_down]'s edges): [dirty]
+    under-approximated.  The check costs O(n) per removed edge. *)
 
 val repair_mutation : t -> Graph.mutation -> t * int
 (** Applies one mutation end to end:

@@ -2,7 +2,6 @@ type result = {
   source : int;
   dist : float array;
   parent : int array;
-  parent_port : int array;
   order : int array;
 }
 
@@ -10,7 +9,6 @@ type scratch = {
   graph : Graph.t;
   s_dist : float array;
   s_parent : int array;
-  s_port : int array;
   heap : Heap.t;
   settled : int array; (* the current run's nodes, in settle order *)
   mutable count : int;
@@ -22,7 +20,6 @@ let scratch g =
     graph = g;
     s_dist = Array.make n infinity;
     s_parent = Array.make n (-1);
-    s_port = Array.make n (-1);
     heap = Heap.create n;
     settled = Array.make (max n 1) 0;
     count = 0;
@@ -54,14 +51,13 @@ let run_in sc ?(allowed = all) ?(max_edge = infinity) ?(bound = infinity) s =
   let n = Graph.n g in
   if s < 0 || s >= n then invalid_arg "Dijkstra: source out of range";
   if not (allowed s) then invalid_arg "Dijkstra: source not allowed";
-  let dist = sc.s_dist and parent = sc.s_parent and parent_port = sc.s_port in
+  let dist = sc.s_dist and parent = sc.s_parent in
   let heap = sc.heap and settled = sc.settled in
   (* forget the previous run by resetting only the nodes it reached *)
   for j = 0 to sc.count - 1 do
     let v = settled.(j) in
     dist.(v) <- infinity;
-    parent.(v) <- -1;
-    parent_port.(v) <- -1
+    parent.(v) <- -1
   done;
   let count = ref 0 in
   dist.(s) <- 0.0;
@@ -95,16 +91,9 @@ let run_in sc ?(allowed = all) ?(max_edge = infinity) ?(bound = infinity) s =
     done
   done;
   sc.count <- !count;
-  (* the port towards each node's final parent, once per node *)
-  for j = 1 to !count - 1 do
-    let v = settled.(j) in
-    match Graph.port g v parent.(v) with
-    | Some p -> parent_port.(v) <- p
-    | None -> assert false
-  done;
   let order = Array.sub settled 0 !count in
   sort_by_distance dist order;
-  { source = s; dist; parent; parent_port; order }
+  { source = s; dist; parent; order }
 
 let run g s = run_in (scratch g) s
 

@@ -4,14 +4,15 @@
     spanning tree rooted at a node, plus the distance function [d(u, ·)].
     Ties are broken lexicographically by node index, matching the paper's
     lexicographic tie-breaking convention so that constructions are
-    deterministic. *)
+    deterministic.  The tree is kept as parent nodes, not ports: routes
+    are node walks and port bits are charged by formula, so a reader
+    that needs the port at [v] towards [parent.(v)] asks
+    {!Graph.port}. *)
 
 type result = {
   source : int;
   dist : float array;  (** [dist.(v)] = d(source, v); [infinity] if unreachable *)
   parent : int array;  (** predecessor on a shortest path; -1 for source/unreachable *)
-  parent_port : int array;
-      (** port at [v] leading to [parent.(v)]; -1 when parent is -1 *)
   order : int array;
       (** the reached nodes (finite [dist]) by (distance, index): the
           settle order, sorted only in the rare case where a relaxation
@@ -42,9 +43,9 @@ val scratch : Graph.t -> scratch
 
 val run_in : scratch -> ?allowed:(int -> bool) -> ?max_edge:float -> ?bound:float -> int -> result
 (** [run_in sc s] is {!run_restricted}'s result on [sc]'s graph,
-    computed in [sc] ([allowed] defaults to every node).  Its [dist],
-    [parent] and [parent_port] arrays are [sc]'s own, valid until the
-    next run on [sc]; only [order] is the caller's to keep. *)
+    computed in [sc] ([allowed] defaults to every node).  Its [dist]
+    and [parent] arrays are [sc]'s own, valid until the next run on
+    [sc]; only [order] is the caller's to keep. *)
 
 val path_to : result -> int -> int list
 (** Node sequence from the source to a target along the tree (inclusive).

@@ -200,7 +200,7 @@ let induced g nodes =
    returns a fresh graph and never touches the input — so a serving
    epoch can keep routing from the old graph while repair works on the
    new one.  [Set_weight] preserves the adjacency structure exactly
-   (same neighbor order, hence same port numbers); the structural
+   (same neighbor order, hence same port numbers); the link and node
    mutations rebuild through [create], which re-sorts adjacencies the
    same deterministic way the original construction did. *)
 
@@ -210,10 +210,6 @@ type mutation =
   | Link_up of int * int * float
   | Node_down of int
   | Node_up of int
-
-let structural = function
-  | Set_weight _ | Node_up _ -> false
-  | Link_down _ | Link_up _ | Node_down _ -> true
 
 let mutation_to_string = function
   | Set_weight (u, v, w) -> Printf.sprintf "setw %d %d %.17g" u v w

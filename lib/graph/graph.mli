@@ -111,11 +111,6 @@ type mutation =
       (** recover: the node returns isolated; links are re-established
           by explicit [Link_up]s (structurally a no-op) *)
 
-val structural : mutation -> bool
-(** Whether the mutation changes adjacency (and thus shifts port
-    numbers): true for link/node topology changes, false for
-    [Set_weight] and [Node_up]. *)
-
 val mutation_to_string : mutation -> string
 (** The mutation-log / daemon-protocol spelling ([setw u v w],
     [linkdown u v], [linkup u v w], [nodedown u], [nodeup u]); parsed

@@ -214,10 +214,7 @@ let test_dijkstra_fixture () =
 let test_dijkstra_parent_ports () =
   let g = fixture () in
   let res = Dijkstra.run g 0 in
-  (* parent of 3 is 2; port at 3 towards 2 is 0 (only neighbor) *)
-  checki "parent of 3" 2 res.Dijkstra.parent.(3);
-  let v, _ = Graph.via_port g 3 res.Dijkstra.parent_port.(3) in
-  checki "port leads to parent" 2 v
+  checki "parent of 3" 2 res.Dijkstra.parent.(3)
 
 let test_dijkstra_unreachable () =
   let g = Graph.create ~n:3 [ (0, 1, 1.0) ] in
@@ -363,6 +360,50 @@ let test_apsp_parallel_single_domain_fallback () =
   ignore rng;
   let par = Apsp.compute_parallel ~domains:1 g in
   checkb "connected" true (Apsp.connected par)
+
+(* Incremental repair on er:64, around a child [c] of node 0 in T(0):
+   the edge (0, c) is one of source 0's parent edges. *)
+let repair_fixture () =
+  let g = Generators.erdos_renyi (Rng.create 64) ~n:64 ~avg_degree:4.0 in
+  let apsp = Apsp.compute g in
+  let parent = (Apsp.sssp apsp 0).Dijkstra.parent in
+  let rec child c = if parent.(c) = 0 then c else child (c + 1) in
+  (apsp, child 1)
+
+(* A result names parent nodes, not ports, so a clean source's result
+   is shared as it is, even where the mutation shifts port numbers. *)
+let test_apsp_repair_shares_clean_sources () =
+  let apsp, c = repair_fixture () in
+  let w = Option.get (Graph.edge_weight (Apsp.graph apsp) 0 c) in
+  let shares apsp mu =
+    let what = Graph.mutation_to_string mu in
+    let dirty = Apsp.dirty_sources apsp mu in
+    let apsp', _ = Apsp.repair_mutation apsp mu in
+    let clean = ref 0 in
+    Array.iteri
+      (fun s d ->
+        if not d then begin
+          incr clean;
+          checkb (Printf.sprintf "%s: source %d shared" what s) true
+            (Apsp.sssp apsp' s == Apsp.sssp apsp s)
+        end)
+      dirty;
+    checkb (what ^ " leaves clean sources") true (!clean > 0);
+    apsp'
+  in
+  let apsp = shares apsp (Graph.Link_down (0, c)) in
+  ignore (shares apsp (Graph.Link_up (0, c, w)))
+
+let test_apsp_repair_rejects_lost_parent_edge () =
+  let apsp, c = repair_fixture () in
+  let all_clean = Array.make (Graph.n (Apsp.graph apsp)) false in
+  let rejects mu =
+    match Apsp.repair apsp mu ~dirty:all_clean with
+    | _ -> false
+    | exception Invalid_argument msg -> msg = "Apsp.repair: clean source lost a parent edge"
+  in
+  checkb "linkdown of a tree edge" true (rejects (Graph.Link_down (0, c)));
+  checkb "nodedown of a tree child" true (rejects (Graph.Node_down c))
 
 (* ------------------------------------------------------------------ *)
 (* Component *)
@@ -616,13 +657,6 @@ let test_mutation_validation () =
   checkb "node out of range" true (raises (Graph.Node_down 9));
   checkb "negative node" true (raises (Graph.Node_up (-1)))
 
-let test_mutation_structural () =
-  checkb "setw weight-only" false (Graph.structural (Graph.Set_weight (0, 1, 2.0)));
-  checkb "nodeup no-op" false (Graph.structural (Graph.Node_up 0));
-  checkb "linkdown structural" true (Graph.structural (Graph.Link_down (0, 1)));
-  checkb "linkup structural" true (Graph.structural (Graph.Link_up (0, 3, 1.0)));
-  checkb "nodedown structural" true (Graph.structural (Graph.Node_down 0))
-
 (* mutation-log parsing: the daemon journal format *)
 
 let test_mutation_log_roundtrip () =
@@ -719,7 +753,6 @@ let arb_script =
 let sssp_equal (a : Dijkstra.result) (b : Dijkstra.result) =
   a.Dijkstra.dist = b.Dijkstra.dist
   && a.Dijkstra.parent = b.Dijkstra.parent
-  && a.Dijkstra.parent_port = b.Dijkstra.parent_port
   && a.Dijkstra.order = b.Dijkstra.order
 
 (* Every Ball query against a brute-force (distance, index) sort of
@@ -918,6 +951,10 @@ let () =
           Alcotest.test_case "disconnected" `Quick test_apsp_disconnected;
           Alcotest.test_case "parallel matches sequential" `Quick test_apsp_parallel_matches_sequential;
           Alcotest.test_case "parallel single-domain fallback" `Quick test_apsp_parallel_single_domain_fallback;
+          Alcotest.test_case "repair shares clean sources" `Quick
+            test_apsp_repair_shares_clean_sources;
+          Alcotest.test_case "repair rejects a lost parent edge" `Quick
+            test_apsp_repair_rejects_lost_parent_edge;
         ] );
       ( "component",
         [
@@ -956,7 +993,6 @@ let () =
           Alcotest.test_case "link topology" `Quick test_mutation_link_topology;
           Alcotest.test_case "node down and up" `Quick test_mutation_node_down_up;
           Alcotest.test_case "validation" `Quick test_mutation_validation;
-          Alcotest.test_case "structural classification" `Quick test_mutation_structural;
           Alcotest.test_case "log roundtrip" `Quick test_mutation_log_roundtrip;
           Alcotest.test_case "log parse errors carry line numbers" `Quick
             test_mutation_log_parse_errors_carry_line_numbers;
