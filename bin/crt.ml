@@ -555,7 +555,7 @@ let serve_cmd =
   let serving =
     serving_term ~guards:"off" ~domains:"Worker-domain pool width (default min(8, recommended))."
       ~cache:"Route-plan cache capacity in entries, per lane (lane mode) or total (shared mode); 0 disables."
-      ~cache_mode:"Cache structure: lane (one LRU per domain), shared (one lock-free table for all domains) or off. Results are bit-identical across modes."
+      ~cache_mode:"Cache structure: lane (one table per domain), shared (one lock-free table for all domains) or off. Results are bit-identical across modes."
       ~dist:true ()
   in
   let json_arg =
@@ -750,7 +750,7 @@ let chaos_cmd =
   in
   let serving =
     serving_term ~domains:"Worker-domain pool width per cell."
-      ~cache:"Per-lane LRU route-plan cache capacity in entries (0 disables)." ()
+      ~cache:"Per-lane route-plan cache capacity in entries (0 disables)." ()
   in
   let json_arg =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"Write the per-cell JSON lines to FILE instead of stdout.")

@@ -38,7 +38,6 @@ type phase_plan =
 
 type t = {
   params : Params.t;
-  mode : mode;
   apsp : Apsp.t;
   decomp : Decomposition.t;
   landmarks : Landmarks.t;
@@ -390,7 +389,6 @@ let build ?params ?(mode = Full) ?profile apsp =
   in
   {
     params;
-    mode;
     apsp;
     decomp;
     landmarks;
@@ -409,8 +407,6 @@ let scheme t = t.scheme
 let decomposition t = t.decomp
 
 let params t = t.params
-
-let mode t = t.mode
 
 let stats t =
   let c = t.counters in

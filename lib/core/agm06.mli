@@ -44,8 +44,6 @@ val decomposition : t -> Decomposition.t
 
 val params : t -> Params.t
 
-val mode : t -> mode
-
 type stats = {
   routes : int;
   delivered : int;

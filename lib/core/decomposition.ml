@@ -69,10 +69,6 @@ let build apsp ~k =
   done;
   { apsp; k; log_delta; a; dense; r_set; levels }
 
-let k t = t.k
-
-let apsp t = t.apsp
-
 let log_delta t = t.log_delta
 
 let range t u i =

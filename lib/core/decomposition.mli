@@ -21,10 +21,6 @@ val build : Cr_graph.Apsp.t -> k:int -> t
     {!Cr_graph.Graph.normalize}) so that [min d(u,v) = 1] as the paper
     assumes.  @raise Invalid_argument if [k < 1]. *)
 
-val k : t -> int
-
-val apsp : t -> Cr_graph.Apsp.t
-
 val log_delta : t -> int
 (** [⌈log₂ (max pairwise distance)⌉] — the saturation exponent. *)
 

@@ -10,7 +10,6 @@ type cluster = { center : int; members : int array; tree : Tree.t }
 type t = {
   graph : Graph.t;
   allowed : bool array;
-  k : int;
   rho : float;
   clusters : cluster array;
   home : int array; (* node -> covering cluster index, -1 if not allowed *)
@@ -204,13 +203,9 @@ let build ?apsp ?allowed ~k ~rho g =
   Array.iteri
     (fun ci c -> Array.iter (fun x -> containing.(x) <- ci :: containing.(x)) c.members)
     clusters;
-  { graph = g; allowed; k; rho; clusters; home; containing }
+  { graph = g; allowed; rho; clusters; home; containing }
 
 let clusters t = t.clusters
-
-let rho t = t.rho
-
-let k t = t.k
 
 let home t v =
   if v < 0 || v >= Array.length t.home || t.home.(v) < 0 then

@@ -47,10 +47,6 @@ val build :
 
 val clusters : t -> cluster array
 
-val rho : t -> float
-
-val k : t -> int
-
 val home : t -> int -> int
 (** [home t v] is the index (into {!clusters}) of the cluster that covers
     [B(v, ρ)] — the [W(u,i)] of §3.4.

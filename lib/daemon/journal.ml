@@ -79,8 +79,6 @@ let create ?(fsync = Every) ?(append = false) ?(seq = 0) path =
   end;
   w
 
-let path w = w.path
-
 let records w = w.records
 
 let bytes w = w.bytes

@@ -26,10 +26,7 @@ type fsync = Every | Batch of int | Off
 val fsync_to_string : fsync -> string
 
 val fsync_of_string : string -> (fsync, string) result
-(** Accepts [every], [off], [batch] (interval {!default_batch}) and
-    [batch:N]. *)
-
-val default_batch : int
+(** Accepts [every], [off], [batch] (interval 32) and [batch:N]. *)
 
 (** {2 Writer} *)
 
@@ -41,8 +38,6 @@ val create : ?fsync:fsync -> ?append:bool -> ?seq:int -> string -> writer
     recovery: positions at end of file and continues sequence numbers
     from [~seq] (the last valid record's number, default 0).
     [fsync] defaults to {!Every}. *)
-
-val path : writer -> string
 
 val records : writer -> int
 (** Sequence number of the last record written. *)

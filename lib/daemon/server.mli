@@ -52,8 +52,6 @@ val addr_to_string : addr -> string
 
 type netchaos
 
-val no_netchaos : netchaos
-
 val netchaos :
   ?label:string ->
   seed:int ->
@@ -100,8 +98,6 @@ type outcome =
   | Disconnected
       (** peer vanished: reset, died mid-line, oversized request, or a
           netchaos-injected cut *)
-
-val outcome_to_string : outcome -> string
 
 (** Mutable counters, readable at any time and final once {!run}
     returns. *)

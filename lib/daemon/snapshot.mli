@@ -7,18 +7,9 @@
     {!load_latest} walks candidates newest-first and skips corrupt
     ones, degrading to the previous checkpoint instead of failing. *)
 
-val path : string -> int -> string
-(** [path dir epoch] — where the snapshot for [epoch] lives. *)
-
-val list : string -> (int * string) list
-(** Snapshot [(epoch, path)] pairs present in [dir], newest first.
-    An unreadable or absent directory lists as empty. *)
-
-val default_retain : int
-
 val write : ?retain:int -> dir:string -> Cr_graph.Gio.snapshot -> string
 (** Atomically persist a checkpoint into [dir] (created if needed) and
-    prune all but the newest [retain] (default {!default_retain})
+    prune all but the newest [retain] (default 4)
     snapshots.  After the rename the containing directory's fd is
     fsynced (via {!fsync_dir_hook}), so the checkpoint's directory
     entry itself survives a machine crash — rename alone only makes

@@ -1,6 +1,6 @@
 (* The batch query engine: shards a (src, dst) query array across the
-   lanes of a domain pool, optionally consulting a per-lane LRU
-   result cache, and records throughput plus per-query latency.
+   lanes of a domain pool, optionally consulting a result cache
+   (Ttcache), and records throughput plus per-query latency.
 
    The engine is polymorphic in the per-query result type 'r: the same
    sharded loop, caches and guard chain serve routed measurements
@@ -40,10 +40,10 @@ module Sim = Compact_routing.Simulator
 module Guard = Cr_guard
 module Clock = Cr_obs.Clock
 
-(* Where memoized results live: nowhere, in one LRU per shard (single
-   executor per batch, no locking), or in one lock-free table shared by
-   every lane (Ttcache) — a hot key then misses once per process, not
-   once per lane, which is the whole point of sharing. *)
+(* Where memoized results live: nowhere, in one table per shard (single
+   executor per batch), or in one table shared by every lane — a hot
+   key then misses once per engine, not once per lane, which is the
+   whole point of sharing.  Every table is a Ttcache. *)
 type cache_mode = Off | Lane | Shared
 
 let cache_mode_to_string = function Off -> "off" | Lane -> "lane" | Shared -> "shared"
@@ -58,8 +58,7 @@ type 'r t = {
   pool : Pool.t;
   cache_capacity : int;
   mode : cache_mode;
-  caches : 'r Lru.t array; (* one per shard; [||] unless mode = Lane *)
-  shared : 'r Ttcache.t option; (* one per engine; [None] unless mode = Shared *)
+  caches : 'r Ttcache.t array; (* none under Off, one per shard under Lane, one under Shared *)
   policy : Guard.Policy.t;
   guards : Guard.Chain.t array; (* one per shard: breaker, cost estimate, tallies *)
 }
@@ -99,42 +98,29 @@ let create ?(cache = 0) ?cache_mode ?salt ?(policy = Guard.Policy.off) ?pool () 
   in
   let pool = match pool with Some p -> p | None -> Pool.shared () in
   let lanes = Pool.domains pool in
-  let caches =
-    if mode <> Lane then [||] else Array.init lanes (fun _ -> Lru.create ~capacity:cache)
-  in
-  let shared =
-    if mode <> Shared then None else Some (Ttcache.create ?salt ~capacity:cache ())
-  in
+  let tables = match mode with Off -> 0 | Lane -> lanes | Shared -> 1 in
   {
     pool;
     cache_capacity = (if mode = Off then 0 else cache);
     mode;
-    caches;
-    shared;
+    caches = Array.init tables (fun _ -> Ttcache.create ?salt ~capacity:cache ());
     policy;
     guards = Array.init lanes (fun _ -> Guard.Chain.create policy);
   }
 
-let pool t = t.pool
 let cache_capacity t = t.cache_capacity
 let cache_mode t = t.mode
 
-let shared_stats t =
-  match t.shared with None -> Ttcache.no_stats | Some tt -> Ttcache.stats tt
-
-let policy t = t.policy
+let shared_stats t = if t.mode = Shared then Ttcache.stats t.caches.(0) else Ttcache.no_stats
 
 let breaker_state t ~shard = Guard.Chain.breaker_state t.guards.(shard)
 
 let cache_stats t =
-  let h, m =
-    Array.fold_left (fun (h, m) c -> (h + Lru.hits c, m + Lru.misses c)) (0, 0) t.caches
-  in
-  match t.shared with
-  | None -> (h, m)
-  | Some tt ->
-      let s = Ttcache.stats tt in
-      (h + s.Ttcache.hits, m + s.Ttcache.misses)
+  Array.fold_left
+    (fun (h, m) c ->
+      let s = Ttcache.stats c in
+      (h + s.Ttcache.hits, m + s.Ttcache.misses))
+    (0, 0) t.caches
 
 let slice ~lanes ~nq lane = (lane * nq / lanes, (lane + 1) * nq / lanes)
 
@@ -171,23 +157,15 @@ let run_custom (type r) ?(chaos = Guard.Chaos.none) ?(canon = id_canon) ?(orient
       Pool.parallel_for_stats ~chunk:1 ?chaos:(Guard.Chaos.pool_chaos chaos) t.pool ~n:lanes
         (fun shard ->
           let lo, hi = slice ~lanes ~nq shard in
-          let cache = if Array.length t.caches = 0 then None else Some t.caches.(shard) in
           let guard = t.guards.(shard) in
-          let lookup s d =
-            match (cache, t.shared) with
-            | None, None -> measure s d
-            | Some c, _ -> (
-                let key = (s * n) + d in
-                match Lru.find c key with
-                | Some m -> m
-                | None ->
-                    let m = measure s d in
-                    Lru.add c key m;
-                    m)
-            | None, Some tt ->
-                (* engines serve one immutable build, so the generation
-                   is constant; epoch-style aging is the daemon's use *)
-                Ttcache.memo tt ~gen:0 ~key:((s * n) + d) (fun () -> measure s d)
+          let lookup =
+            (* engines serve one immutable build, so the generation is
+               constant; epoch-style aging is the daemon's use *)
+            let memo tt s d = Ttcache.memo tt ~gen:0 ~key:((s * n) + d) (fun () -> measure s d) in
+            match t.mode with
+            | Off -> measure
+            | Lane -> memo t.caches.(shard)
+            | Shared -> memo t.caches.(0)
           in
           let measure s d =
             let cs, cd = canon s d in

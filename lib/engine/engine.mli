@@ -2,10 +2,10 @@
 
     Turns per-pair evaluation into a served workload: a query batch
     [(src, dst) array] is sharded statically across the lanes of a
-    spawn-once domain pool, each shard optionally consulting its own LRU
-    result cache and passing every query through its own
-    {!Cr_guard.Chain}, while the engine records throughput and per-query
-    latency on {!Cr_obs.Clock}.
+    spawn-once domain pool, each shard optionally consulting a
+    {!Cr_util.Ttcache} result cache and passing every query through its
+    own {!Cr_guard.Chain}, while the engine records throughput and
+    per-query latency on {!Cr_obs.Clock}.
 
     The engine is polymorphic in the per-query result type ['r].  The
     routing surface ({!run_guarded}) serves
@@ -44,13 +44,14 @@ type 'r t
 type cache_mode =
   | Off  (** no memoization *)
   | Lane
-      (** one LRU per shard — single executor per batch, no locking,
+      (** one {!Cr_util.Ttcache} per shard — single executor per batch,
           but hot entries are duplicated and re-missed once per lane *)
   | Shared
-      (** one lock-free {!Cr_util.Ttcache} shared by every lane: a hot
-          key misses once per engine, not once per lane.  Results are
-          bit-identical across all three modes (the table only returns
-          exact key/generation matches of pure per-query values). *)
+      (** one {!Cr_util.Ttcache} shared by every lane: a hot key misses
+          once per engine, not once per lane.  At pool width 1 it is the
+          [Lane] table exactly.  Results are bit-identical across all
+          three modes (a table only returns exact key/generation matches
+          of pure per-query values). *)
 
 val cache_mode_to_string : cache_mode -> string
 
@@ -100,13 +101,11 @@ val create :
     [cache > 0] and [Off] otherwise, preserving the historical
     behavior; [Shared] with [cache = 0] raises [Invalid_argument].
     [salt] (e.g. {!Cr_graph.Graph.hash} of the served graph) perturbs
-    the shared table's fingerprints so equal keys of different builds
-    spread differently.  [policy]
+    every table's fingerprints so equal keys of different builds spread
+    differently.  [policy]
     configures the per-shard guard chains; breaker state and cost
     estimates persist across batches of the same engine, like the
     caches. *)
-
-val pool : 'r t -> Cr_util.Domain_pool.t
 
 val cache_capacity : 'r t -> int
 
@@ -115,8 +114,6 @@ val cache_mode : 'r t -> cache_mode
 val shared_stats : 'r t -> Cr_util.Ttcache.stats
 (** Lifetime hit/miss/replace/age counters of the shared table;
     {!Cr_util.Ttcache.no_stats} in the other modes. *)
-
-val policy : 'r t -> Cr_guard.Policy.t
 
 val breaker_state : 'r t -> shard:int -> Cr_guard.Breaker.state option
 (** Current breaker state of one shard; [None] when breakers are off. *)
@@ -164,5 +161,5 @@ val run_guarded :
     malformed walk. *)
 
 val cache_stats : 'r t -> int * int
-(** Lifetime [(hits, misses)] summed over whichever cache structure is
-    active (per-shard LRUs, or the shared table). *)
+(** Lifetime [(hits, misses)] summed over the engine's tables (one per
+    shard under [Lane], the shared one under [Shared]). *)

@@ -13,9 +13,6 @@ val is_empty : t -> bool
 
 val size : t -> int
 
-val mem : t -> int -> bool
-(** Whether the element is currently in the heap. *)
-
 val insert : t -> int -> float -> unit
 (** [insert h x p] inserts element [x] with priority [p].
     @raise Invalid_argument if [x] is already present or out of range. *)

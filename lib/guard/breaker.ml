@@ -8,7 +8,7 @@
    failure re-opens (restarting the cooldown), while [probes]
    consecutive successes close it and reset the window.
 
-   Like the per-lane LRU caches, one breaker belongs to exactly one
+   Like the per-lane caches, one breaker belongs to exactly one
    engine shard, whose slice has a single executor per batch — so
    there is no internal locking and transitions are deterministic in
    the outcome sequence plus the clock. *)

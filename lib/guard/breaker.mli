@@ -8,7 +8,7 @@
     [probes] consecutive successes close and reset the window.
 
     Single-executor by design: one breaker guards one engine shard,
-    like the per-lane LRU caches, so there is no internal locking and
+    like the per-lane caches, so there is no internal locking and
     the state machine is deterministic in (outcome sequence, clock). *)
 
 type config = {

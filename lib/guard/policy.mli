@@ -30,11 +30,6 @@ val serving : t
 (** Production default: 3 retry attempts (0.5ms base backoff),
     default breaker and shed, no deadline — budgets are opt-in. *)
 
-val strict : batch_budget_s:float -> t
-(** [serving] plus a batch budget, a query budget of a tenth of it,
-    and headroom-2 shedding: the overload configuration of the chaos
-    sweeps. *)
-
 val is_off : t -> bool
 
 val presets : batch_budget_s:float -> (string * t) list

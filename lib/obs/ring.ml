@@ -25,8 +25,6 @@ let create ~capacity =
 
 let locked t f = Mutex.protect t.lock f
 
-let capacity t = t.capacity
-
 let length t = locked t (fun () -> t.filled)
 
 let dropped t = locked t (fun () -> t.dropped)

@@ -16,8 +16,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
 (** Items currently held ([<= capacity]). *)
 

@@ -1,8 +1,8 @@
 (** Oracle batch serving — the second query surface of the engine.
 
     Pushes distance/path queries through {!Cr_engine.Engine.run_custom}
-    so an oracle batch gets the same static sharding, per-lane LRU
-    caches, guard chain and metrics as a routing batch.  The
+    so an oracle batch gets the same static sharding, caches, guard
+    chain and metrics as a routing batch.  The
     determinism contract carries over: under [Cr_guard.Policy.off],
     {!run_guarded}'s outcomes are [Ok] of {!measure} on each pair —
     bit-identical across pool widths and with caches on or off (tested

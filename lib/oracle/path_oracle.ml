@@ -9,19 +9,14 @@
    estimate d(u,w) + d(w,v) but can *stitch* the concrete walk
    u → … → w → … → v by following witness pointers up both trees.
 
-   Cluster closure.  Stitching needs the chain invariant: if (u, w) is
-   stored then (x, w) is stored for every x on the tree path u → w.
-   Analytically this holds for bunches under a tie-inclusive membership
+   Cluster closure.  Stitching needs the chain invariant of Witness:
+   analytically it holds for bunches under a tie-inclusive membership
    test, but floating-point distance sums can break it by an ulp (the
    triangle equality d(x,w) = d(x,u') + d(u',w) is exact over reals,
-   not over doubles).  We therefore *constructively close* the table at
-   build time: for every base bunch entry and for every pivot pair
-   (u, p_j(u)) we walk the parent chain and insert any missing
-   intermediate entries.  The inserted values are pure functions of
-   (x, w) — (sssp w).dist.(x) and (sssp w).parent.(x) — so the final
-   table does not depend on insertion order, and the extra entries are
-   counted honestly in size_entries/storage_bits (closure_entries
-   reports how many the closure added). *)
+   not over doubles).  So the build closes the chain of every base
+   bunch entry and of every pivot pair (u, p_j(u)), and the extra
+   entries are counted honestly in size_entries/storage_bits
+   (closure_entries reports how many the closure added). *)
 
 module Graph = Cr_graph.Graph
 module Apsp = Cr_graph.Apsp
@@ -30,43 +25,16 @@ module Bits = Cr_util.Bits
 module Rng = Cr_util.Rng
 module Trace = Cr_obs.Trace
 
-type entry = { dist : float; next : int }
-
 type t = {
   k : int;
   n : int;
   pivots : int array array; (* pivots.(u).(j): closest A_j node, -1 if none *)
   pivot_dist : float array array;
-  bunches : (int, entry) Hashtbl.t array; (* witness w -> (d(u,w), hop toward w) *)
+  bunches : Witness.t; (* witness w -> (d(u,w), hop toward w) *)
   closure_entries : int;
 }
 
 type answer = { est : float; walk : int list; via : int; levels : int }
-
-(* Insert the chain u → … → w of SPT(w) into the bunch tables,
-   returning how many entries were actually added.  Values are pure in
-   (x, w), so re-inserting an existing entry is a no-op by value. *)
-let close_chain bunches sw w u =
-  let added = ref 0 in
-  let x = ref u in
-  let steps = ref 0 in
-  let n = Array.length sw.Dijkstra.dist in
-  while !x <> w do
-    if !steps > n then invalid_arg "Path_oracle: cyclic parent chain";
-    incr steps;
-    let nx = sw.Dijkstra.parent.(!x) in
-    if nx < 0 then invalid_arg "Path_oracle: broken parent chain";
-    if not (Hashtbl.mem bunches.(!x) w) then begin
-      Hashtbl.replace bunches.(!x) w { dist = sw.Dijkstra.dist.(!x); next = nx };
-      incr added
-    end;
-    x := nx
-  done;
-  if not (Hashtbl.mem bunches.(w) w) then begin
-    Hashtbl.replace bunches.(w) w { dist = 0.0; next = -1 };
-    incr added
-  end;
-  !added
 
 let build ?(k = 3) ?(seed = 31) apsp =
   if k < 1 then invalid_arg "Path_oracle.build: k < 1";
@@ -97,8 +65,7 @@ let build ?(k = 3) ?(seed = 31) apsp =
         done
     done
   done;
-  let bunches = Array.init n (fun _ -> Hashtbl.create 16) in
-  let base = ref 0 in
+  let bunches = Witness.create n in
   for w = 0 to n - 1 do
     let sw = Apsp.sssp apsp w in
     let d = sw.Dijkstra.dist in
@@ -106,25 +73,16 @@ let build ?(k = 3) ?(seed = 31) apsp =
     for u = 0 to n - 1 do
       if d.(u) < infinity then begin
         let next_pivot_d = if j + 1 >= k then infinity else pivot_dist.(u).(j + 1) in
-        if d.(u) < next_pivot_d then begin
-          Hashtbl.replace bunches.(u) w { dist = d.(u); next = sw.Dijkstra.parent.(u) };
-          incr base
-        end
+        if d.(u) < next_pivot_d then Witness.add bunches sw w u
       end
     done
   done;
   (* constructive closure: base bunch entries, then pivot chains *)
-  let closed = ref 0 in
-  for w = 0 to n - 1 do
-    let sw = Apsp.sssp apsp w in
-    for u = 0 to n - 1 do
-      if Hashtbl.mem bunches.(u) w then closed := !closed + close_chain bunches sw w u
-    done
-  done;
+  let closed = ref (Witness.close bunches apsp) in
   for u = 0 to n - 1 do
     for j = 0 to k - 1 do
       let w = pivots.(u).(j) in
-      if w >= 0 then closed := !closed + close_chain bunches (Apsp.sssp apsp w) w u
+      if w >= 0 then closed := !closed + Witness.close_chain bunches (Apsp.sssp apsp w) w u
     done
   done;
   { k; n; pivots; pivot_dist; bunches; closure_entries = !closed }
@@ -133,9 +91,9 @@ let k t = t.k
 let stretch_bound t = float_of_int ((2 * t.k) - 1)
 let closure_entries t = t.closure_entries
 
-let size_entries t = Array.fold_left (fun acc b -> acc + Hashtbl.length b) 0 t.bunches
+let size_entries t = Witness.entries t.bunches
 
-let node_entries t u = Hashtbl.length t.bunches.(u)
+let node_entries t u = Witness.node_entries t.bunches u
 
 let storage_bits t =
   let idb = Bits.id_bits ~n:t.n in
@@ -152,7 +110,7 @@ let emit trace ev = match trace with None -> () | Some sink -> sink ev
    in the other endpoint's bunch, with both half-distances. *)
 let alternate ?trace t u v =
   let rec walk j x y w dxw =
-    match Hashtbl.find_opt t.bunches.(y) w with
+    match Witness.find t.bunches y w with
     | Some e ->
         emit trace (Trace.Bunch_probe { level = j; active = x; witness = w; hit = true });
         Some (x, y, j, w, dxw, e)
@@ -174,20 +132,7 @@ let query ?trace t u v =
   else
     match alternate ?trace t u v with
     | None -> infinity
-    | Some (_, _, _, _, dxw, e) -> dxw +. e.dist
-
-(* Chain x → … → w through the bunch next-pointers; the closure
-   invariant guarantees every intermediate entry exists. *)
-let chain t x w =
-  let rec go x acc steps =
-    if steps > t.n then invalid_arg "Path_oracle: cyclic witness chain";
-    if x = w then List.rev (w :: acc)
-    else
-      match Hashtbl.find_opt t.bunches.(x) w with
-      | None -> invalid_arg "Path_oracle: closure invariant broken"
-      | Some e -> go e.next (x :: acc) (steps + 1)
-  in
-  go x [] 0
+    | Some (_, _, _, _, dxw, e) -> dxw +. e.Witness.dist
 
 let path ?trace t u v =
   if u = v then Some { est = 0.0; walk = [ u ]; via = u; levels = 0 }
@@ -196,8 +141,8 @@ let path ?trace t u v =
     match alternate ?trace t cu cv with
     | None -> None
     | Some (x, y, j, w, dxw, e) ->
-        let up = chain t x w in
-        let down = chain t y w in
+        let up = Witness.chain t.bunches x w in
+        let down = Witness.chain t.bunches y w in
         emit trace
           (Trace.Stitch { via = w; up_hops = List.length up - 1; down_hops = List.length down - 1 });
         (* up ends at w, down starts from y and ends at w: glue into
@@ -205,5 +150,5 @@ let path ?trace t u v =
         let x_to_y = up @ List.tl (List.rev down) in
         let canon = if x = cu then x_to_y else List.rev x_to_y in
         let walk = if u = cu then canon else List.rev canon in
-        Some { est = dxw +. e.dist; walk; via = w; levels = j + 1 }
+        Some { est = dxw +. e.Witness.dist; walk; via = w; levels = j + 1 }
   end

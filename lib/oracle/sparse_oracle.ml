@@ -6,7 +6,7 @@
    O(k · n^{1+1/k}); stretch drops from 2k−1 to 3, and every answer
    carries a concrete walk (tree paths on both sides).
 
-   Vicinity entries store the same witness shape as Path_oracle —
+   Vicinity entries are Witness tables, like Path_oracle's bunches —
    (dist, next hop on SPT(v)) keyed by target v — and are
    constructively closed along the tree chain for the same
    floating-point-tie reason (closure counted honestly). *)
@@ -18,8 +18,6 @@ module Bits = Cr_util.Bits
 module Rng = Cr_util.Rng
 module Trace = Cr_obs.Trace
 
-type entry = { dist : float; next : int }
-
 type t = {
   n : int;
   landmarks : int array; (* sorted node indexes *)
@@ -27,33 +25,11 @@ type t = {
   lm_parent : int array array; (* neighbor of v toward landmark i *)
   near : int array; (* index into landmarks of the nearest one; -1 if unreachable *)
   near_d : float array;
-  vicinity : (int, entry) Hashtbl.t array; (* target v -> (d(u,v), hop toward v) *)
+  vicinity : Witness.t; (* target v -> (d(u,v), hop toward v) *)
   closure_entries : int;
 }
 
 type answer = { est : float; walk : int list; via : int; exact : bool }
-
-let close_chain vicinity sv v u =
-  let added = ref 0 in
-  let x = ref u in
-  let steps = ref 0 in
-  let n = Array.length sv.Dijkstra.dist in
-  while !x <> v do
-    if !steps > n then invalid_arg "Sparse_oracle: cyclic parent chain";
-    incr steps;
-    let nx = sv.Dijkstra.parent.(!x) in
-    if nx < 0 then invalid_arg "Sparse_oracle: broken parent chain";
-    if not (Hashtbl.mem vicinity.(!x) v) then begin
-      Hashtbl.replace vicinity.(!x) v { dist = sv.Dijkstra.dist.(!x); next = nx };
-      incr added
-    end;
-    x := nx
-  done;
-  if not (Hashtbl.mem vicinity.(v) v) then begin
-    Hashtbl.replace vicinity.(v) v { dist = 0.0; next = -1 };
-    incr added
-  end;
-  !added
 
 let build ?(seed = 41) ?landmarks apsp =
   let g = Apsp.graph apsp in
@@ -83,31 +59,24 @@ let build ?(seed = 41) ?landmarks apsp =
       end
     done
   done;
-  let vicinity = Array.init n (fun _ -> Hashtbl.create 8) in
+  let vicinity = Witness.create n in
   (* base vicinity: strictly closer than the nearest landmark (the
      whole component when no landmark is reachable) *)
   for v = 0 to n - 1 do
     let sv = Apsp.sssp apsp v in
     let d = sv.Dijkstra.dist in
     for u = 0 to n - 1 do
-      if d.(u) < infinity && d.(u) < near_d.(u) then
-        Hashtbl.replace vicinity.(u) v { dist = d.(u); next = sv.Dijkstra.parent.(u) }
+      if d.(u) < infinity && d.(u) < near_d.(u) then Witness.add vicinity sv v u
     done
   done;
-  let closed = ref 0 in
-  for v = 0 to n - 1 do
-    let sv = Apsp.sssp apsp v in
-    for u = 0 to n - 1 do
-      if Hashtbl.mem vicinity.(u) v then closed := !closed + close_chain vicinity sv v u
-    done
-  done;
-  { n; landmarks; lm_dist; lm_parent; near; near_d; vicinity; closure_entries = !closed }
+  let closed = Witness.close vicinity apsp in
+  { n; landmarks; lm_dist; lm_parent; near; near_d; vicinity; closure_entries = closed }
 
 let landmark_count t = Array.length t.landmarks
 let stretch_bound _ = 3.0
 let closure_entries t = t.closure_entries
 
-let size_entries t = Array.fold_left (fun acc b -> acc + Hashtbl.length b) 0 t.vicinity
+let size_entries t = Witness.entries t.vicinity
 
 let storage_bits t =
   let idb = Bits.id_bits ~n:t.n in
@@ -137,25 +106,14 @@ let query t u v =
   let u, v = (min u v, max u v) in
   if u = v then 0.0
   else
-    match Hashtbl.find_opt t.vicinity.(u) v with
-    | Some e -> e.dist
+    match Witness.find t.vicinity u v with
+    | Some e -> e.Witness.dist
     | None -> (
-        match Hashtbl.find_opt t.vicinity.(v) u with
-        | Some e -> e.dist
+        match Witness.find t.vicinity v u with
+        | Some e -> e.Witness.dist
         | None ->
             let d, _ = landmark_candidate t u v in
             d)
-
-let chain vicinity n x v =
-  let rec go x acc steps =
-    if steps > n then invalid_arg "Sparse_oracle: cyclic witness chain";
-    if x = v then List.rev (v :: acc)
-    else
-      match Hashtbl.find_opt vicinity.(x) v with
-      | None -> invalid_arg "Sparse_oracle: closure invariant broken"
-      | Some e -> go e.next (x :: acc) (steps + 1)
-  in
-  go x [] 0
 
 (* Tree path x → … → landmark i along the stored SPT. *)
 let lm_chain t i x =
@@ -171,17 +129,17 @@ let path ?trace t u v =
   else begin
     let cu, cv = (min u v, max u v) in
     let oriented walk = if u = cu then walk else List.rev walk in
-    match Hashtbl.find_opt t.vicinity.(cu) cv with
+    match Witness.find t.vicinity cu cv with
     | Some e ->
-        let w = chain t.vicinity t.n cu cv in
+        let w = Witness.chain t.vicinity cu cv in
         emit trace (Trace.Stitch { via = cv; up_hops = List.length w - 1; down_hops = 0 });
-        Some { est = e.dist; walk = oriented w; via = cv; exact = true }
+        Some { est = e.Witness.dist; walk = oriented w; via = cv; exact = true }
     | None -> (
-        match Hashtbl.find_opt t.vicinity.(cv) cu with
+        match Witness.find t.vicinity cv cu with
         | Some e ->
-            let w = List.rev (chain t.vicinity t.n cv cu) in
+            let w = List.rev (Witness.chain t.vicinity cv cu) in
             emit trace (Trace.Stitch { via = cu; up_hops = 0; down_hops = List.length w - 1 });
-            Some { est = e.dist; walk = oriented w; via = cu; exact = true }
+            Some { est = e.Witness.dist; walk = oriented w; via = cu; exact = true }
         | None ->
             let d, i = landmark_candidate t cu cv in
             if i < 0 || d = infinity then None

@@ -5,10 +5,6 @@
     these helpers, so downstream plotting needs no OCaml JSON
     dependency and all subcommands agree on number formatting. *)
 
-val escape : string -> string
-(** Escapes quotes, backslashes and control bytes for a JSON string
-    body (no surrounding quotes). *)
-
 val str : string -> string
 (** A quoted, escaped JSON string. *)
 

@@ -1,7 +1,7 @@
 (* Tests for the batch query engine and its substrate: the reusable
-   domain pool (reuse, exception propagation, nested-call fallback), the
-   LRU route-plan cache, deterministic workload generation, and the
-   engine's determinism contract — batch results bit-identical across
+   domain pool (reuse, exception propagation, nested-call fallback),
+   deterministic workload generation, the engine's cache structures,
+   and its determinism contract — batch results bit-identical across
    pool widths and with the cache on or off, for every scheme family. *)
 
 module Rng = Cr_util.Rng
@@ -10,7 +10,6 @@ module Stats = Cr_util.Stats
 module Graph = Cr_graph.Graph
 module Apsp = Cr_graph.Apsp
 module Generators = Cr_graph.Generators
-module Lru = Cr_engine.Lru
 module Workload = Cr_engine.Workload
 module Engine = Cr_engine.Engine
 module Serve = Cr_engine.Serve
@@ -102,103 +101,6 @@ let test_pool_shutdown_idempotent () =
   let out = Array.make 8 0 in
   Pool.parallel_for pool ~n:8 (fun i -> out.(i) <- 1);
   checki "sequential after shutdown" 8 (Array.fold_left ( + ) 0 out)
-
-(* ------------------------------------------------------------------ *)
-(* Lru *)
-
-let test_lru_basics () =
-  let c = Lru.create ~capacity:2 in
-  checkb "miss on empty" true (Lru.find c 1 = None);
-  Lru.add c 1 "a";
-  Lru.add c 2 "b";
-  checkb "hit 1" true (Lru.find c 1 = Some "a");
-  Lru.add c 3 "c";
-  (* 2 was least-recently-used (1 was promoted by the find) *)
-  checkb "2 evicted" false (Lru.mem c 2);
-  checkb "1 kept" true (Lru.mem c 1);
-  checkb "3 kept" true (Lru.mem c 3);
-  checki "length" 2 (Lru.length c);
-  checki "capacity" 2 (Lru.capacity c);
-  checki "hits" 1 (Lru.hits c);
-  checki "misses" 1 (Lru.misses c)
-
-let test_lru_update_promotes () =
-  let c = Lru.create ~capacity:2 in
-  Lru.add c 1 10;
-  Lru.add c 2 20;
-  Lru.add c 1 11;
-  (* update, promotes 1 *)
-  Lru.add c 3 30;
-  checkb "2 evicted" false (Lru.mem c 2);
-  checkb "updated value" true (Lru.find c 1 = Some 11)
-
-let test_lru_capacity_one_and_validation () =
-  let c = Lru.create ~capacity:1 in
-  for k = 0 to 9 do
-    Lru.add c k k
-  done;
-  checki "length stays 1" 1 (Lru.length c);
-  checkb "only the last key" true (Lru.mem c 9 && not (Lru.mem c 8));
-  (* at capacity 1 every add of a fresh key evicts the resident one, and
-     a find of the resident key (itself the MRU) must not perturb it *)
-  checkb "resident hit" true (Lru.find c 9 = Some 9);
-  checkb "evicted miss" true (Lru.find c 0 = None);
-  Lru.add c 10 10;
-  checkb "fresh add evicts resident" true (Lru.mem c 10 && not (Lru.mem c 9));
-  checki "still length 1" 1 (Lru.length c);
-  checki "hits counted" 1 (Lru.hits c);
-  checki "misses counted" 1 (Lru.misses c);
-  checkb "capacity 0 rejected" true
-    (try ignore (Lru.create ~capacity:0); false with Invalid_argument _ -> true)
-
-let test_lru_interleaved_at_capacity () =
-  (* a full interleaving of hits, misses, updates and evictions while
-     the cache sits exactly at its capacity boundary, with exact
-     counter accounting at every step *)
-  let c = Lru.create ~capacity:3 in
-  Lru.add c 1 "a";
-  Lru.add c 2 "b";
-  Lru.add c 3 "c";
-  checki "at capacity" 3 (Lru.length c);
-  checkb "hit promotes 1" true (Lru.find c 1 = Some "a");
-  (* recency now 2 < 3 < 1: a fresh add must evict 2, not 1 *)
-  Lru.add c 4 "d";
-  checkb "2 evicted" false (Lru.mem c 2);
-  checkb "miss on evicted" true (Lru.find c 2 = None);
-  checkb "hit promotes 3" true (Lru.find c 3 = Some "c");
-  (* recency 1 < 4 < 3: next eviction takes 1 *)
-  Lru.add c 5 "e";
-  checkb "1 evicted" false (Lru.mem c 1);
-  checkb "miss on 1" true (Lru.find c 1 = None);
-  (* updating a resident key at capacity evicts nothing *)
-  Lru.add c 5 "E";
-  checki "update keeps length" 3 (Lru.length c);
-  checkb "updated value" true (Lru.find c 5 = Some "E");
-  checkb "4 survived the update" true (Lru.mem c 4);
-  checkb "3 survived the update" true (Lru.mem c 3);
-  checki "exact hits" 3 (Lru.hits c);
-  checki "exact misses" 2 (Lru.misses c);
-  checki "never over capacity" 3 (Lru.length c)
-
-let test_lru_churn_against_hashtbl () =
-  (* random churn: the LRU must agree with a model that never evicts, on
-     every key that is still resident *)
-  let c = Lru.create ~capacity:16 in
-  let model = Hashtbl.create 64 in
-  let rng = Rng.create 99 in
-  for _ = 1 to 2000 do
-    let k = Rng.int rng 48 in
-    if Rng.int rng 2 = 0 then begin
-      let v = Rng.int rng 1000 in
-      Lru.add c k v;
-      Hashtbl.replace model k v
-    end
-    else
-      match Lru.find c k with
-      | Some v -> checki "resident value matches model" (Hashtbl.find model k) v
-      | None -> ()
-  done;
-  checkb "bounded" true (Lru.length c <= 16)
 
 (* ------------------------------------------------------------------ *)
 (* Workload *)
@@ -489,6 +391,62 @@ let test_engine_shared_cache_mode () =
     && Engine.cache_mode_of_string "off" = Ok Engine.Off
     && Result.is_error (Engine.cache_mode_of_string "bogus"))
 
+(* Every cache mode keeps its tables in one structure, so at pool width 1
+   the single lane table is the shared table: same size, same salt, same
+   replacement.  Under eviction pressure that pins it exactly — the same
+   results and the same hit/miss split. *)
+let test_engine_lane_is_shared_at_width_one () =
+  let apsp = prepared_graph 43 in
+  let sch = Baseline_tz.build ~k:3 apsp in
+  let pairs =
+    Workload.generate ~connected_in:apsp (Workload.Zipf 1.1) ~seed:44 ~n:100 ~count:3000
+  in
+  let run cache_mode =
+    with_pool ~domains:1 (fun pool ->
+        let engine = Engine.create ~cache:64 ~cache_mode ~pool () in
+        let results, m = run_off engine apsp sch pairs in
+        (results, (m.Engine.cache_hits, m.Engine.cache_misses)))
+  in
+  let lane, (lh, lm) = run Engine.Lane and shared, (sh, sm) = run Engine.Shared in
+  checkb "same results" true (lane = shared);
+  checkb "evictions happened" true (lm > 64);
+  checki "same hits" sh lh;
+  checki "same misses" sm lm
+
+(* Under [Lane] each shard owns its table: swapping the two halves of a
+   batch between the shards of a 2-lane pool misses on every query,
+   while the one shared table hits on every query.  The halves are
+   disjoint and repeat-free, and the capacity is far above the working
+   set (its 198 keys hash to distinct slots of the 65536-entry tables),
+   so nothing is evicted and no two lanes race for a slot. *)
+let test_engine_lane_table_per_shard () =
+  let apsp = prepared_graph 45 in
+  let sch = Baseline_tz.build ~k:3 apsp in
+  let seen = Hashtbl.create 256 in
+  let distinct =
+    List.filter
+      (fun p ->
+        let fresh = not (Hashtbl.mem seen p) in
+        Hashtbl.replace seen p ();
+        fresh)
+      (Array.to_list (Experiment.default_pairs ~seed:46 apsp ~count:200))
+  in
+  let half = List.length distinct / 2 in
+  let a = Array.of_list (List.filteri (fun i _ -> i < half) distinct) in
+  let b = Array.of_list (List.filteri (fun i _ -> i >= half && i < 2 * half) distinct) in
+  let nq = 2 * half in
+  let replay cache_mode =
+    with_pool ~domains:2 (fun pool ->
+        let engine = Engine.create ~cache:65536 ~cache_mode ~pool () in
+        let _, m1 = run_off engine apsp sch (Array.append a b) in
+        let _, m2 = run_off engine apsp sch (Array.append b a) in
+        checki "first batch misses on every query" nq m1.Engine.cache_misses;
+        (m2.Engine.cache_hits, m2.Engine.cache_misses))
+  in
+  checkb "halves are not empty" true (half > 50);
+  checkb "lane: swapped halves miss everywhere" true (replay Engine.Lane = (0, nq));
+  checkb "shared: swapped halves hit everywhere" true (replay Engine.Shared = (nq, 0))
+
 let test_serve_json_shape () =
   let apsp = prepared_graph 33 ~n:60 in
   let sch = Baseline_tz.build ~k:3 apsp in
@@ -573,14 +531,6 @@ let () =
           Alcotest.test_case "size one and clamping" `Quick test_pool_size_one_and_clamp;
           Alcotest.test_case "shutdown idempotent" `Quick test_pool_shutdown_idempotent;
         ] );
-      ( "lru",
-        [
-          Alcotest.test_case "basics" `Quick test_lru_basics;
-          Alcotest.test_case "update promotes" `Quick test_lru_update_promotes;
-          Alcotest.test_case "capacity one + validation" `Quick test_lru_capacity_one_and_validation;
-          Alcotest.test_case "interleaved at capacity" `Quick test_lru_interleaved_at_capacity;
-          Alcotest.test_case "random churn vs model" `Quick test_lru_churn_against_hashtbl;
-        ] );
       ( "workload",
         [
           Alcotest.test_case "deterministic" `Quick test_workload_deterministic;
@@ -601,6 +551,8 @@ let () =
           Alcotest.test_case "empty batch + validation" `Quick test_engine_empty_and_validation;
           Alcotest.test_case "counters aggregate" `Quick test_engine_counters_aggregate;
           Alcotest.test_case "shared cache mode" `Quick test_engine_shared_cache_mode;
+          Alcotest.test_case "lane = shared at width 1" `Quick test_engine_lane_is_shared_at_width_one;
+          Alcotest.test_case "one lane table per shard" `Quick test_engine_lane_table_per_shard;
         ] );
       ( "rewired_call_sites",
         [
