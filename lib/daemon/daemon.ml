@@ -20,6 +20,7 @@ open Compact_routing
 
 type epoch = {
   id : int;
+  folded : int;  (* accepted mutations this epoch holds *)
   graph : Graph.t;
   apsp : Apsp.t;
   agm : Agm06.t;
@@ -60,8 +61,15 @@ type answer = {
 
 (* [stats] percentiles cover the most recent [sample_window] repair
    times and staleness samples: a long-lived daemon keeps a window of
-   them, not its whole history *)
+   them, not its whole history.  At most [sample_window] samples wait
+   to be priced, too. *)
 let sample_window = 4096
+
+(* A staleness sample whose walk is valid on the live graph it was
+   taken on, waiting for that graph's distance: [cost] is the walk's
+   cost there, and [graph] holds the first [mutations] accepted
+   mutations. *)
+type sample = { u : int; v : int; cost : float; mutations : int; graph : Graph.t }
 
 type t = {
   cfg : config;
@@ -71,6 +79,7 @@ type t = {
   pending : Graph.mutation Queue.t;  (* accepted, not yet repaired *)
   mutable serving : epoch;  (* last-good; swapped whole, never torn *)
   mutable live : Graph.t;  (* every accepted mutation applied (handle thread only) *)
+  mutable accepted : int;  (* mutations queued for repair so far (handle thread only) *)
   mutable repairing : bool;
   mutable poisoned : string option;  (* repair worker died; serving continues *)
   mutable stop : bool;
@@ -81,6 +90,8 @@ type t = {
   mutable qindex : int;  (* admitted queries: the chaos plan's index *)
   repair_s : float Ring.t;  (* per-batch repair wall times *)
   stale_stretch : float Ring.t;  (* sampled live-graph stretch of answers *)
+  stale_queue : sample Queue.t;  (* samples awaiting their graph's epoch, oldest first *)
+  mutable stale_skipped : int;  (* samples dropped on a full [stale_queue] *)
   mutable journal : Journal.writer option;
   snapshot_dir : string option;
   mutable snapshots : int;  (* checkpoints written this run *)
@@ -108,6 +119,27 @@ let backlog_locked t = Queue.length t.pending + if t.repairing then 1 else 0
 let write_event t fields =
   Option.iter (fun w -> Jsonl.Writer.write w (Jsonl.obj fields)) t.events
 
+(* ---- staleness pricing ---------------------------------------------- *)
+
+(* A sample's live stretch, given its graph's distance between its
+   endpoints; the window keeps the finite ones. *)
+let record_stale t ~cost d =
+  let s = Simulator.stretch ~delivered:true ~cost d in
+  if Float.is_finite s then Ring.push t.stale_stretch s
+
+(* Pops the oldest queued samples while [keep] holds; the caller holds
+   [lock].  Samples are queued in the order they were taken, so their
+   mutation counts never decrease along the queue. *)
+let pop_samples_locked t keep =
+  let rec go acc =
+    match Queue.peek_opt t.stale_queue with
+    | Some s when keep s ->
+        ignore (Queue.pop t.stale_queue);
+        go (s :: acc)
+    | _ -> List.rev acc
+  in
+  go []
+
 (* ---- background repair ---------------------------------------------- *)
 
 let drain_batch t =
@@ -116,10 +148,11 @@ let drain_batch t =
   Queue.clear t.pending;
   List.rev !batch
 
-let build_epoch ~params ~id apsp =
+let build_epoch ~params ~id ~folded apsp =
   let agm = Agm06.build ~params apsp in
   {
     id;
+    folded;
     graph = Apsp.graph apsp;
     apsp;
     agm;
@@ -151,7 +184,8 @@ let repair_batch t base batch =
       apsp := apsp';
       sources := !sources + n)
     batch;
-  (build_epoch ~params:t.cfg.params ~id:(base.id + 1) !apsp, !sources, !impact)
+  let folded = base.folded + List.length batch in
+  (build_epoch ~params:t.cfg.params ~id:(base.id + 1) ~folded !apsp, !sources, !impact)
 
 let requeue_front t batch =
   (* the failed batch goes back ahead of anything accepted meanwhile,
@@ -192,7 +226,22 @@ let worker_loop t =
       in
       match outcome with
       | Ok ((epoch, sources, impact), wall_s) ->
+          (* Samples taken on a graph that this batch folded past never
+             get an epoch of their own: price them on their own graph,
+             outside the lock, before the publish that [sync] waits
+             for.  The samples on this epoch's graph read its ground
+             truth, in the order they were taken. *)
           Mutex.lock t.lock;
+          let orphans = pop_samples_locked t (fun s -> s.mutations < epoch.folded) in
+          Mutex.unlock t.lock;
+          let orphans =
+            List.map (fun s -> (s, (Dijkstra.run s.graph s.u).Dijkstra.dist.(s.v))) orphans
+          in
+          Mutex.lock t.lock;
+          List.iter (fun (s, d) -> record_stale t ~cost:s.cost d) orphans;
+          List.iter
+            (fun s -> record_stale t ~cost:s.cost (Apsp.distance epoch.apsp s.u s.v))
+            (pop_samples_locked t (fun s -> s.mutations = epoch.folded));
           t.repairing <- false;
           t.serving <- epoch;
           Ring.push t.repair_s wall_s;
@@ -311,7 +360,7 @@ let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(stalen
     else (graph, 0, None)
   in
   let apsp = Apsp.compute_parallel live in
-  let serving = build_epoch ~params ~id:0 apsp in
+  let serving = build_epoch ~params ~id:0 ~folded:0 apsp in
   let recovered =
     (* recovery time includes the epoch rebuild: it is the full
        gap from process start to a serving daemon *)
@@ -332,6 +381,7 @@ let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(stalen
       pending = Queue.create ();
       serving;
       live;
+      accepted = 0;
       repairing = false;
       poisoned = None;
       stop = false;
@@ -342,6 +392,8 @@ let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(stalen
       qindex = 0;
       repair_s = Ring.create ~capacity:sample_window;
       stale_stretch = Ring.create ~capacity:sample_window;
+      stale_queue = Queue.create ();
+      stale_skipped = 0;
       journal;
       snapshot_dir;
       snapshots = 0;
@@ -461,20 +513,37 @@ let measure_on ep u v =
    and price it against the live shortest path.  A walk that crosses a
    removed edge counts as broken; a valid walk contributes its live
    stretch.  This is the measured cost of answering from the last-good
-   epoch instead of blocking on repair (EXPERIMENTS.md methodology). *)
-let sample_staleness t ~u ~v ~(ans : answer) =
+   epoch instead of blocking on repair (EXPERIMENTS.md methodology).
+
+   No reply waits on a shortest-path run for it.  An answer from an
+   epoch that holds every accepted mutation was priced on the live
+   graph already: its stretch is the sample.  Otherwise the live
+   distance is that of an epoch still to come, so the sample waits in
+   [stale_queue] until the repair worker publishes the epoch holding
+   its graph, or prices it at once if that epoch is already serving. *)
+let sample_staleness t ep ~u ~v ~(ans : answer) =
   if ans.delivered then begin
     Counters.incr t.counters "daemon.stale.samples";
-    let checked =
-      Simulator.check_walk t.live ~src:u ~dst:v ~delivered:ans.delivered ans.walk
-    in
-    if not (Simulator.is_delivered checked.Simulator.outcome) then
-      Counters.incr t.counters "daemon.stale.broken"
-    else begin
-      let live_d = (Dijkstra.run t.live u).Dijkstra.dist.(v) in
-      let s = Simulator.stretch ~delivered:true ~cost:checked.Simulator.checked_cost live_d in
-      if Float.is_finite s then Ring.push t.stale_stretch s
+    if ep.folded = t.accepted then begin
+      if Float.is_finite ans.stretch then Ring.push t.stale_stretch ans.stretch
     end
+    else
+      let checked =
+        Simulator.check_walk t.live ~src:u ~dst:v ~delivered:ans.delivered ans.walk
+      in
+      if not (Simulator.is_delivered checked.Simulator.outcome) then
+        Counters.incr t.counters "daemon.stale.broken"
+      else begin
+        let cost = checked.Simulator.checked_cost in
+        Mutex.lock t.lock;
+        if t.serving.folded = t.accepted then
+          record_stale t ~cost (Apsp.distance t.serving.apsp u v)
+        else if Queue.length t.stale_queue >= sample_window then
+          t.stale_skipped <- t.stale_skipped + 1
+        else
+          Queue.push { u; v; cost; mutations = t.accepted; graph = t.live } t.stale_queue;
+        Mutex.unlock t.lock
+      end
   end
 
 (* The guard chain of §8 as admission control: shed on the repair
@@ -538,7 +607,7 @@ let answer_query t name u v compute render =
 let render_route t ep u v ans =
   Counters.incr t.counters "daemon.routes";
   if t.cfg.staleness_every > 0 && t.qindex mod t.cfg.staleness_every = 0 then
-    sample_staleness t ~u ~v ~ans;
+    sample_staleness t ep ~u ~v ~ans;
   Printf.sprintf "ok route %d %d delivered=%b hops=%d cost=%.6g stretch=%.6g epoch=%d" u v
     ans.delivered ans.hops ans.cost ans.stretch ep.id
 
@@ -623,6 +692,7 @@ let accept_mutation t mu =
         | None -> ());
         Mutex.lock t.lock;
         Queue.push mu t.pending;
+        t.accepted <- t.accepted + 1;
         let bl = backlog_locked t in
         Condition.broadcast t.cond;
         Mutex.unlock t.lock;
@@ -633,21 +703,23 @@ let accept_mutation t mu =
 
 (* ---- stats ------------------------------------------------------------ *)
 
-let summary ring =
-  match Ring.to_list ring with
-  | [] -> Stats.empty_summary
-  | xs -> Stats.summarize (Array.of_list xs)
+let summary = function [] -> Stats.empty_summary | xs -> Stats.summarize (Array.of_list xs)
 
 let cache_sum t f =
   let one = function None -> 0 | Some tt -> f (Ttcache.stats tt) in
   one t.rcache + one t.pcache
 
 let stats_json t =
-  let ep, bl = snapshot t in
+  (* the staleness window, its queue and the epoch are read together:
+     the repair worker moves samples from one to the other as it
+     publishes *)
   Mutex.lock t.lock;
+  let ep = t.serving and bl = backlog_locked t in
   let poisoned = t.poisoned and repairing = t.repairing in
+  let stale = Ring.to_list t.stale_stretch in
+  let stale_pending = Queue.length t.stale_queue and stale_skipped = t.stale_skipped in
   Mutex.unlock t.lock;
-  let rs = summary t.repair_s and ss = summary t.stale_stretch in
+  let rs = summary (Ring.to_list t.repair_s) and ss = summary stale in
   let hits = cache_sum t (fun s -> s.Ttcache.hits) in
   let misses = cache_sum t (fun s -> s.Ttcache.misses) in
   let c name = Counters.get t.counters name in
@@ -689,6 +761,8 @@ let stats_json t =
       ("stale_stretch_p50", Jsonl.float ss.Stats.p50);
       ("stale_stretch_p95", Jsonl.float ss.Stats.p95);
       ("stale_stretch_p99", Jsonl.float ss.Stats.p99);
+      ("stale_pending", Jsonl.int stale_pending);
+      ("stale_skipped", Jsonl.int stale_skipped);
       (* durability state: what an operator needs to judge what a crash
          right now would cost (DESIGN.md §10) *)
       ( "fsync",

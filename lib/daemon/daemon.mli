@@ -14,7 +14,7 @@
     breaker, per-query deadline, bounded retry under chaos injection)
     and answered from the serving epoch, with the resulting staleness
     measured rather than hidden (answers are periodically re-priced
-    against the live post-mutation graph).
+    against the live post-mutation graph, off the reply path).
 
     Thread model: {!handle} is called from one client thread; the
     repair worker is one background domain.  If the worker dies, the
@@ -53,9 +53,21 @@ val create :
 (** Builds epoch 0 (parallel APSP + AGM06 scheme) over the graph — which
     must be normalized, as {!Compact_routing.Agm06.build} requires — and
     spawns the repair domain.  [policy] defaults to
-    [Cr_guard.Policy.serving], [chaos] to none.  [staleness_every]
-    samples every Nth route answer against the live graph (0 disables;
-    default 32).
+    [Cr_guard.Policy.serving], [chaos] to none.
+
+    [staleness_every] samples every Nth route answer against the live
+    graph (0 disables; default 32).  A sample is priced on the live
+    graph it was taken on, and no reply waits for it.  When the serving
+    epoch holds every accepted mutation, the answer's own stretch is the
+    sample.  Otherwise the walk is checked on the live graph at once,
+    and a walk that still delivers waits, with that graph, in a queue of
+    at most 4096 samples.  The repair worker prices it from the ground
+    truth of the epoch that holds that graph when it publishes that
+    epoch.  A graph that repair folds into a larger batch never becomes
+    an epoch; the worker prices its samples with a shortest-path run on
+    that graph before it publishes.  So after {!sync} every sample is
+    priced, in the order taken, exactly as a shortest-path run on its
+    graph would price it.
 
     Durability: [journal] logs every accepted mutation as a checksummed
     {!Journal} record, made durable per [fsync] (default
@@ -161,7 +173,16 @@ val stats_json : t -> string
     measurements, and durability state (fsync policy, journal size,
     snapshots written and failed, snapshot age, recovery summary).
     The repair and staleness percentiles cover the most recent 4096
-    samples of each. *)
+    samples of each.
+
+    The staleness fields: [stale_samples] counts the sampled delivered
+    answers, and [stale_broken] those whose walk no longer delivers on
+    the live graph.  [stale_stretch_p50/p95/p99] are taken over the
+    priced samples.  [stale_pending] counts the samples still waiting
+    for the epoch that holds their graph, and [stale_skipped] those
+    turned away because that queue was full (say, behind a poisoned
+    repair worker).  Rendering runs no shortest-path search: a sample
+    is priced by the repair worker, not here. *)
 
 val close : t -> unit
 (** Stops and joins the repair worker, flushes and closes the journal

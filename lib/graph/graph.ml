@@ -9,9 +9,8 @@ type t = {
    (at most 64 nodes, 8 edges each, stride-spread over the node range),
    so it stays O(1) in the graph size yet separates graphs that merely
    share (n, m): topology enters through the sampled neighbor indexes
-   and degrees, weights through their exact bit patterns.  Used both
-   for the physical-identity cache below and as the salt that keys
-   shared plan-cache fingerprints to a specific graph. *)
+   and degrees, weights through their exact bit patterns.  Used as the
+   salt that keys shared plan-cache fingerprints to a specific graph. *)
 let mix h x =
   let x = (h lxor x) * 0x4be98134a5976fd3 in
   let x = (x lxor (x lsr 29)) * 0x3bbf2a01358fb6d5 in
@@ -33,18 +32,6 @@ let hash g =
     u := !u + stride
   done;
   !h
-
-(* Cache of name->index tables, keyed by physical identity of the graph
-   (the bounded-prefix structural hash keeps this O(1)). *)
-module Phys_tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = ( == )
-
-  let hash = hash
-end)
-
-let name_index_cache : (int, int) Hashtbl.t Phys_tbl.t = Phys_tbl.create 16
 
 let create ?names ~n edges =
   if n < 0 then invalid_arg "Graph.create: negative n";
@@ -130,18 +117,6 @@ let via_port g u p =
   a.(p)
 
 let name_of g u = g.names.(u)
-
-let index_of_name g name =
-  let tbl =
-    match Phys_tbl.find_opt name_index_cache g with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Hashtbl.create g.n in
-        Array.iteri (fun i nm -> Hashtbl.replace tbl nm i) g.names;
-        Phys_tbl.replace name_index_cache g tbl;
-        tbl
-  in
-  Hashtbl.find_opt tbl name
 
 let fold_weights f init g =
   let acc = ref init in

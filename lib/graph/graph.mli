@@ -70,9 +70,6 @@ val via_port : t -> int -> int -> int * float
 val name_of : t -> int -> int
 (** Network identifier of a node index. *)
 
-val index_of_name : t -> int -> int option
-(** Inverse of {!name_of} (built lazily, O(1) after first use). *)
-
 val min_weight : t -> float
 (** Smallest edge weight; [infinity] on an edgeless graph. *)
 

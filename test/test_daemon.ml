@@ -10,6 +10,7 @@ module Jsonl = Cr_util.Jsonl
 module Graph = Cr_graph.Graph
 module Gio = Cr_graph.Gio
 module Apsp = Cr_graph.Apsp
+module Dijkstra = Cr_graph.Dijkstra
 module Generators = Cr_graph.Generators
 module Guard = Cr_guard
 module Daemon = Cr_daemon.Daemon
@@ -70,6 +71,21 @@ let feed d line =
   rs
 
 let feed1 d line = match feed d line with [ r ] -> r | rs -> String.concat "|" rs
+
+(* One numeric field of a [stats] object, as rendered *)
+let stats_field stats key =
+  let tag = Printf.sprintf "\"%s\":" key in
+  let nh = String.length stats and nt = String.length tag in
+  let rec start i =
+    if i + nt > nh then Alcotest.failf "no field %s in %s" key stats
+    else if String.sub stats i nt = tag then i + nt
+    else start (i + 1)
+  in
+  let i = start 0 in
+  let rec stop j = if j < nh && stats.[j] <> ',' && stats.[j] <> '}' then stop (j + 1) else j in
+  String.sub stats i (stop i - i)
+
+let stats_int stats key = int_of_string (stats_field stats key)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol *)
@@ -258,8 +274,9 @@ let wait_for ?(timeout_s = 5.0) f =
   in
   go (int_of_float (timeout_s /. 0.002))
 
-let test_probe_answered_mid_repair () =
-  let g = mk_graph 13 ~n:64 in
+(* A repair hook that parks the worker until [release] is set;
+   [in_repair] tells the test that the worker got there. *)
+let held_repair () =
   let in_repair = Atomic.make false and release = Atomic.make false in
   let hook () =
     Atomic.set in_repair true;
@@ -267,6 +284,11 @@ let test_probe_answered_mid_repair () =
       Domain.cpu_relax ()
     done
   in
+  (hook, in_repair, release)
+
+let test_probe_answered_mid_repair () =
+  let g = mk_graph 13 ~n:64 in
+  let hook, in_repair, release = held_repair () in
   let policy = { Guard.Policy.serving with Guard.Policy.query_budget_s = Some 2.0 } in
   let chaos = List.assoc "flaky" (Guard.Chaos.presets ~seed:5) in
   let d =
@@ -303,13 +325,7 @@ let test_probe_answered_mid_repair () =
 
 let test_shed_on_backlog () =
   let g = mk_graph 17 in
-  let in_repair = Atomic.make false and release = Atomic.make false in
-  let hook () =
-    Atomic.set in_repair true;
-    while not (Atomic.get release) do
-      Domain.cpu_relax ()
-    done
-  in
+  let hook, in_repair, release = held_repair () in
   let policy = Guard.Policy.make ~shed:(Guard.Shed.make_config ~max_queue:0 ()) () in
   let d = Daemon.create ~policy ~staleness_every:0 ~repair_hook:hook ~params g in
   Fun.protect
@@ -402,22 +418,153 @@ let test_every_query_keeps_its_chaos_index () =
 
 (* every route answer is sampled for staleness: once the sample windows
    are full, the daemon's retained memory must stop growing with the
-   number of answers *)
+   number of answers — also while a held repair keeps every valid
+   sample waiting for its epoch, when the queue stops at the window and
+   counts what it turns away *)
 let test_sample_windows_bounded () =
   let n = 32 in
-  let d = Daemon.create ~policy:Guard.Policy.off ~staleness_every:1 ~params (mk_graph ~n 23) in
-  let rng = Rng.create 24 in
-  let retained_after routes =
-    for _ = 1 to routes do
-      ignore (Daemon.handle d (Printf.sprintf "route %d %d" (Rng.int rng n) (Rng.int rng n)))
-    done;
-    Gc.compact ();
-    Obj.reachable_words (Obj.repr d)
+  let g = mk_graph ~n 23 in
+  let hook, in_repair, release = held_repair () in
+  let d =
+    Daemon.create ~policy:Guard.Policy.off ~staleness_every:1 ~repair_hook:hook ~params g
   in
-  let w1 = retained_after 10_000 in
-  let w2 = retained_after 10_000 in
-  Daemon.close d;
-  checkb (Printf.sprintf "retained words stay flat (%d -> %d)" w1 w2) true (w2 <= w1)
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Daemon.close d)
+    (fun () ->
+      let rng = Rng.create 24 in
+      let retained_after routes =
+        for _ = 1 to routes do
+          ignore (Daemon.handle d (Printf.sprintf "route %d %d" (Rng.int rng n) (Rng.int rng n)))
+        done;
+        Gc.compact ();
+        Obj.reachable_words (Obj.repr d)
+      in
+      let w1 = retained_after 10_000 in
+      let w2 = retained_after 10_000 in
+      checkb (Printf.sprintf "retained words stay flat (%d -> %d)" w1 w2) true (w2 <= w1);
+      let before = Daemon.stats_json d in
+      let u, v, _ = List.hd (Graph.edges g) in
+      ignore (feed d (Printf.sprintf "linkdown %d %d" u v));
+      checkb "repair held" true (wait_for (fun () -> Atomic.get in_repair));
+      let w3 = retained_after 10_000 in
+      let s3 = Daemon.stats_json d in
+      let w4 = retained_after 10_000 in
+      let s4 = Daemon.stats_json d in
+      checkb (Printf.sprintf "retained words stay flat while held (%d -> %d)" w3 w4) true (w4 <= w3);
+      checki "the queue stops at the window" 4096 (stats_int s3 "stale_pending");
+      checki "and stays there" 4096 (stats_int s4 "stale_pending");
+      let valid s = stats_int s "stale_samples" - stats_int s "stale_broken" in
+      checki "the rest are skipped" (valid s4 - valid before - 4096) (stats_int s4 "stale_skipped");
+      checkb "some were skipped" true (stats_int s3 "stale_skipped" > 0);
+      Atomic.set release true;
+      (match Daemon.sync d with Ok _ -> () | Error e -> Alcotest.failf "sync: %s" e);
+      checki "every queued sample priced" 0 (stats_int (Daemon.stats_json d) "stale_pending"))
+
+(* Every staleness sample is priced on the live graph it was taken on,
+   as if by a shortest-path run there: from the answer itself at
+   backlog 0, from the epoch that holds its graph, or, where repair
+   folds its graph into a larger batch, by a run on that graph.  The
+   repair of the first mutation is held, so epoch 0 answers every
+   route; the test prices each sample itself and compares the [stats]
+   fields. *)
+let test_staleness_priced_on_own_graph () =
+  let n = 48 in
+  let g = mk_graph ~n 37 in
+  let hook, in_repair, release = held_repair () in
+  let d =
+    Daemon.create ~policy:Guard.Policy.off ~staleness_every:1 ~repair_hook:hook ~params g
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Daemon.close d)
+    (fun () ->
+      let apsp0 = Apsp.compute g in
+      let scheme = Agm06.scheme (Agm06.build ~params apsp0) in
+      let rng = Rng.create 38 in
+      let pairs =
+        List.init 40 (fun _ ->
+            let u = Rng.int rng n in
+            (u, (u + 1 + Rng.int rng (n - 1)) mod n))
+      in
+      let live = ref g and accepted = ref 0 in
+      let samples = ref 0 and broken = ref 0 and pending = ref 0 and stretches = ref [] in
+      let taken_at = Array.make 5 0 in
+      let walks = ref [] in
+      (* one route, answered from epoch 0 and sampled on the live graph;
+         [pending] counts the valid samples that must wait for an epoch *)
+      let route (u, v) =
+        let r = scheme.Scheme.route u v in
+        let c = Simulator.check_walk g ~src:u ~dst:v ~delivered:r.Scheme.delivered r.Scheme.walk in
+        let delivered = Simulator.is_delivered c.Simulator.outcome in
+        let cost = c.Simulator.checked_cost in
+        let stretch = Simulator.stretch ~delivered ~cost (Apsp.distance apsp0 u v) in
+        checks "the reply is epoch 0's answer"
+          (Printf.sprintf "ok route %d %d delivered=%b hops=%d cost=%.6g stretch=%.6g epoch=0" u v
+             delivered c.Simulator.checked_hops cost stretch)
+          (feed1 d (Printf.sprintf "route %d %d" u v));
+        if delivered then begin
+          incr samples;
+          walks := r.Scheme.walk :: !walks;
+          let lc = Simulator.check_walk !live ~src:u ~dst:v ~delivered r.Scheme.walk in
+          if not (Simulator.is_delivered lc.Simulator.outcome) then incr broken
+          else begin
+            let live_d = (Dijkstra.run !live u).Dijkstra.dist.(v) in
+            let s = Simulator.stretch ~delivered:true ~cost:lc.Simulator.checked_cost live_d in
+            if Float.is_finite s then stretches := s :: !stretches;
+            if !accepted > 0 then incr pending;
+            taken_at.(!accepted) <- taken_at.(!accepted) + 1
+          end
+        end
+      in
+      let mutate mu =
+        checkb "mutation accepted" true
+          (contains (feed1 d (Graph.mutation_to_string mu)) "ok mutate");
+        live := Graph.apply !live mu;
+        incr accepted
+      in
+      List.iter route pairs;
+      (* the first hop of each answered walk, longest walks first *)
+      let hops =
+        List.filter_map (function a :: b :: _ -> Some (a, b) | _ -> None)
+          (List.sort (fun x y -> compare (List.length y) (List.length x)) !walks)
+      in
+      let a, b = List.hd hops in
+      mutate (Graph.Link_down (a, b));
+      checkb "repair held" true (wait_for (fun () -> Atomic.get in_repair));
+      List.iter route pairs;
+      let x, y = List.find (fun (x, y) -> (x, y) <> (a, b) && (x, y) <> (b, a)) hops in
+      mutate (Graph.Set_weight (x, y, Option.get (Graph.edge_weight !live x y) +. 4.0));
+      List.iter route pairs;
+      (* two more mutations, folded into one batch with the setw *)
+      let p, q = List.find (fun (p, q) -> not (Graph.has_edge !live p q)) pairs in
+      mutate (Graph.Link_up (p, q, 1.0));
+      List.iter route pairs;
+      let e, f, _ = List.nth (Graph.edges !live) 3 in
+      mutate (Graph.Set_weight (e, f, 1.0));
+      List.iter route pairs;
+      checkb "some walks broke" true (!broken > 0);
+      checkb "samples on every live graph" true (Array.for_all (fun c -> c > 0) taken_at);
+      let held = Daemon.stats_json d in
+      checki "every valid sample after the first mutation waits" !pending
+        (stats_int held "stale_pending");
+      checki "none skipped" 0 (stats_int held "stale_skipped");
+      Atomic.set release true;
+      (match Daemon.sync d with
+      | Ok id -> checki "the setw and the two after it made one epoch" 2 id
+      | Error e -> Alcotest.failf "sync: %s" e);
+      let synced = Daemon.stats_json d in
+      let ss = Cr_util.Stats.summarize (Array.of_list !stretches) in
+      List.iter
+        (fun (key, x) -> checks key (Jsonl.float x) (stats_field synced key))
+        [ ("stale_stretch_p50", ss.Cr_util.Stats.p50); ("stale_stretch_p95", ss.Cr_util.Stats.p95);
+          ("stale_stretch_p99", ss.Cr_util.Stats.p99) ];
+      checki "samples" !samples (stats_int synced "stale_samples");
+      checki "broken" !broken (stats_int synced "stale_broken");
+      checki "nothing left to price" 0 (stats_int synced "stale_pending");
+      checki "nothing skipped" 0 (stats_int synced "stale_skipped"))
 
 (* ------------------------------------------------------------------ *)
 (* Repair equivalence: after sync, the daemon's answers are
@@ -1022,6 +1169,8 @@ let () =
           Alcotest.test_case "breaker opens under persistent faults" `Quick
             test_breaker_opens_under_persistent_faults;
           Alcotest.test_case "sample windows bounded" `Quick test_sample_windows_bounded;
+          Alcotest.test_case "staleness samples are priced on their own live graph" `Quick
+            test_staleness_priced_on_own_graph;
           Alcotest.test_case "dist bypasses the answer cache" `Quick test_dist_bypasses_cache;
           Alcotest.test_case "every query command keeps its chaos index" `Quick
             test_every_query_keeps_its_chaos_index;
