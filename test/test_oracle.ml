@@ -2,7 +2,8 @@
    answer ships a concrete walk whose independently-priced weight equals
    the estimate), the 2k-1 stretch guarantee, symmetry, determinism,
    the AGH sparse oracle's stretch-3 / exact-in-vicinity contract, the
-   rt routing scheme wrapper, the hop-level trace events, and the
+   rt routing scheme wrapper, the hop-level trace events, the frozen
+   outputs of the Thorup–Zwick comparators, and the
    engine determinism contract for oracle batches (bit-identical across
    pool widths and cache capacities). *)
 
@@ -170,6 +171,87 @@ let test_trace_events () =
   | None -> Alcotest.fail "expected a path");
   (* the sink is pure annotation: the answer is unchanged *)
   checkb "annotation only" true (Po.path ~trace:sink oracle 0 17 = Po.path oracle 0 17)
+
+(* ------------------------------------------------------------------ *)
+(* Frozen Thorup–Zwick outputs *)
+
+(* One MD5 over everything the three TZ comparators decide, on the
+   graphs of test_core's frozen build digest at k = 2 and 3: the
+   labeled baseline's per-node category bits, header bits, labels and
+   200 sampled walks; the distance oracle's size, bits and estimates on
+   those pairs; the path oracle's size, closure, bits and its answer on
+   every pair u < v (the answer on v, u is its mirror, which "trivial
+   and symmetric" pins); and the rt scheme's per-node bits.  The
+   literal is the digest of the reference construction: a rewrite of
+   the hierarchy must reproduce it unedited. *)
+let test_frozen_tz_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  let add fmt = Printf.bprintf buf fmt in
+  let digest_tz name ~k apsp =
+    let n = Graph.n (Apsp.graph apsp) in
+    let sec = Buffer.create (1 lsl 20) in
+    let put fmt = Printf.bprintf sec fmt in
+    let node_bits (st : Storage.t) =
+      for u = 0 to n - 1 do
+        put "s %d" u;
+        List.iter (fun (cat, bits) -> put " %s=%d" cat bits) (Storage.node_categories st u);
+        put "\n"
+      done
+    in
+    let pairs = Experiment.default_pairs ~seed:1 apsp ~count:200 in
+    let tz = Baseline_tz.build ~k apsp in
+    node_bits tz.Scheme.storage;
+    put "header %d\n" tz.Scheme.header_bits;
+    Array.iter
+      (fun label ->
+        put "l";
+        Array.iter (fun x -> put " %d" x) label;
+        put "\n")
+      (Baseline_tz.label_vectors ~k apsp);
+    Array.iter
+      (fun (s, d) ->
+        let r = tz.Scheme.route s d in
+        put "r %b %d:" r.Scheme.delivered r.Scheme.phases_used;
+        List.iter (fun v -> put " %d" v) r.Scheme.walk;
+        put "\n")
+      pairs;
+    let dz = Distance_oracle.build ~k apsp in
+    put "do %d %d\n" (Distance_oracle.size_entries dz) (Distance_oracle.storage_bits dz);
+    Array.iter (fun (s, d) -> put "q %d %d %h\n" s d (Distance_oracle.query dz s d)) pairs;
+    let po = Po.build ~k apsp in
+    put "po %d %d %d\n" (Po.size_entries po) (Po.closure_entries po) (Po.storage_bits po);
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        match Po.path po u v with
+        | None -> put "p %d %d none\n" u v
+        | Some a ->
+            put "p %d %d %h %d %d:" u v a.Po.est a.Po.via a.Po.levels;
+            List.iter (fun x -> put " %d" x) a.Po.walk;
+            put "\n"
+      done
+    done;
+    node_bits (Cr_oracle.Rt_scheme.make ~k apsp).Scheme.storage;
+    add "graph %s k=%d %s\n" name k (Digest.to_hex (Digest.string (Buffer.contents sec)))
+  in
+  let plain w = Experiment.make_graph ~seed:1 w in
+  let pl n = Experiment.Power_law { n; exponent = 2.5 } in
+  List.iter
+    (fun (name, g) ->
+      let apsp = Apsp.compute g in
+      List.iter (fun k -> digest_tz name ~k apsp) [ 2; 3 ])
+    [
+      ("er:256", plain (Experiment.Erdos_renyi { n = 256; avg_degree = 4.0 }));
+      ("geo:256", plain (Experiment.Geometric { n = 256; radius = 0.15 }));
+      ("pl:512", plain (pl 512));
+      ("grid:16x16", plain (Experiment.Grid { rows = 16; cols = 16 }));
+      ("expline:64:2", plain (Experiment.Exp_line { n = 64; base = 2.0 }));
+      ( "pl:256 aspect 2^60",
+        Experiment.make_graph_with_aspect ~seed:1 ~target_aspect:(2.0 ** 60.0) (pl 256) );
+      ("pl:256", plain (pl 256));
+    ];
+  Alcotest.(check string)
+    "tz digest" "88c06530e39950c0e358c21e8dddb50f"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* ------------------------------------------------------------------ *)
 (* Sparse (AGH) oracle *)
@@ -356,6 +438,7 @@ let () =
           Alcotest.test_case "storage accounting" `Quick test_storage_accounting;
           Alcotest.test_case "trace events" `Quick test_trace_events;
         ] );
+      ("tz hierarchy", [ Alcotest.test_case "frozen TZ digest" `Quick test_frozen_tz_digest ]);
       ( "sparse oracle",
         [
           Alcotest.test_case "stretch-3 contract" `Quick test_sparse_contract;
