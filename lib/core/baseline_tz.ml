@@ -2,80 +2,33 @@ module Graph = Cr_graph.Graph
 module Apsp = Cr_graph.Apsp
 module Dijkstra = Cr_graph.Dijkstra
 module Bits = Cr_util.Bits
-module Rng = Cr_util.Rng
 
 let shortest_path apsp a b = List.rev (Dijkstra.path_to (Apsp.sssp apsp b) a)
 
-(* Sampling and pivot computation, shared by [build] and
-   [label_vectors].  Levels are drawn per node index with a
-   node-indexed stream so that adding node n does not perturb the levels
-   of nodes 0..n-1 — the fair "incremental rebuild" comparison. *)
-let sample_levels ~seed ~n ~k =
-  let level = Array.make n 0 in
-  for v = 0 to n - 1 do
-    let rng = Rng.create (seed + (v * 7919)) in
-    let p = float_of_int n ** (-1.0 /. float_of_int k) in
-    let rec climb j = if j < k - 1 && Rng.bernoulli rng p then climb (j + 1) else j in
-    level.(v) <- climb 0
-  done;
-  if k > 1 && not (Array.exists (fun l -> l = k - 1) level) then level.(0) <- k - 1;
-  level
-
-let compute_pivots apsp ~level ~k =
-  let n = Graph.n (Apsp.graph apsp) in
-  let pivots = Array.make_matrix n k (-1) in
-  let pivot_dist = Array.make_matrix n k infinity in
-  for u = 0 to n - 1 do
-    let d = (Apsp.sssp apsp u).Dijkstra.dist in
-    for v = 0 to n - 1 do
-      if d.(v) < infinity then
-        for j = 0 to level.(v) do
-          if
-            d.(v) < pivot_dist.(u).(j)
-            || (d.(v) = pivot_dist.(u).(j) && (pivots.(u).(j) = -1 || v < pivots.(u).(j)))
-          then begin
-            pivot_dist.(u).(j) <- d.(v);
-            pivots.(u).(j) <- v
-          end
-        done
-    done
-  done;
-  (pivots, pivot_dist)
-
 let label_vectors ?(k = 3) ?(seed = 99) apsp =
-  let n = Graph.n (Apsp.graph apsp) in
-  let level = sample_levels ~seed ~n ~k in
-  let pivots, _ = compute_pivots apsp ~level ~k in
-  Array.init n (fun v -> Array.append [| v |] (Array.sub pivots.(v) 1 (max 0 (k - 1))))
+  let h = Tz_hierarchy.build Node_indexed ~k ~seed apsp in
+  Array.mapi (fun v p -> Array.append [| v |] (Array.sub p 1 (k - 1))) h.Tz_hierarchy.pivots
 
 let build ?(k = 3) ?(seed = 99) apsp =
   let g = Apsp.graph apsp in
   let n = Graph.n g in
-  let level = sample_levels ~seed ~n ~k in
-  let pivots, pivot_dist = compute_pivots apsp ~level ~k in
-  (* bunches *)
-  let bunches = Array.make n [] in
-  for u = 0 to n - 1 do
-    let d = (Apsp.sssp apsp u).Dijkstra.dist in
-    for w = 0 to n - 1 do
-      if d.(w) < infinity then begin
-        let j = level.(w) in
-        let next_pivot_d = if j + 1 >= k then infinity else pivot_dist.(u).(j + 1) in
-        if d.(w) < next_pivot_d then bunches.(u) <- w :: bunches.(u)
-      end
-    done
-  done;
-  let in_bunch = Array.map (fun l ->
-      let t = Hashtbl.create (List.length l) in
-      List.iter (fun w -> Hashtbl.replace t w ()) l;
-      t) bunches in
+  let h = Tz_hierarchy.build Node_indexed ~k ~seed apsp in
+  let bunches =
+    Array.init n (fun u ->
+        let d = (Apsp.sssp apsp u).Dijkstra.dist in
+        let b = Hashtbl.create 16 in
+        for w = 0 to n - 1 do
+          if Tz_hierarchy.in_bunch h u w d.(w) then Hashtbl.replace b w ()
+        done;
+        b)
+  in
   let storage = Storage.create ~n in
   let idb = Bits.id_bits ~n in
   for u = 0 to n - 1 do
     let pb = Bits.port_bits ~degree:(max 1 (Graph.degree g u)) in
     (* bunch entries: id + port + distance *)
     Storage.add storage ~node:u ~category:"tz-bunch"
-      ~bits:(List.length bunches.(u) * (idb + pb + Bits.distance_bits));
+      ~bits:(Hashtbl.length bunches.(u) * (idb + pb + Bits.distance_bits));
     (* own label (v, pivots): the address the designer hands out *)
     Storage.add storage ~node:u ~category:"tz-label" ~bits:(k * idb);
     (* pivot tree routing state: interval info per child in each pivot
@@ -99,7 +52,7 @@ let build ?(k = 3) ?(seed = 99) apsp =
       | Some f ->
           f (Cr_obs.Trace.Phase_start
                { phase = 1; kind = Cr_obs.Trace.Vicinity; center = src; bound = 0 }));
-      if Hashtbl.mem in_bunch.(src) dst then begin
+      if Hashtbl.mem bunches.(src) dst then begin
         emit (Cr_obs.Trace.Phase_result { phase = 1; found = true; rounds = 1 });
         emit (Cr_obs.Trace.Deliver { phase = 1; node = dst });
         { Scheme.walk = shortest_path apsp src dst; delivered = true; phases_used = 1 }
@@ -110,8 +63,8 @@ let build ?(k = 3) ?(seed = 99) apsp =
         let rec find j =
           if j >= k then None
           else begin
-            let w = pivots.(dst).(j) in
-            if w >= 0 && Hashtbl.mem in_bunch.(src) w then Some (j, w) else find (j + 1)
+            let w = h.Tz_hierarchy.pivots.(dst).(j) in
+            if w >= 0 && Hashtbl.mem bunches.(src) w then Some (j, w) else find (j + 1)
           end
         in
         match find 1 with

@@ -2,59 +2,27 @@ module Graph = Cr_graph.Graph
 module Apsp = Cr_graph.Apsp
 module Dijkstra = Cr_graph.Dijkstra
 module Bits = Cr_util.Bits
-module Rng = Cr_util.Rng
 
 type t = {
-  k : int;
-  n : int;
-  pivots : int array array; (* pivots.(u).(j): closest A_j node, -1 if none *)
-  pivot_dist : float array array;
+  h : Tz_hierarchy.t;
   bunches : (int, float) Hashtbl.t array; (* bunch member -> exact distance *)
 }
 
 let build ?(k = 3) ?(seed = 31) apsp =
-  if k < 1 then invalid_arg "Distance_oracle.build: k < 1";
-  let g = Apsp.graph apsp in
-  let n = Graph.n g in
-  let rng = Rng.create seed in
-  let p = float_of_int n ** (-1.0 /. float_of_int k) in
-  let level = Array.make n 0 in
-  for v = 0 to n - 1 do
-    let rec climb j = if j < k - 1 && Rng.bernoulli rng p then climb (j + 1) else j in
-    level.(v) <- climb 0
-  done;
-  if k > 1 && not (Array.exists (fun l -> l = k - 1) level) then level.(0) <- k - 1;
-  let pivots = Array.make_matrix n k (-1) in
-  let pivot_dist = Array.make_matrix n k infinity in
-  for u = 0 to n - 1 do
-    let d = (Apsp.sssp apsp u).Dijkstra.dist in
-    for v = 0 to n - 1 do
-      if d.(v) < infinity then
-        for j = 0 to level.(v) do
-          if
-            d.(v) < pivot_dist.(u).(j)
-            || (d.(v) = pivot_dist.(u).(j) && (pivots.(u).(j) = -1 || v < pivots.(u).(j)))
-          then begin
-            pivot_dist.(u).(j) <- d.(v);
-            pivots.(u).(j) <- v
-          end
-        done
-    done
-  done;
-  let bunches = Array.init n (fun _ -> Hashtbl.create 16) in
-  for u = 0 to n - 1 do
-    let d = (Apsp.sssp apsp u).Dijkstra.dist in
-    for w = 0 to n - 1 do
-      if d.(w) < infinity then begin
-        let j = level.(w) in
-        let next_pivot_d = if j + 1 >= k then infinity else pivot_dist.(u).(j + 1) in
-        if d.(w) < next_pivot_d then Hashtbl.replace bunches.(u) w d.(w)
-      end
-    done
-  done;
-  { k; n; pivots; pivot_dist; bunches }
+  let h = Tz_hierarchy.build Sequential ~k ~seed apsp in
+  let n = Graph.n (Apsp.graph apsp) in
+  let bunches =
+    Array.init n (fun u ->
+        let d = (Apsp.sssp apsp u).Dijkstra.dist in
+        let b = Hashtbl.create 16 in
+        for w = 0 to n - 1 do
+          if Tz_hierarchy.in_bunch h u w d.(w) then Hashtbl.replace b w d.(w)
+        done;
+        b)
+  in
+  { h; bunches }
 
-let k t = t.k
+let k t = t.h.Tz_hierarchy.k
 
 (* The classic alternating query: find the smallest level j such that the
    pivot of the "active" endpoint lands in the other's bunch.  The walk
@@ -66,27 +34,28 @@ let query t u v =
   let u, v = (min u v, max u v) in
   if u = v then 0.0
   else begin
+    let { Tz_hierarchy.k; pivots; pivot_dist; _ } = t.h in
     let rec walk j u v w du_w =
       (* invariant: w = p_j(u), du_w = d(u, w) *)
       match Hashtbl.find_opt t.bunches.(v) w with
       | Some dv_w -> du_w +. dv_w
       | None ->
           let j = j + 1 in
-          if j >= t.k then infinity
+          if j >= k then infinity
           else begin
             (* swap roles *)
-            let w' = t.pivots.(v).(j) in
-            if w' < 0 then infinity else walk j v u w' t.pivot_dist.(v).(j)
+            let w' = pivots.(v).(j) in
+            if w' < 0 then infinity else walk j v u w' pivot_dist.(v).(j)
           end
     in
-    let w0 = t.pivots.(u).(0) in
-    if w0 < 0 then infinity else walk 0 u v w0 t.pivot_dist.(u).(0)
+    let w0 = pivots.(u).(0) in
+    if w0 < 0 then infinity else walk 0 u v w0 pivot_dist.(u).(0)
   end
 
-let stretch_bound t = float_of_int ((2 * t.k) - 1)
+let stretch_bound t = float_of_int ((2 * k t) - 1)
 
 let size_entries t = Array.fold_left (fun acc b -> acc + Hashtbl.length b) 0 t.bunches
 
 let storage_bits t =
-  let idb = Bits.id_bits ~n:t.n in
+  let idb = Bits.id_bits ~n:(Array.length t.bunches) in
   size_entries t * (idb + Bits.distance_bits)

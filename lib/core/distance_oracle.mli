@@ -4,9 +4,11 @@
     on the distance-oracle machinery of [30]: a structure of expected
     size [O(k · n^{1+1/k})] answering distance queries in O(k) time with
     stretch at most [2k − 1].  This module provides it as a standalone
-    substrate: it shares the sampled hierarchy / pivot / bunch
-    construction with the routing baseline and is the natural tool for
-    distance estimation experiments.
+    substrate: it shares the one {!Tz_hierarchy} (levels, pivots, bunch
+    test) with the routing baseline, which draws its levels from a
+    node-indexed stream where this oracle draws them from one
+    sequential stream, and is the natural tool for distance estimation
+    experiments.
 
     Construction: levels [A₀ = V ⊇ … ⊇ A_{k−1}] sampled with probability
     [n^{−1/k}] per level; pivots [p_j(u)] = closest [A_j] node; bunches

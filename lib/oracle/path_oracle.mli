@@ -1,7 +1,7 @@
 (** Path-reporting approximate distance oracle — Thorup–Zwick with
     per-entry tree witnesses.
 
-    Same sampled hierarchy / pivot / bunch construction as
+    Same {!Compact_routing.Tz_hierarchy} as
     {!Compact_routing.Distance_oracle} (levels [A₀ ⊇ … ⊇ A_{k−1}]
     sampled with probability [n^{−1/k}], stretch at most [2k − 1],
     expected size [O(k · n^{1+1/k})]), but each bunch entry [(u, w)]

@@ -250,6 +250,23 @@ let test_tz_space_below_full () =
   checkb "tz smaller" true
     (Storage.mean_node_bits tz.Scheme.storage < Storage.mean_node_bits full.Scheme.storage /. 2.0)
 
+(* k < 1 has no hierarchy: the labeled baseline and both TZ oracles
+   refuse it by name, through the one check they share *)
+let test_tz_k0_rejected () =
+  let g = Experiment.make_graph ~seed:1 (Experiment.Erdos_renyi { n = 64; avg_degree = 4.0 }) in
+  let apsp = Apsp.compute g in
+  let rejects name f =
+    Alcotest.check_raises name (Invalid_argument "Tz_hierarchy.build: k < 1") (fun () ->
+        ignore (f ()))
+  in
+  List.iter
+    (fun k ->
+      rejects "build" (fun () -> Baseline_tz.build ~k apsp);
+      rejects "label_vectors" (fun () -> Baseline_tz.label_vectors ~k apsp);
+      rejects "distance oracle" (fun () -> Distance_oracle.build ~k apsp);
+      rejects "path oracle" (fun () -> Cr_oracle.Path_oracle.build ~k apsp))
+    [ 0; -1 ]
+
 (* ------------------------------------------------------------------ *)
 (* cross-scheme comparisons on one workload *)
 
@@ -423,6 +440,7 @@ let () =
           Alcotest.test_case "stretch 4k-5" `Quick test_tz_stretch_bound;
           Alcotest.test_case "k=1 exact" `Quick test_tz_k1_is_exact;
           Alcotest.test_case "space below full" `Quick test_tz_space_below_full;
+          Alcotest.test_case "k < 1 rejected" `Quick test_tz_k0_rejected;
         ] );
       ( "cross",
         [

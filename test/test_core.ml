@@ -1,6 +1,7 @@
 (* Tests for the compact_routing core: parameters, storage accounting,
    the simulator referee, the sparse/dense decomposition (Definitions 1-2,
-   Lemma 2), and the full AGM06 scheme (Theorem 1). *)
+   Lemma 2), the full AGM06 scheme (Theorem 1), and the Thorup-Zwick
+   hierarchy against its definition. *)
 
 module Rng = Cr_util.Rng
 module Bits = Cr_util.Bits
@@ -719,6 +720,69 @@ let test_oracle_size_sublinear_per_node () =
   checkb "storage positive" true (Distance_oracle.storage_bits oa > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Tz_hierarchy *)
+
+(* Reference for Tz_hierarchy's pivots, the direct O(n²k) loop: p_j(u)
+   is the argmin of (d(u, v), v) over the nodes v with level.(v) >= j. *)
+let reference_pivots apsp ~level ~k =
+  let n = Graph.n (Apsp.graph apsp) in
+  let pivots = Array.make_matrix n k (-1) in
+  let pivot_dist = Array.make_matrix n k infinity in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      let d = Apsp.distance apsp u v in
+      if d < infinity then
+        for j = 0 to level.(v) do
+          if
+            d < pivot_dist.(u).(j)
+            || (d = pivot_dist.(u).(j) && (pivots.(u).(j) = -1 || v < pivots.(u).(j)))
+          then begin
+            pivot_dist.(u).(j) <- d;
+            pivots.(u).(j) <- v
+          end
+        done
+    done
+  done;
+  (pivots, pivot_dist)
+
+(* A connected graph whose integer weights 1-3 make distance ties
+   common; [stretch] multiplies each weight by up to 2^60, where
+   rounding can make Dijkstra's settle order differ from (distance,
+   index) order. *)
+let tied_graph ~seed ~n ~stretch =
+  let rng = Rng.create seed in
+  let g = Generators.erdos_renyi rng ~n ~avg_degree:3.0 in
+  let g = Graph.reweight g (fun _ _ _ -> float_of_int (1 + Rng.int rng 3)) in
+  if stretch then Generators.stretch_weights rng g ~target_aspect:(2.0 ** 60.0) else g
+
+let tz_hierarchy_matches_definition (seed, n, k, stretch, node_indexed) =
+  let apsp = Apsp.compute (tied_graph ~seed ~n ~stretch) in
+  let sampling = if node_indexed then Tz_hierarchy.Node_indexed else Tz_hierarchy.Sequential in
+  let h = Tz_hierarchy.build sampling ~k ~seed apsp in
+  let level = h.Tz_hierarchy.level in
+  let pivots, pivot_dist = reference_pivots apsp ~level ~k in
+  let levels_ok =
+    Array.for_all (fun l -> 0 <= l && l < k) level
+    && (k = 1 || Array.exists (fun l -> l = k - 1) level)
+  in
+  (* distance_oracle.mli: B(u) = ∪_j {w ∈ A_j \ A_{j+1} : d(u,w) < d(u, p_{j+1}(u))} *)
+  let by_definition u w =
+    let d = Apsp.distance apsp u w in
+    List.exists
+      (fun j -> level.(w) = j && d < if j + 1 < k then pivot_dist.(u).(j + 1) else infinity)
+      (List.init k Fun.id)
+  in
+  let bunches_ok = ref true in
+  for u = 0 to n - 1 do
+    for w = 0 to n - 1 do
+      if Tz_hierarchy.in_bunch h u w (Apsp.distance apsp u w) <> by_definition u w then
+        bunches_ok := false
+    done
+  done;
+  levels_ok && h.Tz_hierarchy.pivots = pivots && h.Tz_hierarchy.pivot_dist = pivot_dist
+  && !bunches_ok
+
+(* ------------------------------------------------------------------ *)
 (* qcheck properties *)
 
 let qcheck_tests =
@@ -776,6 +840,16 @@ let qcheck_tests =
           done
         done;
         !ok);
+    Test.make ~name:"tz hierarchy matches its definition" ~count:200
+      (make
+         ~print:(fun (seed, n, k, stretch, node_indexed) ->
+           Printf.sprintf "seed=%d n=%d k=%d stretch=%b node_indexed=%b" seed n k stretch
+             node_indexed)
+         Gen.(
+           map
+             (fun ((seed, n, k), (stretch, node_indexed)) -> (seed, n, k, stretch, node_indexed))
+             (pair (triple (int_range 0 1000) (int_range 5 60) (int_range 1 5)) (pair bool bool))))
+      tz_hierarchy_matches_definition;
     Test.make ~name:"decomposition ranges valid on random graphs" ~count:15
       (pair (int_range 0 500) (int_range 2 4))
       (fun (seed, k) ->
