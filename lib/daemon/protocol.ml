@@ -49,7 +49,7 @@ let parse ~lineno line =
     | [ "path"; su; sv ] -> pair (fun u v -> Path (u, v)) su sv
     | ("setw" | "linkdown" | "linkup" | "nodedown" | "nodeup") :: _ -> (
         (* shared grammar with the journal: the daemon's wire spelling
-           and [Gio]'s mutation-log spelling cannot drift apart *)
+           and the journal's cannot drift apart *)
         try Ok (Some (Mutate (Gio.mutation_of_tokens ~lineno tokens)))
         with Gio.Parse_error (l, msg) -> Error (Printf.sprintf "line %d: %s" l msg))
     | [ "sync" ] -> Ok (Some Sync)

@@ -85,16 +85,13 @@ let of_string s =
   try Graph.create ~names:name_arr ~n edge_list
   with Invalid_argument msg -> raise (Parse_error (0, msg))
 
-(* ---- mutation logs ----------------------------------------------------
+(* ---- mutation records -------------------------------------------------
 
-   The daemon's append-only churn journal shares this module's
-   line-oriented discipline: one mutation per line in the spelling of
-   [Graph.mutation_to_string], '#' comments and blank lines allowed,
-   and every malformed record is a [Parse_error] carrying its 1-based
-   line number, so a corrupt journal names the exact line that broke
-   replay.  The grammar is shared with the daemon protocol: the
-   protocol parser feeds its mutation keywords through
-   [mutation_of_tokens] with the session's input line number. *)
+   One mutation in the spelling of [Graph.mutation_to_string].  The
+   daemon protocol and the daemon's journal both parse with
+   [mutation_of_tokens], each passing its own 1-based line number, so
+   wire and journal grammar cannot drift and a malformed record names
+   the line it came from. *)
 
 let mutation_of_tokens ~lineno tokens =
   let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error (lineno, msg))) fmt in
@@ -125,27 +122,6 @@ let mutation_of_tokens ~lineno tokens =
 let mutation_of_string ?(lineno = 1) line =
   let tokens = String.split_on_char ' ' (String.trim line) |> List.filter (fun t -> t <> "") in
   mutation_of_tokens ~lineno tokens
-
-let mutations_of_string s =
-  let acc = ref [] in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      let line = String.trim line in
-      if line <> "" && line.[0] <> '#' then acc := mutation_of_string ~lineno line :: !acc)
-    (String.split_on_char '\n' s);
-  List.rev !acc
-
-let mutations_to_string mus =
-  String.concat "" (List.map (fun m -> Graph.mutation_to_string m ^ "\n") mus)
-
-let load_mutations path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      mutations_of_string (really_input_string ic len))
 
 (* ---- snapshot codec ----------------------------------------------------
 

@@ -23,13 +23,16 @@ val of_string : string -> Graph.t
 val save : Graph.t -> string -> unit
 (** [save g path] writes {!to_string} to a file. *)
 
-(** {2 Mutation logs}
+val load : string -> Graph.t
+(** [load path] parses a file.
+    @raise Sys_error or {!Parse_error}. *)
 
-    The daemon's append-only churn journal: one mutation per line in
-    the [Graph.mutation_to_string] spelling ([setw u v w],
-    [linkdown u v], [linkup u v w], [nodedown u], [nodeup u]), with
-    '#' comments and blank lines allowed.  Round-trips through
-    {!mutations_to_string} / {!mutations_of_string}. *)
+(** {2 Mutation records}
+
+    The one-line parser that the daemon protocol and the daemon's
+    journal share: a mutation in the [Graph.mutation_to_string]
+    spelling ([setw u v w], [linkdown u v], [linkup u v w],
+    [nodedown u], [nodeup u]). *)
 
 val mutation_of_tokens : lineno:int -> string list -> Graph.mutation
 (** Parses one already-tokenized mutation record.  Shared with the
@@ -41,22 +44,6 @@ val mutation_of_tokens : lineno:int -> string list -> Graph.mutation
 val mutation_of_string : ?lineno:int -> string -> Graph.mutation
 (** Tokenizes and parses one line ([lineno] defaults to 1).
     @raise Parse_error as {!mutation_of_tokens}. *)
-
-val mutations_of_string : string -> Graph.mutation list
-(** Parses a whole journal, skipping blanks and comments.
-    @raise Parse_error with the exact 1-based line number of the first
-    malformed record. *)
-
-val mutations_to_string : Graph.mutation list -> string
-(** One line per mutation, each newline-terminated. *)
-
-val load_mutations : string -> Graph.mutation list
-(** {!mutations_of_string} over a file.
-    @raise Sys_error or {!Parse_error}. *)
-
-val load : string -> Graph.t
-(** [load path] parses a file.
-    @raise Sys_error or {!Parse_error}. *)
 
 (** {2 Snapshot codec}
 

@@ -813,6 +813,22 @@ let test_journal_rejects_bad_sequence_and_crc () =
       checki "legacy line loads" 1 r.Journal.read_records;
       checkb "legacy mutation intact" true (r.Journal.mutations = [ m1 ]))
 
+(* blank and comment lines are skipped but still counted, so a
+   truncation names the line of the file itself *)
+let test_journal_counts_blank_and_comment_lines () =
+  let m1 = Graph.Set_weight (0, 1, 2.0) in
+  in_temp_dir (fun dir ->
+      let p = Filename.concat dir "commented.log" in
+      let oc = open_out p in
+      output_string oc ("# journal\n\n" ^ crc_line 1 m1 ^ "  # indented\nbogus\n");
+      close_out oc;
+      let r = Journal.load p in
+      checki "record before the damage" 1 r.Journal.read_records;
+      checkb "mutation intact" true (r.Journal.mutations = [ m1 ]);
+      match r.Journal.truncation with
+      | Some tr -> checki "line of the bad record" 5 tr.Journal.lineno
+      | None -> Alcotest.fail "expected a truncation")
+
 let test_snapshot_roundtrip_and_fallback () =
   let g = mk_graph ~n:24 53 in
   let mus = script g 53 4 in
@@ -1190,6 +1206,8 @@ let () =
             test_journal_torn_at_any_byte;
           Alcotest.test_case "journal rejects sequence gaps and forged checksums" `Quick
             test_journal_rejects_bad_sequence_and_crc;
+          Alcotest.test_case "journal truncation counts blank and comment lines" `Quick
+            test_journal_counts_blank_and_comment_lines;
           Alcotest.test_case "snapshot round-trips and falls back past corruption" `Quick
             test_snapshot_roundtrip_and_fallback;
           Alcotest.test_case "snapshot plus suffix equals full replay" `Slow

@@ -655,10 +655,14 @@ let test_mutation_validation () =
   checkb "node out of range" true (raises (Graph.Node_down 9));
   checkb "negative node" true (raises (Graph.Node_up (-1)))
 
-(* mutation-log parsing: the daemon journal format *)
+(* one-line mutation records: the grammar the daemon protocol and the
+   journal share *)
 
 let test_mutation_log_roundtrip () =
-  let mus =
+  List.iter
+    (fun mu ->
+      let line = Graph.mutation_to_string mu in
+      checkb line true (Gio.mutation_of_string line = mu))
     [
       Graph.Set_weight (0, 1, 2.5);
       Graph.Link_down (1, 2);
@@ -666,34 +670,20 @@ let test_mutation_log_roundtrip () =
       Graph.Node_down 2;
       Graph.Node_up 2;
     ]
-  in
-  let mus' = Gio.mutations_of_string (Gio.mutations_to_string mus) in
-  checkb "bit-identical list" true (mus = mus')
 
 let test_mutation_log_parse_errors_carry_line_numbers () =
-  let line_of s = try ignore (Gio.mutations_of_string s); -1 with Gio.Parse_error (l, _) -> l in
-  checki "unknown keyword" 1 (line_of "frobnicate 0 1\n");
-  checki "short setw" 1 (line_of "setw 0 1\n");
-  checki "long linkdown" 1 (line_of "linkdown 0 1 2\n");
-  checki "bad endpoint" 2 (line_of "setw 0 1 2.0\nlinkup 0 x 1.0\n");
-  checki "bad weight" 2 (line_of "nodedown 3\nsetw 0 1 heavy\n");
-  checki "non-finite weight" 1 (line_of "linkup 0 1 inf\n");
-  checki "negative weight" 1 (line_of "setw 0 1 -2.0\n");
-  (* blank lines and comments are skipped but still counted *)
-  checki "comments counted" 4 (line_of "# journal\n\nsetw 0 1 2.0\nbogus\n");
-  checkb "empty log ok" true (Gio.mutations_of_string "" = []);
-  checkb "comment-only log ok" true (Gio.mutations_of_string "# nothing\n" = [])
-
-let test_mutation_log_file_roundtrip () =
-  let mus = [ Graph.Link_down (4, 7); Graph.Set_weight (1, 2, 3.75) ] in
-  let path = Filename.temp_file "crmut" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc (Gio.mutations_to_string mus);
-      close_out oc;
-      checkb "file roundtrip" true (Gio.load_mutations path = mus))
+  let line_of ~lineno s =
+    try ignore (Gio.mutation_of_string ~lineno s); -1 with Gio.Parse_error (l, _) -> l
+  in
+  checki "unknown keyword" 1 (line_of ~lineno:1 "frobnicate 0 1");
+  checki "short setw" 3 (line_of ~lineno:3 "setw 0 1");
+  checki "long linkdown" 4 (line_of ~lineno:4 "linkdown 0 1 2");
+  checki "bad endpoint" 2 (line_of ~lineno:2 "linkup 0 x 1.0");
+  checki "bad weight" 5 (line_of ~lineno:5 "setw 0 1 heavy");
+  checki "non-finite weight" 6 (line_of ~lineno:6 "linkup 0 1 inf");
+  checki "negative weight" 7 (line_of ~lineno:7 "setw 0 1 -2.0");
+  checki "empty record" 8 (line_of ~lineno:8 "   ");
+  checki "well-formed" (-1) (line_of ~lineno:9 "  setw 0 1 2.0  ")
 
 (* ------------------------------------------------------------------ *)
 (* qcheck properties *)
@@ -844,9 +834,8 @@ let qcheck_tests =
         !ok);
     Test.make ~name:"mutation log roundtrips bit-identically" ~count:40 arb_script
       (fun (_, mus) ->
-        (* to_string . of_string is the identity on every journal: the
-           %.17g spelling round-trips any float weight exactly *)
-        Gio.mutations_of_string (Gio.mutations_to_string mus) = mus);
+        (* the %.17g spelling round-trips any float weight exactly *)
+        List.for_all (fun mu -> Gio.mutation_of_string (Graph.mutation_to_string mu) = mu) mus);
     Test.make ~name:"apply_all equals iterated apply" ~count:30 arb_script (fun (g0, mus) ->
         let a = Graph.apply_all g0 mus in
         let b = List.fold_left Graph.apply g0 mus in
@@ -994,7 +983,6 @@ let () =
           Alcotest.test_case "log roundtrip" `Quick test_mutation_log_roundtrip;
           Alcotest.test_case "log parse errors carry line numbers" `Quick
             test_mutation_log_parse_errors_carry_line_numbers;
-          Alcotest.test_case "log file roundtrip" `Quick test_mutation_log_file_roundtrip;
         ] );
       ("properties", qsuite);
     ]
