@@ -153,6 +153,15 @@ let sample_pairs_exn ~seed apsp ~count =
       found requested;
     exit 1
 
+(* [f ()], or a clean exit when the serving workload cannot draw
+   [queries] connected pairs *)
+let sampling_queries ~queries f =
+  try f ()
+  with Workload.Sample_exhausted ->
+    Printf.eprintf
+      "crt: could not sample %d connected pairs; is the graph disconnected or tiny?\n" queries;
+    exit 1
+
 (* ---------- generate ---------- *)
 
 let generate_cmd =
@@ -333,7 +342,6 @@ let eval_cmd =
     | None -> ());
     match json with
     | Some path ->
-        Experiment.write_jsonl rows path;
         (* oracle storage rows ride along in the same JSONL file: one
            object per line, distinguished by "surface":"oracle" so the
            scheme-row consumers can filter them out *)
@@ -357,15 +365,7 @@ let eval_cmd =
               ];
           ]
         in
-        let oc = open_out_gen [ Open_append; Open_wronly ] 0o644 path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            List.iter
-              (fun l ->
-                output_string oc l;
-                output_char oc '\n')
-              oracle_lines);
+        J.write_lines (List.map Experiment.row_to_json rows @ oracle_lines) path;
         Printf.printf "json written to %s (+%d oracle storage rows)\n" path (List.length oracle_lines)
     | None -> ()
   in
@@ -452,10 +452,7 @@ let resilience_cmd =
     let lines = List.map Sweep.cell_to_json cells in
     match json with
     | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+        Cr_util.Jsonl.write_lines lines path;
         Printf.printf "json written to %s\n" path
     | None -> List.iter print_endline lines
   in
@@ -572,21 +569,16 @@ let serve_cmd =
        keeps every finished scheme's line intact *)
     let writer = Option.map Cr_util.Jsonl.Writer.create json in
     let reports =
-      try
-        List.map
-          (fun scheme ->
-            let r =
-              Serve.run ~cache ~cache_mode ~dist ~policy ~chaos ~guard_label:guards ~domains
-                ~seed:(seed + 1) ~queries ~workload:wl_label apsp scheme
-            in
-            Option.iter (fun w -> Cr_util.Jsonl.Writer.write w (Serve.report_to_json r)) writer;
-            r)
-          schemes
-      with Workload.Sample_exhausted ->
-        Printf.eprintf
-          "crt: could not sample %d connected pairs; is the graph disconnected or tiny?\n"
-          queries;
-        exit 1
+      sampling_queries ~queries (fun () ->
+          List.map
+            (fun scheme ->
+              let r =
+                Serve.run ~cache ~cache_mode ~dist ~policy ~chaos ~guard_label:guards ~domains
+                  ~seed:(seed + 1) ~queries ~workload:wl_label apsp scheme
+              in
+              Option.iter (fun w -> Cr_util.Jsonl.Writer.write w (Serve.report_to_json r)) writer;
+              r)
+            schemes)
     in
     let table =
       T.create
@@ -658,13 +650,9 @@ let oracle_cmd =
     let wl_label = graph_label ~graph_file ~workload in
     let oracle = Po.build ~k ~seed apsp in
     let report =
-      try
-        Oserve.run ~cache ~cache_mode ~dist ~policy ~chaos ~guard_label:guards ~domains
-          ~seed:(seed + 1) ~queries ~workload:wl_label apsp oracle
-      with Workload.Sample_exhausted ->
-        Printf.eprintf
-          "crt: could not sample %d connected pairs; is the graph disconnected or tiny?\n" queries;
-        exit 1
+      sampling_queries ~queries (fun () ->
+          Oserve.run ~cache ~cache_mode ~dist ~policy ~chaos ~guard_label:guards ~domains
+            ~seed:(seed + 1) ~queries ~workload:wl_label apsp oracle)
     in
     let so = So.build ~seed apsp in
     let spairs = sample_pairs_exn ~seed:(seed + 1) apsp ~count:(min queries 2000) in
@@ -767,14 +755,9 @@ let chaos_cmd =
       Option.iter (fun w -> Cr_util.Jsonl.Writer.write w (Sweep.cell_to_json c)) writer
     in
     let cells =
-      try
-        Sweep.sweep ~cache ~chaos_seed ~batch_budget_s:budget ~on_cell ~domains ~seed:(seed + 1)
-          ~queries ~workload:wl_label apsp sch
-      with Workload.Sample_exhausted ->
-        Printf.eprintf
-          "crt: could not sample %d connected pairs; is the graph disconnected or tiny?\n"
-          queries;
-        exit 1
+      sampling_queries ~queries (fun () ->
+          Sweep.sweep ~cache ~chaos_seed ~batch_budget_s:budget ~on_cell ~domains
+            ~seed:(seed + 1) ~queries ~workload:wl_label apsp sch)
     in
     let table =
       T.create

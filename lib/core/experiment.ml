@@ -118,5 +118,3 @@ let row_to_json r =
       ("bits_mean", J.float r.bits_mean);
       ("header_bits", J.int r.header_bits);
     ]
-
-let write_jsonl rows path = Cr_util.Jsonl.write_lines (List.map row_to_json rows) path

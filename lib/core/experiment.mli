@@ -67,6 +67,3 @@ val row_to_json : row -> string
 (** One machine-readable JSON object (single line, no trailing newline)
     per row — the [crt eval --json] format, mirroring
     [Cr_resilience.Sweep.cell_to_json]. *)
-
-val write_jsonl : row list -> string -> unit
-(** [write_jsonl rows path] writes one {!row_to_json} line per row. *)
