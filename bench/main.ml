@@ -236,8 +236,9 @@ let t4 () =
         (fun k ->
           let rng = Rng.create (m + k) in
           let g = Graph.relabel rng (Generators.random_tree rng ~n:m) in
-          let tree = Tree.spanning g 0 in
-          let ni = Ni.build ~k ~n_global:m tree in
+          let res = Dijkstra.run g 0 in
+          let ni = Ni.build ~k ~n_global:m g res ~members:res.Dijkstra.order in
+          let tree = Ni.tree ni in
           let worst = ref 0.0 in
           let j1_hits = ref 0 in
           let bits = ref 0 in

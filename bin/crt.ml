@@ -313,10 +313,17 @@ let eval_cmd =
           ("header", T.Right);
         ]
     in
+    (* rt routes over the path oracle whose size --json reports: one
+       build serves both *)
+    let path_oracle = lazy (Cr_oracle.Path_oracle.build ~k ~seed apsp) in
     let rows =
       List.map
         (fun name ->
-          let sch = build_scheme apsp ~k ~seed name in
+          let sch =
+            match name with
+            | "rt" -> Cr_oracle.Rt_scheme.of_oracle g (Lazy.force path_oracle)
+            | _ -> build_scheme apsp ~k ~seed name
+          in
           Experiment.run_scheme apsp sch ~pairs)
         schemes
     in
@@ -345,7 +352,7 @@ let eval_cmd =
         (* oracle storage rows ride along in the same JSONL file: one
            object per line, distinguished by "surface":"oracle" so the
            scheme-row consumers can filter them out *)
-        let po = Cr_oracle.Path_oracle.build ~k ~seed apsp in
+        let po = Lazy.force path_oracle in
         let so = Cr_oracle.Sparse_oracle.build ~seed apsp in
         let module J = Cr_util.Jsonl in
         let oracle_lines =

@@ -142,31 +142,41 @@ let build ?params ?(mode = Full) ?profile apsp =
   Hashtbl.replace sparse_centers global_root ();
   (* ---- per-center trees with Lemma 4 routing; full storage sweep ---- *)
   let centers = Hashtbl.create (Hashtbl.length sparse_centers) in
-  (* T(v) spans the root and [members] *)
-  let build_center_tree v ~members ~category =
-    let tree = Tree.of_sssp g (Apsp.sssp apsp v) ~members in
-    let ni = Ni.build ~seed:(seed + v + 1) ~k ~n_global:n tree in
-    Array.iter
-      (fun w -> Storage.add storage ~node:w ~category ~bits:(Ni.node_storage_bits ni w))
-      (Tree.nodes tree);
-    ni
-  in
+  (* T(v) spans the root and members, and its Lemma 4 structure is
+     seeded by v. *)
+  let tree_seed v = seed + v + 1 in
   (* The global tree spans everything and is accounted under "fallback". *)
   let global_ni =
     prof "sparse-trees" (fun () ->
+        let res = Apsp.sssp apsp global_root in
         let global_ni =
-          build_center_tree global_root ~members:(Apsp.sssp apsp global_root).Dijkstra.order
-            ~category:"fallback"
+          Ni.build ~seed:(tree_seed global_root) ~k ~n_global:n g res ~members:res.Dijkstra.order
         in
-        (* Every node v held in someone's S(u) gets a tree T(v); its storage
-           is charged to its members.  Trees of centers actually used for
-           routing are retained. *)
+        Array.iter
+          (fun w ->
+            Storage.add storage ~node:w ~category:"fallback" ~bits:(Ni.node_storage_bits global_ni w))
+          (Tree.nodes (Ni.tree global_ni));
+        (* Every node v held in someone's S(u) gets a tree T(v), and its
+           members pay for it.  Only the trees of centers that route are
+           built; the rest are counted in scratch. *)
+        let bits = Array.make n 0 in
         for v = 0 to n - 1 do
-          if v <> global_root && Array.length members_of.(v) > 0 then begin
-            let ni = build_center_tree v ~members:members_of.(v) ~category:"sparse-trees" in
-            if Hashtbl.mem sparse_centers v then Hashtbl.replace centers v ni
+          let members = members_of.(v) in
+          if v <> global_root && Array.length members > 0 then begin
+            let seed = tree_seed v and res = Apsp.sssp apsp v in
+            if Hashtbl.mem sparse_centers v then begin
+              let ni = Ni.build ~seed ~k ~n_global:n g res ~members in
+              Array.iter
+                (fun w -> bits.(w) <- bits.(w) + Ni.node_storage_bits ni w)
+                (Tree.nodes (Ni.tree ni));
+              Hashtbl.replace centers v ni
+            end
+            else Ni.add_storage_bits ~seed ~k ~n_global:n g res ~members bits
           end
         done;
+        Array.iteri
+          (fun w b -> if b > 0 then Storage.add storage ~node:w ~category:"sparse-trees" ~bits:b)
+          bits;
         Hashtbl.replace centers global_root global_ni;
         (* ---- refine sparse bounds b(u,i) now that trees exist ---- *)
         for u = 0 to n - 1 do

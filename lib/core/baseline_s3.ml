@@ -102,8 +102,8 @@ let build ?(seed = 5) apsp =
     let label_bits =
       Array.fold_left
         (fun acc l ->
-          let _, tl = Hashtbl.find trees l in
-          acc + Tree_labels.node_storage_bits tl u)
+          let tree, tl = Hashtbl.find trees l in
+          acc + Tree_labels.node_storage_bits_at tl (Tree.tree_index tree u))
         0 landmarks
     in
     Storage.add storage ~node:u ~category:"s3-trees" ~bits:label_bits;
@@ -111,8 +111,8 @@ let build ?(seed = 5) apsp =
       Hashtbl.fold
         (fun _ v acc ->
           let l = closest_landmark.(v) in
-          let _, tl = Hashtbl.find trees l in
-          acc + (2 * idb) + idb + Tree_labels.label_bits (Tree_labels.label tl v))
+          let tree, tl = Hashtbl.find trees l in
+          acc + (2 * idb) + idb + Tree_labels.label_bits_at tl (Tree.tree_index tree v))
         dict.(u) 0
     in
     Storage.add storage ~node:u ~category:"s3-dictionary" ~bits:dict_bits;

@@ -23,10 +23,10 @@ let compute_parallel ?domains g =
   let domains = match domains with Some d -> max 1 d | None -> Pool.default_domains () in
   if domains <= 1 || n < 2 * domains then compute g
   else begin
-    (* one placeholder result; every slot is overwritten below.  Each
-       Dijkstra only reads the immutable graph and writes its own slot,
-       so any execution order yields the same array. *)
-    let results = Array.make n (Dijkstra.run g 0) in
+    (* every placeholder slot is overwritten below.  Each Dijkstra only
+       reads the immutable graph and writes its own slot, so any
+       execution order yields the same array. *)
+    let results = Array.make n { Dijkstra.source = -1; dist = [||]; parent = [||]; order = [||] } in
     parallel_for ~domains ~chunk:16 ~n (fun s -> results.(s) <- Dijkstra.run g s);
     { graph = g; results }
   end

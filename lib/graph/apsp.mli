@@ -7,7 +7,9 @@
 type t
 
 val compute : Graph.t -> t
-(** Runs [n] Dijkstras sequentially. *)
+(** Runs [n] Dijkstras sequentially.  Each runs in the domain's reused
+    work arrays ({!Dijkstra.run}), so a source costs only the fresh
+    [dist], [parent] and [order] it keeps. *)
 
 val compute_parallel : ?domains:int -> Graph.t -> t
 (** Same result, with the sources partitioned across a pool of

@@ -5,25 +5,30 @@ type result = {
   order : int array;
 }
 
-type scratch = {
-  graph : Graph.t;
-  s_dist : float array;
-  s_parent : int array;
+(* The arrays a search works in.  A search starts by resetting [dist]
+   and [parent] only where the previous one reached (the [settled]
+   prefix), so it costs time in proportion to what it reaches; the
+   capacity may exceed the graph searched. *)
+type work = {
+  w_dist : float array;
+  w_parent : int array;
   heap : Heap.t;
-  settled : int array; (* the current run's nodes, in settle order *)
+  settled : int array; (* the current search's nodes, in settle order *)
   mutable count : int;
 }
 
-let scratch g =
-  let n = Graph.n g in
+type scratch = { graph : Graph.t; work : work }
+
+let work n =
   {
-    graph = g;
-    s_dist = Array.make n infinity;
-    s_parent = Array.make n (-1);
+    w_dist = Array.make n infinity;
+    w_parent = Array.make n (-1);
     heap = Heap.create n;
     settled = Array.make (max n 1) 0;
     count = 0;
   }
+
+let scratch g = { graph = g; work = work (Graph.n g) }
 
 (* Dijkstra settles nodes in nondecreasing distance, and the heap's
    (priority, element) order breaks ties by index.  The settle order
@@ -46,27 +51,35 @@ let sort_by_distance dist order =
 
 let all _ = true
 
-let run_in sc ?(allowed = all) ?(max_edge = infinity) ?(bound = infinity) s =
-  let g = sc.graph in
+(* One search from [s] over [g] in [wk], whose capacity is at least
+   [Graph.n g]: afterwards [wk.w_dist], [wk.w_parent] and the first
+   [wk.count] entries of [wk.settled] hold the result. *)
+let search wk g ~allowed ~max_edge ~bound s =
   let n = Graph.n g in
   if s < 0 || s >= n then invalid_arg "Dijkstra: source out of range";
   if not (allowed s) then invalid_arg "Dijkstra: source not allowed";
-  let dist = sc.s_dist and parent = sc.s_parent in
-  let heap = sc.heap and settled = sc.settled in
-  (* forget the previous run by resetting only the nodes it reached *)
-  for j = 0 to sc.count - 1 do
+  let dist = wk.w_dist and parent = wk.w_parent in
+  let heap = wk.heap and settled = wk.settled in
+  (* forget the previous search: the nodes it settled, and any it left
+     in the heap if it was cut short by an exception *)
+  for j = 0 to wk.count - 1 do
     let v = settled.(j) in
     dist.(v) <- infinity;
     parent.(v) <- -1
   done;
-  let count = ref 0 in
+  while not (Heap.is_empty heap) do
+    let v = Heap.pop heap in
+    dist.(v) <- infinity;
+    parent.(v) <- -1
+  done;
+  wk.count <- 0;
   dist.(s) <- 0.0;
   Heap.insert heap s 0.0;
   while not (Heap.is_empty heap) do
     let u = Heap.pop heap in
     let du = dist.(u) in
-    settled.(!count) <- u;
-    incr count;
+    settled.(wk.count) <- u;
+    wk.count <- wk.count + 1;
     (* No equal-distance parent rewriting: with extreme aspect ratios,
        floating-point rounding can make [du +. w = du], and a
        lexicographic tie-break would then create parent cycles.  The
@@ -89,17 +102,43 @@ let run_in sc ?(allowed = all) ?(max_edge = infinity) ?(bound = infinity) s =
         end
       end
     done
-  done;
-  sc.count <- !count;
-  let order = Array.sub settled 0 !count in
+  done
+
+let settle_order w dist =
+  let order = Array.sub w.settled 0 w.count in
   sort_by_distance dist order;
-  { source = s; dist; parent; order }
+  order
 
-let run g s = run_in (scratch g) s
+let run_in sc ?(allowed = all) ?(max_edge = infinity) ?(bound = infinity) s =
+  let w = sc.work in
+  search w sc.graph ~allowed ~max_edge ~bound s;
+  { source = s; dist = w.w_dist; parent = w.w_parent; order = settle_order w w.w_dist }
 
-let run_bounded g s r = run_in (scratch g) ~bound:r s
+(* One work set per domain, grown to the largest graph it has searched.
+   A run keeps only fresh copies of [dist], [parent] and the order, so
+   an APSP's n runs leave no heap or settle arrays behind. *)
+let domain_work = Domain.DLS.new_key (fun () -> work 0)
 
-let run_restricted g ~allowed ?max_edge ?bound s = run_in (scratch g) ~allowed ?max_edge ?bound s
+let run_fresh g ?(allowed = all) ?(max_edge = infinity) ?(bound = infinity) s =
+  let n = Graph.n g in
+  let w =
+    let w = Domain.DLS.get domain_work in
+    if Array.length w.w_dist >= n then w
+    else begin
+      let w = work n in
+      Domain.DLS.set domain_work w;
+      w
+    end
+  in
+  search w g ~allowed ~max_edge ~bound s;
+  let dist = Array.sub w.w_dist 0 n in
+  { source = s; dist; parent = Array.sub w.w_parent 0 n; order = settle_order w dist }
+
+let run g s = run_fresh g s
+
+let run_bounded g s r = run_fresh g ~bound:r s
+
+let run_restricted g ~allowed ?max_edge ?bound s = run_fresh g ~allowed ?max_edge ?bound s
 
 let path_to res t =
   if res.dist.(t) = infinity then raise Not_found;

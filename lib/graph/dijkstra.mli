@@ -21,7 +21,12 @@ type result = {
 }
 
 val run : Graph.t -> int -> result
-(** Full Dijkstra from a source. *)
+(** Full Dijkstra from a source.  It searches in work arrays that every
+    run on the calling domain reuses (grown to the largest graph seen),
+    and copies out only [dist], [parent] and [order]: the result's
+    arrays are fresh and the caller's own, and a run leaves no heap or
+    settle arrays behind.  {!run_bounded} and {!run_restricted} work
+    the same way. *)
 
 val run_bounded : Graph.t -> int -> float -> result
 (** [run_bounded g s r] explores only nodes at distance [<= r] (others

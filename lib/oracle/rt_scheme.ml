@@ -13,10 +13,9 @@ module Scheme = Compact_routing.Scheme
 module Storage = Compact_routing.Storage
 module Trace = Cr_obs.Trace
 
-let make ?(k = 3) ?(seed = 31) apsp =
-  let g = Apsp.graph apsp in
+let of_oracle g oracle =
+  let k = Path_oracle.k oracle in
   let n = Graph.n g in
-  let oracle = Path_oracle.build ~k ~seed apsp in
   let storage = Storage.create ~n in
   let idb = Bits.id_bits ~n in
   for u = 0 to n - 1 do
@@ -40,3 +39,6 @@ let make ?(k = 3) ?(seed = 31) apsp =
             phases_used = a.Path_oracle.levels }
   in
   { Scheme.name = "rt"; graph = g; storage; header_bits = Scheme.label_header_bits ~n; route }
+
+let make ?(k = 3) ?(seed = 31) apsp =
+  of_oracle (Apsp.graph apsp) (Path_oracle.build ~k ~seed apsp)

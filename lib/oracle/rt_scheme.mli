@@ -15,3 +15,8 @@
 val make : ?k:int -> ?seed:int -> Cr_graph.Apsp.t -> Compact_routing.Scheme.t
 (** [k] defaults to 3, [seed] to 31 — {!Path_oracle.build}'s defaults.
     @raise Invalid_argument if [k < 1]. *)
+
+val of_oracle : Cr_graph.Graph.t -> Path_oracle.t -> Compact_routing.Scheme.t
+(** [of_oracle g o] is the scheme over an oracle [o] already built on
+    [g]'s APSP — {!make} without a second build, for callers that also
+    read the oracle. *)

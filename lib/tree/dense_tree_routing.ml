@@ -7,7 +7,6 @@ type search_result = { walk : int list; outcome : outcome }
 
 type t = {
   tree : Tree.t;
-  labels : Tree_labels.t;
   dir : Directory.t; (* slot = DFS index: ident -> tree index *)
   bits : int array; (* tree index -> storage bits, see [node_storage_bits] *)
 }
@@ -48,7 +47,7 @@ let build tree =
       in
       bits.(i) <- Tree_labels.node_storage_bits_at labels i + child_bits + dir_bits)
     (Tree.preorder tree);
-  { tree; labels; dir; bits }
+  { tree; dir; bits }
 
 let tree t = t.tree
 

@@ -39,17 +39,57 @@ type search_result = {
   rounds : int;  (** trie rounds executed *)
 }
 
-val build : ?seed:int -> k:int -> n_global:int -> Tree.t -> t
-(** [build ~k ~n_global tree] names and wires the tree.  [n_global] is
-    the network size [n] used for [σ = ⌈n^{1/k}⌉] and directory capacity
-    [σ·⌈log₂ n⌉], per the paper's global parameters.
-    @raise Invalid_argument if [k < 1]. *)
+val build :
+  ?seed:int ->
+  k:int ->
+  n_global:int ->
+  Cr_graph.Graph.t ->
+  Cr_graph.Dijkstra.result ->
+  members:int array ->
+  t
+(** [build ~k ~n_global g res ~members] names and wires the tree
+    [Tree.of_sssp g res ~members] (shortest-path tree [res] of [g], cut
+    down to its root and the reachable [members], with relays).
+    [n_global] is the network size [n] used for [σ = ⌈n^{1/k}⌉] and
+    directory capacity [σ·⌈log₂ n⌉], per the paper's global parameters.
+    Names follow the result's [order]: (distance, index).
+    @raise Invalid_argument if [k < 1], if no member is reachable, or if
+    a parent edge of [res] is not an edge of [g]. *)
+
+val add_storage_bits :
+  ?seed:int ->
+  k:int ->
+  n_global:int ->
+  Cr_graph.Graph.t ->
+  Cr_graph.Dijkstra.result ->
+  members:int array ->
+  int array ->
+  unit
+(** [add_storage_bits ~k ~n_global g res ~members bits] adds to
+    [bits.(v)], for every node [v] of that tree, [node_storage_bits t v]
+    of [t = build ~k ~n_global g res ~members] — the same accounting,
+    without building the tree, its labels or its directory.  It runs in
+    scratch that every call on the domain reuses, so a tree that is only
+    counted allocates nothing in proportion to its size.
+    @raise Invalid_argument as {!build}. *)
 
 val tree : t -> Tree.t
 
 val sigma : t -> int
 
 val directory_capacity : t -> int
+
+val hash_seed : t -> int
+(** The seed of the hash that passed validation: [build]'s [seed] unless
+    that one overloaded a directory and the tree was re-seeded. *)
+
+val directory : t -> Directory.t
+(** The directories: slot {!position}[ t v] is node [v]'s, mapping
+    network identifiers to tree indexes. *)
+
+val position : t -> int -> int
+(** Position of a tree node (graph id) in the (root distance, index)
+    enumeration that names the nodes.  @raise Not_found if absent. *)
 
 val name_of : t -> int -> int array
 (** Primary name (digit array, possibly empty for the root) of a tree

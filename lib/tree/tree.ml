@@ -204,21 +204,9 @@ let members t =
   done;
   Array.of_list !acc
 
-let by_root_distance_at t =
-  let order = Array.init (size t) Fun.id in
-  (* tree index order is id order *)
-  Array.stable_sort
-    (fun i j -> match Float.compare t.depth_w.(i) t.depth_w.(j) with 0 -> Int.compare i j | c -> c)
-    order;
-  order
-
-let by_root_distance t = Array.map (fun i -> t.nodes.(i)) (by_root_distance_at t)
-
 let parent_at t i = t.parent.(i)
 
 let children_at t i = t.children.(i)
-
-let subtree_size_at t i = t.sub_size.(i)
 
 let is_member_at t i = t.member.(i)
 

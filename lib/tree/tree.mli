@@ -86,10 +86,6 @@ val subtree_interval : t -> int -> int * int
 val members : t -> int array
 (** Graph ids of the non-relay members. *)
 
-val by_root_distance : t -> int array
-(** All tree nodes (graph ids) sorted by (weighted depth, graph id) —
-    the [a_0, a_1, …] enumeration used by Lemma 4. *)
-
 (** {2 By tree index}
 
     Accessors keyed by tree index, for construction passes that visit
@@ -101,14 +97,8 @@ val parent_at : t -> int -> int
 val children_at : t -> int -> int array
 (** {!children} (graph ids) by tree index. *)
 
-val subtree_size_at : t -> int -> int
-(** Number of nodes in the subtree. *)
-
 val is_member_at : t -> int -> bool
 (** {!is_member} by tree index. *)
-
-val by_root_distance_at : t -> int array
-(** {!by_root_distance} as tree indexes. *)
 
 val preorder : t -> int array
 (** Tree indexes in {!dfs_order}; the array is the tree's own, not to be

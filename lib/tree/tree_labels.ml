@@ -7,84 +7,126 @@ type label = {
 
 type t = {
   tree : Tree.t;
-  labels : label array; (* by tree index *)
-  heavy : int array; (* tree index -> graph id of heavy child, -1 for leaf *)
-  offset_bits : int;
-  slot_bits : int;
+  heavy : int array; (* tree index -> tree index of its heavy child, -1 for a leaf *)
   bits : int array; (* tree index -> label_bits of its label *)
+  storage : int array; (* tree index -> node storage bits *)
 }
 
 let equal_label a b = a.branches = b.branches && a.offset = b.offset
 
 (* The public [label_bits] has no tree context, so it uses
-   self-describing per-field widths; [node_storage_bits] below uses the
-   tighter per-tree fixed widths. *)
+   self-describing per-field widths; node storage uses the tighter
+   per-tree fixed widths. *)
+let field v = Bits.bits_for (max 2 (v + 1))
+
 let label_bits (l : label) =
   let b = Array.length l.branches in
-  let field v = Bits.bits_for (max 2 (v + 1)) in
   Array.fold_left (fun acc (o, c) -> acc + field o + field c) (Bits.bits_for (b + 2) + field l.offset) l.branches
+
+(* The label rule.  Heavy child: the first child (by graph id) with the
+   largest subtree.  A heavy child's label is its parent's with the
+   offset advanced; a light child's appends the branch (parent's
+   offset, its slot among the parent's children) and restarts the
+   offset.  So along a heavy path the branches are fixed and only the
+   offset counts up, and the bits follow without building a label.
+   [label_bits] holds the subtree sizes until the labels overwrite
+   them. *)
+let bits_of_shape ~n ~m ~order ~first_child ~next_sibling ~heavy ~label_bits ~storage_bits =
+  let size = label_bits in
+  let max_children = ref 1 in
+  for j = m - 1 downto 0 do
+    let x = order.(j) in
+    let s = ref 1 and best = ref 0 and h = ref (-1) and count = ref 0 in
+    let c = ref first_child.(x) in
+    while !c >= 0 do
+      let sc = size.(!c) in
+      s := !s + sc;
+      if sc > !best then begin
+        best := sc;
+        h := !c
+      end;
+      incr count;
+      c := next_sibling.(!c)
+    done;
+    size.(x) <- !s;
+    heavy.(x) <- !h;
+    if !count > !max_children then max_children := !count
+  done;
+  (* label encoding: branch count header + per-branch (offset, slot) +
+     final offset; parent and heavy-child pointers as graph node ids *)
+  let offset_bits = Bits.bits_for (max m 2) and slot_bits = Bits.bits_for !max_children in
+  let pointers = 2 * Bits.id_bits ~n in
+  (* the heavy path from [head], whose label has [b] branches of [f]
+     field bits; light children start paths of their own, at most
+     log2 m deep *)
+  let rec path head b f =
+    let header = Bits.bits_for (b + 2) in
+    let storage = header + (b * (offset_bits + slot_bits)) + offset_bits + pointers in
+    let x = ref head and offset = ref 0 in
+    while !x >= 0 do
+      let y = !x in
+      label_bits.(y) <- header + field !offset + f;
+      storage_bits.(y) <- storage;
+      let c = ref first_child.(y) and slot = ref 0 in
+      while !c >= 0 do
+        if !c <> heavy.(y) then path !c (b + 1) (f + field !offset + field !slot);
+        incr slot;
+        c := next_sibling.(!c)
+      done;
+      x := heavy.(y);
+      incr offset
+    done
+  in
+  path order.(0) 0 0
 
 let build tree =
   let m = Tree.size tree in
-  let nodes = Tree.nodes tree in
-  (* Heavy child: the first child with the largest subtree.  Tree indexes
-     ascend with ids, so this visits each node's children in ascending
-     order. *)
-  let heavy_i = Array.make m (-1) in
-  let best = Array.make m 0 in
-  for i = 0 to m - 1 do
+  (* tree indexes ascend with graph ids: pushing them in descending
+     order lists every node's children in ascending order *)
+  let first_child = Array.make m (-1) and next_sibling = Array.make m (-1) in
+  for i = m - 1 downto 0 do
     let p = Tree.parent_at tree i in
-    if p >= 0 && Tree.subtree_size_at tree i > best.(p) then begin
-      best.(p) <- Tree.subtree_size_at tree i;
-      heavy_i.(p) <- i
+    if p >= 0 then begin
+      next_sibling.(i) <- first_child.(p);
+      first_child.(p) <- i
     end
   done;
-  (* Labels in preorder, parents before children.  Preorder visits a
-     node's children in ascending order, so counting them gives each
-     child's slot. *)
-  let labels = Array.make m { branches = [||]; offset = 0 } in
-  let next_slot = Array.make m 0 in
-  Array.iter
-    (fun i ->
-      let p = Tree.parent_at tree i in
-      if p >= 0 then begin
-        let slot = next_slot.(p) in
-        next_slot.(p) <- slot + 1;
-        let lp = labels.(p) in
-        labels.(i) <-
-          (if heavy_i.(p) = i then { lp with offset = lp.offset + 1 }
-           else { branches = Array.append lp.branches [| (lp.offset, slot) |]; offset = 0 })
-      end)
-    (Tree.preorder tree);
-  let max_children = ref 1 in
-  for i = 0 to m - 1 do
-    max_children := max !max_children (Array.length (Tree.children_at tree i))
-  done;
-  {
-    tree;
-    labels;
-    heavy = Array.map (fun h -> if h < 0 then -1 else nodes.(h)) heavy_i;
-    offset_bits = Bits.bits_for (max m 2);
-    slot_bits = Bits.bits_for !max_children;
-    bits = Array.map label_bits labels;
-  }
+  let heavy = Array.make m (-1) and bits = Array.make m 0 and storage = Array.make m 0 in
+  bits_of_shape ~n:(Cr_graph.Graph.n (Tree.graph tree)) ~m ~order:(Tree.preorder tree)
+    ~first_child ~next_sibling ~heavy ~label_bits:bits ~storage_bits:storage;
+  { tree; heavy; bits; storage }
 
-let tree t = t.tree
+(* The slot of tree index [c] among the children of [p]: its rank by
+   graph id. *)
+let slot tree p c =
+  let children = Tree.children_at tree p and v = (Tree.nodes tree).(c) in
+  let rec find s = if children.(s) = v then s else find (s + 1) in
+  find 0
 
-let label t v = t.labels.(Tree.tree_index t.tree v)
+(* One label, by the rule [bits_of_shape] counts: down from the root
+   along the node's ancestors. *)
+let label_at t i =
+  let tree = t.tree in
+  let rec up x acc = if x < 0 then acc else up (Tree.parent_at tree x) (x :: acc) in
+  let rec down p path branches offset =
+    match path with
+    | [] -> { branches = Array.of_list (List.rev branches); offset }
+    | c :: rest ->
+        if t.heavy.(p) = c then down c rest branches (offset + 1)
+        else down c rest ((offset, slot tree p c) :: branches) 0
+  in
+  match up i [] with root :: path -> down root path [] 0 | [] -> assert false
+
+let label t v = label_at t (Tree.tree_index t.tree v)
 
 let label_bits_at t i = t.bits.(i)
 
-(* label encoding: branch count header + per-branch (offset, slot) + final
-   offset.  Widths are per-tree constants known to every node. *)
-let label_bits_in t l =
-  let b = Array.length l.branches in
-  Bits.bits_for (b + 2) + (b * (t.offset_bits + t.slot_bits)) + t.offset_bits
+let node_storage_bits_at t i = t.storage.(i)
 
 let next_hop t v dest =
   let tree = t.tree in
   let i = Tree.tree_index tree v in
-  let own = t.labels.(i) in
+  let own = label_at t i in
   if equal_label own dest then None
   else begin
     let nx = Array.length own.branches and nv = Array.length dest.branches in
@@ -96,7 +138,7 @@ let next_hop t v dest =
     let go_heavy () =
       let h = t.heavy.(i) in
       assert (h >= 0);
-      Some h
+      Some (Tree.nodes tree).(h)
     in
     if j < nx then go_parent () (* paths diverged, or v's prefix ends: climb *)
     else if j = nx && j = nv then begin
@@ -120,11 +162,3 @@ let route t a b =
     | Some u -> go u (v :: acc)
   in
   go a []
-
-let node_storage_bits_at t i =
-  let own = label_bits_in t t.labels.(i) in
-  (* parent pointer + heavy-child pointer, as graph node ids *)
-  let ptr = Bits.id_bits ~n:(Cr_graph.Graph.n (Tree.graph t.tree)) in
-  own + (2 * ptr)
-
-let node_storage_bits t v = node_storage_bits_at t (Tree.tree_index t.tree v)

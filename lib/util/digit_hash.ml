@@ -17,7 +17,7 @@ let digits t = t.digits
 
 (* One 64-bit avalanche per (id, digit index): statistically far stronger
    than the Θ(log n)-wise independence the analysis needs. *)
-let raw t id i =
+let[@inline] raw t id i =
   let z = Int64.add t.seed (Int64.of_int ((id * 0x1000193) + i)) in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in

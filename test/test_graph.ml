@@ -295,6 +295,11 @@ let test_ball_tie_break () =
 (* ------------------------------------------------------------------ *)
 (* Apsp *)
 
+let sssp_equal (a : Dijkstra.result) (b : Dijkstra.result) =
+  a.Dijkstra.dist = b.Dijkstra.dist
+  && a.Dijkstra.parent = b.Dijkstra.parent
+  && a.Dijkstra.order = b.Dijkstra.order
+
 let test_apsp_matches_dijkstra () =
   let rng = Rng.create 29 in
   let g = Generators.erdos_renyi rng ~n:40 ~avg_degree:3.0 in
@@ -402,6 +407,32 @@ let test_apsp_repair_rejects_lost_parent_edge () =
   in
   checkb "linkdown of a tree edge" true (rejects (Graph.Link_down (0, c)));
   checkb "nodedown of a tree child" true (rejects (Graph.Node_down c))
+
+(* Runs reuse per-domain work arrays, and each source keeps fresh copies
+   of its own: no two sources of an APSP share a [dist] or [parent]
+   array, and each equals a fresh run. *)
+let test_apsp_results_own_arrays () =
+  let owns what apsp =
+    let g = Apsp.graph apsp in
+    let n = Graph.n g in
+    for s = 0 to n - 1 do
+      let r = Apsp.sssp apsp s in
+      if not (sssp_equal r (Dijkstra.run g s)) then Alcotest.failf "%s: source %d differs" what s;
+      for s' = s + 1 to n - 1 do
+        let r' = Apsp.sssp apsp s' in
+        if r.Dijkstra.dist == r'.Dijkstra.dist || r.Dijkstra.parent == r'.Dijkstra.parent then
+          Alcotest.failf "%s: sources %d and %d share an array" what s s'
+      done
+    done
+  in
+  let apsp, c = repair_fixture () in
+  let g = Apsp.graph apsp in
+  owns "compute" apsp;
+  owns "compute_parallel width 1" (Apsp.compute_parallel ~domains:1 g);
+  owns "compute_parallel width 2" (Apsp.compute_parallel ~domains:2 g);
+  let repaired, recomputed = Apsp.repair_mutation apsp (Graph.Link_down (0, c)) in
+  checkb "repair recomputed some sources" true (recomputed > 0);
+  owns "repair_mutation" repaired
 
 (* ------------------------------------------------------------------ *)
 (* Component *)
@@ -738,11 +769,6 @@ let arb_script =
     ~print:(fun (_, mus) -> String.concat "; " (List.map Graph.mutation_to_string mus))
     QCheck.Gen.(map random_script (int_range 0 100000))
 
-let sssp_equal (a : Dijkstra.result) (b : Dijkstra.result) =
-  a.Dijkstra.dist = b.Dijkstra.dist
-  && a.Dijkstra.parent = b.Dijkstra.parent
-  && a.Dijkstra.order = b.Dijkstra.order
-
 (* Every Ball query against a brute-force (distance, index) sort of
    Dijkstra's distances, from every source.  The ball index takes its
    order from Dijkstra's settle order, which differs from sorted order
@@ -942,6 +968,7 @@ let () =
             test_apsp_repair_shares_clean_sources;
           Alcotest.test_case "repair rejects a lost parent edge" `Quick
             test_apsp_repair_rejects_lost_parent_edge;
+          Alcotest.test_case "results own their arrays" `Quick test_apsp_results_own_arrays;
         ] );
       ( "component",
         [

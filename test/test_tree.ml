@@ -10,6 +10,9 @@ module Tree = Cr_tree.Tree
 module Tree_labels = Cr_tree.Tree_labels
 module Ni = Cr_tree.Ni_tree_routing
 module Dense = Cr_tree.Dense_tree_routing
+module Directory = Cr_tree.Directory
+module Bits = Cr_util.Bits
+module Digit_hash = Cr_util.Digit_hash
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -89,10 +92,15 @@ let test_tree_dfs () =
   checkb "leaf inside parent" true (lo3 >= lo && hi3 <= hi);
   Array.iteri (fun i v -> checki "dfs_index inverse" i (Tree.dfs_index t v)) order
 
+(* Lemma 4 numbers a tree's nodes by (root distance, id): the positions
+   that name them *)
 let test_tree_by_root_distance () =
   let g = small_graph () in
-  let t = Tree.spanning g 0 in
-  Alcotest.(check (array int)) "order" [| 0; 1; 2; 3; 4 |] (Tree.by_root_distance t)
+  let res = Dijkstra.run g 0 in
+  let ni = Ni.build ~k:3 ~n_global:5 g res ~members:res.Dijkstra.order in
+  let order = Array.make 5 (-1) in
+  Array.iter (fun v -> order.(Ni.position ni v) <- v) (Tree.nodes (Ni.tree ni));
+  Alcotest.(check (array int)) "order" [| 0; 1; 2; 3; 4 |] order
   (* depths: 0,1,3,4,5 *)
 
 let random_tree_of rng n =
@@ -176,9 +184,11 @@ let test_labels_next_hop_none_at_dest () =
 (* ------------------------------------------------------------------ *)
 (* Ni_tree_routing (Lemma 4) *)
 
+(* Lemma 4 routing on the full shortest-path tree of [root] *)
 let build_ni ?(k = 3) ?(seed = 1) g root =
-  let t = Tree.spanning g root in
-  (t, Ni.build ~seed ~k ~n_global:(Graph.n g) t)
+  let res = Dijkstra.run g root in
+  let ni = Ni.build ~seed ~k ~n_global:(Graph.n g) g res ~members:res.Dijkstra.order in
+  (Ni.tree ni, ni)
 
 let test_ni_finds_every_node () =
   let rng = Rng.create 17 in
@@ -204,8 +214,7 @@ let test_ni_stretch_bound () =
   let rng = Rng.create 19 in
   let k = 3 in
   let g = Graph.relabel rng (Generators.random_tree rng ~n:150) in
-  let t = Tree.spanning g 0 in
-  let ni = Ni.build ~seed:2 ~k ~n_global:(Graph.n g) t in
+  let t, ni = build_ni ~k ~seed:2 g 0 in
   Array.iter
     (fun v ->
       if v <> Tree.root t then begin
@@ -258,8 +267,7 @@ let test_ni_negative_cost_bound () =
   let rng = Rng.create 31 in
   let k = 3 in
   let g = Graph.relabel rng (Generators.random_tree rng ~n:100) in
-  let t = Tree.spanning g 0 in
-  let ni = Ni.build ~seed:4 ~k ~n_global:(Graph.n g) t in
+  let t, ni = build_ni ~k ~seed:4 g 0 in
   let absent = 999_999_999 in
   for j = 1 to k do
     let r = Ni.search ni ~bound:j absent in
@@ -367,8 +375,7 @@ let test_ni_on_spt_of_general_graph () =
      adversarial names *)
   let rng = Rng.create 59 in
   let g = Graph.relabel rng (Generators.erdos_renyi rng ~n:150 ~avg_degree:4.0) in
-  let t = Tree.spanning g 3 in
-  let ni = Ni.build ~seed:10 ~k:3 ~n_global:(Graph.n g) t in
+  let t, ni = build_ni ~k:3 ~seed:10 g 3 in
   Array.iter
     (fun v ->
       let r = Ni.search ni ~bound:3 (Graph.name_of g v) in
@@ -391,6 +398,206 @@ let test_ni_prefix_load_witness () =
   let g = Graph.relabel rng (Generators.random_tree rng ~n:100) in
   let _, ni = build_ni ~k:3 ~seed:12 g 0 in
   checkb "load bounded by capacity" true (Ni.max_prefix_load ni <= Ni.directory_capacity ni)
+
+(* ------------------------------------------------------------------ *)
+(* The accounting core: [Ni.add_storage_bits] against the Lemma 4 and 5
+   bit formula, recomputed here from the materialized structure. *)
+
+(* Lemma 5 labels as records: heavy child = the first child (ascending
+   id) with the largest subtree; labels in preorder, a heavy child's
+   advancing its parent's offset, a light child's appending the branch
+   (parent's offset, its slot); label bits at self-describing widths,
+   node storage (own label at per-tree widths plus parent and
+   heavy-child pointers).  By tree index. *)
+let reference_label_bits tree =
+  let m = Tree.size tree and nodes = Tree.nodes tree in
+  let idx = Tree.tree_index tree in
+  let size v =
+    let lo, hi = Tree.subtree_interval tree v in
+    hi - lo
+  in
+  let heavy = Array.make m (-1) in
+  Array.iteri
+    (fun i v ->
+      let best = ref 0 in
+      Array.iter
+        (fun c ->
+          if size c > !best then begin
+            best := size c;
+            heavy.(i) <- idx c
+          end)
+        (Tree.children tree v))
+    nodes;
+  let branches = Array.make m [] and offset = Array.make m 0 in
+  Array.iter
+    (fun v ->
+      let i = idx v in
+      Array.iteri
+        (fun slot c ->
+          let ci = idx c in
+          if heavy.(i) = ci then begin
+            branches.(ci) <- branches.(i);
+            offset.(ci) <- offset.(i) + 1
+          end
+          else begin
+            branches.(ci) <- branches.(i) @ [ (offset.(i), slot) ];
+            offset.(ci) <- 0
+          end)
+        (Tree.children tree v))
+    (Tree.dfs_order tree);
+  let field v = Bits.bits_for (max 2 (v + 1)) in
+  let label =
+    Array.init m (fun i ->
+        List.fold_left
+          (fun acc (o, c) -> acc + field o + field c)
+          (Bits.bits_for (List.length branches.(i) + 2) + field offset.(i))
+          branches.(i))
+  in
+  let offset_bits = Bits.bits_for (max m 2) in
+  let slot_bits =
+    Bits.bits_for (Array.fold_left (fun acc v -> max acc (Array.length (Tree.children tree v))) 1 nodes)
+  in
+  let pointers = 2 * Bits.id_bits ~n:(Graph.n (Tree.graph tree)) in
+  let storage =
+    Array.init m (fun i ->
+        let b = List.length branches.(i) in
+        Bits.bits_for (b + 2) + (b * (offset_bits + slot_bits)) + offset_bits + pointers)
+  in
+  (label, storage)
+
+(* Lemma 4 bits of every node, by tree index: the hash function, its own
+   routing info, its trie children (a presence bit per digit plus each
+   child's label) and its directory entries (identifier plus label). *)
+let reference_ni_bits ni =
+  let tree = Ni.tree ni in
+  let n = Graph.n (Tree.graph tree) and sigma = Ni.sigma ni in
+  let label, storage = reference_label_bits tree in
+  let by_name = Hashtbl.create 64 in
+  Array.iter (fun v -> Hashtbl.replace by_name (Ni.name_of ni v) v) (Tree.nodes tree);
+  let ident_bits = 2 * Bits.id_bits ~n and hash_bits = Digit_hash.storage_bits ~n in
+  Array.mapi
+    (fun i v ->
+      let name = Ni.name_of ni v in
+      let trie = ref sigma in
+      for d = 0 to sigma - 1 do
+        match Hashtbl.find_opt by_name (Array.append name [| d |]) with
+        | Some c -> trie := !trie + label.(Tree.tree_index tree c)
+        | None -> ()
+      done;
+      let dir =
+        Directory.fold_targets (Ni.directory ni) (Ni.position ni v)
+          (fun acc u -> acc + ident_bits + label.(u))
+          0
+      in
+      hash_bits + storage.(i) + !trie + dir)
+    (Tree.nodes tree)
+
+(* Checks one tree T(root) over [members] and adds its reference bits
+   to [expected]; false on the first disagreement. *)
+let core_matches ?seed ~k ~n_global g res ~members expected =
+  let n = Graph.n g in
+  let ni = Ni.build ?seed ~k ~n_global g res ~members in
+  let tree = Ni.tree ni in
+  let want = reference_ni_bits ni in
+  let got = Array.make n 0 in
+  Ni.add_storage_bits ?seed ~k ~n_global g res ~members got;
+  let label, storage = reference_label_bits tree in
+  let tl = Tree_labels.build tree in
+  (* positions: tree nodes by (root distance, id) *)
+  let by_distance = Array.copy (Tree.nodes tree) in
+  Array.stable_sort
+    (fun a b ->
+      match Float.compare (Tree.depth tree a) (Tree.depth tree b) with 0 -> Int.compare a b | c -> c)
+    by_distance;
+  let ok = ref true in
+  Array.iteri (fun p v -> if Ni.position ni v <> p then ok := false) by_distance;
+  Array.iteri
+    (fun i v ->
+      expected.(v) <- expected.(v) + want.(i);
+      if got.(v) <> want.(i) || Ni.node_storage_bits ni v <> want.(i) then ok := false;
+      if Tree_labels.label_bits_at tl i <> label.(i)
+         || Tree_labels.node_storage_bits_at tl i <> storage.(i)
+         || Tree_labels.label_bits (Tree_labels.label tl v) <> label.(i)
+      then ok := false)
+    (Tree.nodes tree);
+  !ok && Array.fold_left ( + ) 0 got = Array.fold_left ( + ) 0 want
+
+(* Every T(v) of a graph, three ways: spanning everything, spanning the
+   nodes that hold v among their 8 closest (the shape of AGM06's
+   trees), and spanning a sparse random sample (Steiner relays). *)
+let core_matches_on_graph g ~k =
+  let n = Graph.n g in
+  let apsp = Cr_graph.Apsp.compute g in
+  let near = Array.make n [] in
+  for u = n - 1 downto 0 do
+    Array.iter
+      (fun v -> near.(v) <- u :: near.(v))
+      (Cr_graph.Ball.closest (Cr_graph.Apsp.ball apsp u) 8)
+  done;
+  let rng = Rng.create n in
+  let expected = Array.make n 0 and total = Array.make n 0 in
+  let relays = ref 0 and ok = ref true in
+  for v = 0 to n - 1 do
+    let res = Cr_graph.Apsp.sssp apsp v in
+    let sample = Array.of_list (List.filter (fun _ -> Rng.int rng 8 = 0) (Array.to_list res.Dijkstra.order)) in
+    List.iter
+      (fun members ->
+        if Array.length members > 0 then begin
+          if not (core_matches ~seed:(v + 1) ~k ~n_global:n g res ~members expected) then ok := false;
+          Ni.add_storage_bits ~seed:(v + 1) ~k ~n_global:n g res ~members total;
+          let t = Tree.of_sssp g res ~members in
+          relays := !relays + Tree.size t - Array.length (Tree.members t)
+        end)
+      [ res.Dijkstra.order; Array.of_list near.(v); sample ]
+  done;
+  (* one array accumulates every tree, as [Agm06.build] uses it *)
+  !ok && total = expected && !relays > 0
+
+let test_ni_core_on_families () =
+  let module E = Compact_routing.Experiment in
+  let plain w = E.make_graph ~seed:3 w in
+  let pl n = E.Power_law { n; exponent = 2.5 } in
+  List.iter
+    (fun (name, g) -> checkb (name ^ ": core bits equal the formula") true (core_matches_on_graph g ~k:3))
+    [
+      ("er:96", plain (E.Erdos_renyi { n = 96; avg_degree = 4.0 }));
+      ("geo:96", plain (E.Geometric { n = 96; radius = 0.2 }));
+      ("grid:9x9", plain (E.Grid { rows = 9; cols = 9 }));
+      ("pl:128", plain (pl 128));
+      ("expline:48:2", plain (E.Exp_line { n = 48; base = 2.0 }));
+      ("pl:128 aspect 2^60", E.make_graph_with_aspect ~seed:3 ~target_aspect:(2.0 ** 60.0) (pl 128));
+    ]
+
+(* A zero-length relaxation (2^60 + 1 = 2^60) puts node 2 before its
+   parent 3 in (distance, index) order; summing subtree sizes in that
+   order would tie 3's subtree with 1's and make 1 the root's heavy
+   child.  On a fresh domain, so that no earlier tree's leftovers in
+   the scratch can hide the miscount. *)
+let test_ni_core_child_before_parent () =
+  let g = Graph.create ~n:4 [ (0, 1, 1.0); (0, 3, 2.0 ** 60.0); (3, 2, 1.0) ] in
+  let res = Dijkstra.run g 0 in
+  Alcotest.(check (array int)) "child 2 listed before its parent 3" [| 0; 1; 2; 3 |]
+    res.Dijkstra.order;
+  checki "parent of 2" 3 res.Dijkstra.parent.(2);
+  let matches () = core_matches ~k:3 ~n_global:4 g res ~members:res.Dijkstra.order (Array.make 4 0) in
+  checkb "core bits equal the formula" true (Domain.join (Domain.spawn matches))
+
+(* With sigma = 2 and directories of 4, some seed overloads a
+   directory and the tree is re-seeded. *)
+let test_ni_core_reseeded () =
+  let rec find seed =
+    if seed > 500 then Alcotest.fail "no tree re-seeded"
+    else begin
+      let rng = Rng.create seed in
+      let g = Graph.relabel rng (Generators.random_tree rng ~n:7) in
+      let res = Dijkstra.run g 0 in
+      let ni = Ni.build ~seed ~k:2 ~n_global:4 g res ~members:res.Dijkstra.order in
+      if Ni.hash_seed ni = seed then find (seed + 1) else (g, res, seed)
+    end
+  in
+  let g, res, seed = find 0 in
+  checkb "core bits equal the formula" true
+    (core_matches ~seed ~k:2 ~n_global:4 g res ~members:res.Dijkstra.order (Array.make 7 0))
 
 (* ------------------------------------------------------------------ *)
 (* Dense_tree_routing (Lemma 7) *)
@@ -524,7 +731,8 @@ let qcheck_tests =
         !ok);
     Test.make ~name:"ni search finds every member" ~count:15 arb_tree (fun t ->
         let g = Tree.graph t in
-        let ni = Ni.build ~k:3 ~n_global:(Graph.n g) t in
+        let res = Dijkstra.run g (Tree.root t) in
+        let ni = Ni.build ~k:3 ~n_global:(Graph.n g) g res ~members:res.Dijkstra.order in
         Array.for_all
           (fun v ->
             match (Ni.search ni ~bound:3 (Graph.name_of g v)).Ni.outcome with
@@ -594,6 +802,9 @@ let () =
           Alcotest.test_case "on SPT of general graph" `Quick test_ni_on_spt_of_general_graph;
           Alcotest.test_case "k=1" `Quick test_ni_k1;
           Alcotest.test_case "prefix load witness" `Quick test_ni_prefix_load_witness;
+          Alcotest.test_case "core bits on six families" `Quick test_ni_core_on_families;
+          Alcotest.test_case "core child before parent" `Quick test_ni_core_child_before_parent;
+          Alcotest.test_case "core re-seeded tree" `Quick test_ni_core_reseeded;
         ] );
       ( "dense_tree_routing",
         [
