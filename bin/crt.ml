@@ -225,8 +225,11 @@ let covers_cmd =
     Printf.printf "TC(k=%d, rho=%.2f): %d clusters\n" k rho (Array.length (Cover.clusters cover));
     Printf.printf "  cover property      %b\n" (Cover.check_cover cover);
     Printf.printf "  max overlap         %d (paper bound 2k n^{1/k} = %d)\n" (Cover.max_overlap cover) (2 * k * kappa);
-    Printf.printf "  max tree radius     %.3f (bound (2k-1)rho = %.3f)\n" (Cover.max_radius cover)
-      (float_of_int ((2 * k) - 1) *. rho);
+    (* labelled as in bench T5: the construction guarantees only (2k+1)rho *)
+    Printf.printf "  max tree radius     %.3f (paper (2k-1)rho = %.3f, ours (2k+1)rho = %.3f)\n"
+      (Cover.max_radius cover)
+      (float_of_int ((2 * k) - 1) *. rho)
+      (float_of_int ((2 * k) + 1) *. rho);
     Printf.printf "  max tree edge       %.3f (bound 2rho = %.3f)\n" (Cover.max_tree_edge cover) (2.0 *. rho)
   in
   Cmd.v (Cmd.info "covers" ~doc:"Build a sparse cover and check its Lemma 6 properties.")

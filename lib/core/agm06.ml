@@ -38,9 +38,7 @@ type phase_plan =
 
 type t = {
   params : Params.t;
-  apsp : Apsp.t;
   decomp : Decomposition.t;
-  landmarks : Landmarks.t;
   plans : phase_plan array array; (* plans.(u).(i) for levels i = 0..k-1 *)
   centers : (int, Ni.t) Hashtbl.t; (* sparse centers in use -> NI routing *)
   covers : (int * Cover.t * Dense.t array) list; (* level, cover, per-cluster routing *)
@@ -399,9 +397,7 @@ let build ?params ?(mode = Full) ?profile apsp =
   in
   {
     params;
-    apsp;
     decomp;
-    landmarks;
     plans;
     centers;
     covers;
@@ -447,7 +443,7 @@ let describe_node t u =
   let buf = Buffer.create 512 in
   let k = t.params.Params.k in
   Buffer.add_string buf
-    (Printf.sprintf "node %d (identifier %d)\n" u (Graph.name_of (Apsp.graph t.apsp) u));
+    (Printf.sprintf "node %d (identifier %d)\n" u (Graph.name_of t.scheme.Scheme.graph u));
   Buffer.add_string buf
     (Printf.sprintf "  ranges a(u,0..%d) = [%s]\n" k
        (String.concat "; "

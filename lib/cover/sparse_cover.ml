@@ -13,7 +13,6 @@ type t = {
   rho : float;
   clusters : cluster array;
   home : int array; (* node -> covering cluster index, -1 if not allowed *)
-  containing : int list array; (* node -> clusters containing it *)
 }
 
 let ball_of g allowed rho u =
@@ -31,12 +30,13 @@ let ball_of g allowed rho u =
    are covered; balls that merely touch the cluster become ineligible for
    the rest of the phase and try again in the next one.
 
-   The work is bounded by the balls themselves: [holders.(x)] lists the
-   centers whose ball contains x, so a round looks only at the balls
-   that meet the nodes the previous round added (a ball meeting older
-   nodes was absorbed then), and a finished cluster blocks exactly the
-   balls that meet it.  Eligibility only shrinks within a phase, so the
-   search for the next center resumes where the last one stopped. *)
+   The work is bounded by the balls themselves.  Ball membership is
+   symmetric (u's ball holds x iff x's ball holds u), so x's own ball
+   lists the centers whose balls contain x: a round looks only at the
+   balls that meet the nodes the previous round added (a ball meeting
+   older nodes was absorbed then), and a finished cluster blocks exactly
+   the balls that meet it.  Eligibility only shrinks within a phase, so
+   the search for the next center resumes where the last one stopped. *)
 let build ?apsp ?allowed ~k ~rho g =
   if k < 1 then invalid_arg "Sparse_cover.build: k < 1";
   if not (rho > 0.0) then invalid_arg "Sparse_cover.build: rho <= 0";
@@ -67,24 +67,6 @@ let build ?apsp ?allowed ~k ~rho g =
       ball_len.(u) <- Ball.ball_size (Ball.of_dijkstra res) rho
     end
   done;
-  let holders =
-    let count = Array.make n 0 in
-    for u = 0 to n - 1 do
-      for i = 0 to ball_len.(u) - 1 do
-        count.(balls.(u).(i)) <- count.(balls.(u).(i)) + 1
-      done
-    done;
-    let h = Array.map (fun c -> Array.make c 0) count in
-    Array.fill count 0 n 0;
-    for u = 0 to n - 1 do
-      for i = 0 to ball_len.(u) - 1 do
-        let x = balls.(u).(i) in
-        h.(x).(count.(x)) <- u;
-        count.(x) <- count.(x) + 1
-      done
-    done;
-    h
-  in
   let covered = Array.make n false in
   let home = Array.make n (-1) in
   let clusters = ref [] in
@@ -141,13 +123,13 @@ let build ?apsp ?allowed ~k ~rho g =
           let layer = ref [] in
           List.iter
             (fun x ->
-              Array.iter
-                (fun u ->
-                  if merged.(u) <> ci && eligible u then begin
-                    merged.(u) <- ci;
-                    layer := u :: !layer
-                  end)
-                holders.(x))
+              for i = 0 to ball_len.(x) - 1 do
+                let u = balls.(x).(i) in
+                if merged.(u) <> ci && eligible u then begin
+                  merged.(u) <- ci;
+                  layer := u :: !layer
+                end
+              done)
             !frontier;
           if !layer = [] then continue_growing := false
           else begin
@@ -192,18 +174,15 @@ let build ?apsp ?allowed ~k ~rho g =
         Array.iter
           (fun x ->
             in_y.(x) <- false;
-            Array.iter (fun u -> blocked.(u) <- !phase) holders.(x))
+            for i = 0 to ball_len.(x) - 1 do
+              blocked.(balls.(x).(i)) <- !phase
+            done)
           member_arr
       end
     done;
     incr phase
   done;
-  let clusters = Array.of_list (List.rev !clusters) in
-  let containing = Array.make n [] in
-  Array.iteri
-    (fun ci c -> Array.iter (fun x -> containing.(x) <- ci :: containing.(x)) c.members)
-    clusters;
-  { graph = g; allowed; rho; clusters; home; containing }
+  { graph = g; allowed; rho; clusters = Array.of_list (List.rev !clusters); home }
 
 let clusters t = t.clusters
 
@@ -212,10 +191,10 @@ let home t v =
     invalid_arg "Sparse_cover.home: node not in cover universe"
   else t.home.(v)
 
-let clusters_of t v = t.containing.(v)
-
 let max_overlap t =
-  Array.fold_left (fun acc l -> max acc (List.length l)) 0 t.containing
+  let count = Array.make (Graph.n t.graph) 0 in
+  Array.iter (fun c -> Array.iter (fun x -> count.(x) <- count.(x) + 1) c.members) t.clusters;
+  Array.fold_left max 0 count
 
 let max_radius t =
   Array.fold_left (fun acc c -> max acc (Tree.radius c.tree)) 0.0 t.clusters

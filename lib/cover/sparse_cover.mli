@@ -26,9 +26,10 @@
     Absorbed balls are covered by the final cluster; balls that merely
     touch it sit out the rest of the phase, so clusters created within a
     phase are pairwise disjoint and the overlap of the whole cover is at
-    most the number of phases.  An index from each node to the balls
-    containing it keeps the work proportional to the total size of the
-    balls, which run on one reused Dijkstra scratch. *)
+    most the number of phases.  Ball membership in the allowed subgraph
+    is symmetric, so a node's own ball lists the balls that contain it:
+    no further index is built, and the work stays proportional to the
+    total size of the balls, which run on one reused Dijkstra scratch. *)
 
 type cluster = {
   center : int;
@@ -40,10 +41,13 @@ type t
 
 val build :
   ?apsp:Cr_graph.Apsp.t -> ?allowed:(int -> bool) -> k:int -> rho:float -> Cr_graph.Graph.t -> t
-(** Builds the cover.  [allowed] defaults to every node.  When every
-    node is allowed, the [ρ]-balls are those of the whole graph, and with
-    [apsp] (the ground truth of this graph) they are read from it instead
-    of being searched again; the cover is the same either way. *)
+(** Builds the cover.  [allowed] defaults to every node.  The build
+    holds each allowed node's [ρ]-ball, a prefix of the order of a search
+    from it, and the cover keeps only its clusters and each node's home.
+    When every node is allowed, the [ρ]-balls are those of the whole
+    graph, and with [apsp] (the ground truth of this graph) they are
+    read from it instead of being searched again; the cover is the same
+    either way. *)
 
 val clusters : t -> cluster array
 
@@ -51,10 +55,6 @@ val home : t -> int -> int
 (** [home t v] is the index (into {!clusters}) of the cluster that covers
     [B(v, ρ)] — the [W(u,i)] of §3.4.
     @raise Invalid_argument if [v] was not allowed. *)
-
-val clusters_of : t -> int -> int list
-(** Indices of every cluster containing the node (possibly empty for
-    disallowed nodes). *)
 
 val max_overlap : t -> int
 (** Largest number of clusters any single node belongs to. *)

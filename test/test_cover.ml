@@ -117,18 +117,77 @@ let test_cover_trees_are_rooted_at_centers () =
       Array.iter (fun v -> checkb "member in tree" true (Tree.mem c.Cover.tree v)) c.Cover.members)
     (Cover.clusters cover)
 
-let test_cover_clusters_of () =
-  let g = Generators.grid ~rows:6 ~cols:6 in
-  let cover = Cover.build ~k:2 ~rho:2.0 g in
-  for v = 0 to 35 do
-    let cs = Cover.clusters_of cover v in
-    checkb "appears in home" true (List.mem (Cover.home cover v) cs);
-    List.iter
-      (fun ci ->
-        let c = (Cover.clusters cover).(ci) in
-        checkb "containment consistent" true (Array.exists (fun x -> x = v) c.Cover.members))
-      cs
-  done
+(* Two facts the build rests on, at every level a k = 3 AGM06 build
+   covers: (a) in G[V_i], x ∈ B(u, ρ) iff u ∈ B(x, ρ), so a node's own
+   ball lists the balls that contain it, even where weights are floats
+   and distances are summed from opposite ends of a path; (b) reading
+   the balls from an APSP, as AGM06 does on whole-graph levels, gives
+   the cover that searching them gives. *)
+let test_cover_levels_symmetric_and_apsp () =
+  let module Apsp = Cr_graph.Apsp in
+  let module Decomposition = Compact_routing.Decomposition in
+  let module Experiment = Compact_routing.Experiment in
+  let geo = Experiment.Geometric { n = 256; radius = 0.15 } in
+  let pl n = Experiment.Power_law { n; exponent = 2.5 } in
+  let stretched aspect w = Experiment.make_graph_with_aspect ~seed:1 ~target_aspect:aspect w in
+  let describe cover allowed n =
+    let buf = Buffer.create 4096 in
+    Array.iter
+      (fun (c : Cover.cluster) ->
+        Printf.bprintf buf "c %d:" c.Cover.center;
+        Array.iter (fun x -> Printf.bprintf buf " %d/%d" x (Tree.parent c.Cover.tree x)) c.Cover.members;
+        Buffer.add_char buf '\n')
+      (Cover.clusters cover);
+    for u = 0 to n - 1 do
+      Printf.bprintf buf " %d" (if allowed u then Cover.home cover u else -1)
+    done;
+    Buffer.contents buf
+  in
+  let levels = ref 0 in
+  List.iter
+    (fun (name, g) ->
+      let n = Graph.n g in
+      let apsp = Apsp.compute g in
+      let decomp = Decomposition.build apsp ~k:3 in
+      let sc = Dijkstra.scratch g in
+      let mark = Array.make n (-1) in
+      List.iter
+        (fun level ->
+          incr levels;
+          let in_level = Array.init n (fun u -> Decomposition.in_level_graph decomp u level) in
+          let allowed u = in_level.(u) in
+          let rho = Decomposition.radius_of_exponent level in
+          let where = Printf.sprintf "%s level %d" name level in
+          (* (a): the reverse index {u : x ∈ B(u)} equals B(x) *)
+          let balls =
+            Array.init n (fun u ->
+                if allowed u then (Dijkstra.run_in sc ~allowed ~bound:rho u).Dijkstra.order else [||])
+          in
+          let holders = Array.make n [] in
+          for u = n - 1 downto 0 do
+            Array.iter (fun x -> holders.(x) <- u :: holders.(x)) balls.(u)
+          done;
+          let symmetric = ref true in
+          for x = 0 to n - 1 do
+            Array.iter (fun u -> mark.(u) <- x) balls.(x);
+            if List.length holders.(x) <> Array.length balls.(x)
+               || List.exists (fun u -> mark.(u) <> x) holders.(x)
+            then symmetric := false
+          done;
+          checkb (where ^ ": ball membership symmetric") true !symmetric;
+          (* (b): searched and APSP-read balls give one cover *)
+          Alcotest.(check string)
+            (where ^ ": same cover with and without apsp")
+            (describe (Cover.build ~allowed ~k:3 ~rho g) allowed n)
+            (describe (Cover.build ~apsp ~allowed ~k:3 ~rho g) allowed n))
+        (Decomposition.needed_levels decomp))
+    [
+      ("geo:256", Experiment.make_graph ~seed:1 geo);
+      ("pl:256 aspect 2^60", stretched (2.0 ** 60.0) (pl 256));
+      ("geo:256 aspect 2^20", stretched (2.0 ** 20.0) geo);
+      ("pl:512", Experiment.make_graph ~seed:1 (pl 512));
+    ];
+  checkb "levels checked" true (!levels > 0)
 
 let test_cover_invalid_args () =
   let g = Generators.grid ~rows:3 ~cols:3 in
@@ -353,7 +412,7 @@ let () =
           Alcotest.test_case "allowed subgraph" `Quick test_cover_allowed_subgraph;
           Alcotest.test_case "home contains ball" `Quick test_cover_home_contains_ball;
           Alcotest.test_case "trees rooted at centers" `Quick test_cover_trees_are_rooted_at_centers;
-          Alcotest.test_case "clusters_of consistent" `Quick test_cover_clusters_of;
+          Alcotest.test_case "ball symmetry and apsp path" `Quick test_cover_levels_symmetric_and_apsp;
           Alcotest.test_case "invalid args" `Quick test_cover_invalid_args;
           Alcotest.test_case "disconnected graph" `Quick test_cover_disconnected_graph;
         ] );
