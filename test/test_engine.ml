@@ -470,6 +470,101 @@ let test_serve_json_shape () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Frozen batch digest *)
+
+(* One MD5 over what a batch call computes deterministically: Rng
+   streams for a few seeds; Workload pairs, Uniform and Zipf 1.1, with
+   and without [connected_in], at pool widths 1 and 2; the stretches
+   and summaries of [Simulator.aggregate_of_measured]; and the
+   deterministic fields of [Serve.run] and [Oserve.run] reports at
+   widths 1 and 2, cache off and per lane.  The literal is the digest
+   of the reference code: a faster sampler, summary or frame must
+   reproduce it unedited. *)
+let test_frozen_batch_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  let add fmt = Printf.bprintf buf fmt in
+  List.iter
+    (fun seed ->
+      let r = Rng.create seed in
+      add "rng %d" seed;
+      for _ = 1 to 40 do
+        add " %Lx %d %d %.17g %b %b" (Rng.bits64 r) (Rng.int r 1000) (Rng.int r max_int)
+          (Rng.float r 3.5) (Rng.bernoulli r 0.3) (Rng.bool r)
+      done;
+      let c = Rng.copy r and s = Rng.split r in
+      for _ = 1 to 20 do
+        add " %Lx %Lx %Lx" (Rng.bits64 r) (Rng.bits64 c) (Rng.bits64 s)
+      done;
+      add "\n")
+    [ 0; 1; 7; -3; 123_456_789 ];
+  (* two components and an isolated node, so [connected_in] filters *)
+  let g =
+    Graph.create ~n:41
+      (List.init 24 (fun i -> (i, i + 1, 1.0 +. float_of_int (i mod 3)))
+      @ List.init 14 (fun i -> (26 + i, 27 + i, 2.0)))
+  in
+  let split_apsp = Apsp.compute g in
+  List.iter
+    (fun domains ->
+      with_pool ~domains (fun pool ->
+          List.iter
+            (fun dist ->
+              List.iter
+                (fun connected_in ->
+                  let pairs =
+                    Workload.generate ~pool ?connected_in dist ~seed:11 ~n:41 ~count:2500
+                  in
+                  add "pairs %d %s %b:" domains (Workload.dist_to_string dist)
+                    (connected_in <> None);
+                  Array.iter (fun (s, d) -> add " %d-%d" s d) pairs;
+                  add "\n")
+                [ None; Some split_apsp ])
+            [ Workload.Uniform; Workload.Zipf 1.1 ]))
+    [ 1; 2 ];
+  let summary name (s : Stats.summary) =
+    add "%s %d %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g\n" name s.Stats.count
+      s.Stats.mean s.Stats.stddev s.Stats.min s.Stats.max s.Stats.p50 s.Stats.p90 s.Stats.p95
+      s.Stats.p99
+  in
+  let apsp = prepared_graph ~n:100 21 in
+  let sch = agm_scheme apsp in
+  let pairs =
+    Workload.generate ~connected_in:apsp (Workload.Zipf 1.1) ~seed:22 ~n:100 ~count:1500
+  in
+  let agg = Simulator.evaluate apsp sch pairs in
+  add "aggregate %d %d:" agg.Simulator.pairs agg.Simulator.delivered;
+  Array.iter (fun x -> add " %.17g" x) agg.Simulator.stretches;
+  add "\n";
+  summary "stretch" agg.Simulator.stretch_stats;
+  summary "cost" agg.Simulator.cost_stats;
+  let oracle = Cr_oracle.Path_oracle.build ~k:3 ~seed:21 apsp in
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun cache ->
+          let r =
+            Serve.run ~cache ~domains ~seed:23 ~queries:3000 ~workload:"er100" apsp sch
+          in
+          add "serve %d %d %s %d %d %d %.17g %.17g %d %d\n" domains cache r.Serve.cache_mode
+            r.Serve.queries r.Serve.guards.Engine.ok r.Serve.delivered r.Serve.stretch_mean
+            r.Serve.stretch_p99 r.Serve.cache_hits r.Serve.cache_misses;
+          let o =
+            Cr_oracle.Oserve.run ~cache ~domains ~seed:24 ~queries:3000 ~workload:"er100" apsp
+              oracle
+          in
+          add "oserve %d %d %s %d %d %d %.17g %.17g %d %d %d %d\n" domains cache
+            o.Cr_oracle.Oserve.cache_mode o.Cr_oracle.Oserve.queries
+            o.Cr_oracle.Oserve.guards.Engine.ok o.Cr_oracle.Oserve.ok
+            o.Cr_oracle.Oserve.stretch_mean o.Cr_oracle.Oserve.stretch_max
+            o.Cr_oracle.Oserve.cache_hits o.Cr_oracle.Oserve.cache_misses
+            o.Cr_oracle.Oserve.size_entries o.Cr_oracle.Oserve.storage_bits)
+        [ 0; 64 ])
+    [ 1; 2 ];
+  Alcotest.(check string)
+    "batch digest" "58c5d6968dc10ff10dba2171ad37262e"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* ------------------------------------------------------------------ *)
 (* properties *)
 
 let qcheck_tests =
@@ -569,6 +664,7 @@ let () =
           Alcotest.test_case "deterministic across domains" `Quick
             test_serve_deterministic_across_domains;
           Alcotest.test_case "json shape" `Quick test_serve_json_shape;
+          Alcotest.test_case "frozen batch digest" `Quick test_frozen_batch_digest;
         ] );
       ("properties", qsuite);
     ]
