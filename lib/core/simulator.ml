@@ -121,22 +121,24 @@ let measure_all ?pool apsp scheme pairs =
   end
 
 let aggregate_of_measured results =
-  let stretches = ref [] in
-  let costs = ref [] in
-  let delivered = ref 0 in
+  let delivered =
+    Array.fold_left (fun c (m : measured) -> if m.delivered then c + 1 else c) 0 results
+  in
+  (* the last delivered result first: the order every pinned mean was
+     summed in *)
+  let stretch_arr = Array.make delivered 0.0 and cost_arr = Array.make delivered 0.0 in
+  let j = ref delivered in
   Array.iter
     (fun (m : measured) ->
       if m.delivered then begin
-        incr delivered;
-        stretches := m.stretch :: !stretches;
-        costs := m.cost :: !costs
+        decr j;
+        stretch_arr.(!j) <- m.stretch;
+        cost_arr.(!j) <- m.cost
       end)
     results;
-  let stretch_arr = Array.of_list !stretches in
-  let cost_arr = Array.of_list !costs in
   {
     pairs = Array.length results;
-    delivered = !delivered;
+    delivered;
     stretch_stats = (if Array.length stretch_arr = 0 then Stats.empty_summary else Stats.summarize stretch_arr);
     cost_stats = (if Array.length cost_arr = 0 then Stats.empty_summary else Stats.summarize cost_arr);
     stretches = stretch_arr;

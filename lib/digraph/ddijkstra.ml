@@ -6,11 +6,12 @@ let run_on neighbors n s =
   let dist = Array.make n infinity in
   let parent = Array.make n (-1) in
   let settled = Array.make n false in
-  let heap = Heap.create n in
+  let heap = Heap.create dist in
   dist.(s) <- 0.0;
-  Heap.insert heap s 0.0;
+  Heap.insert heap s;
   while not (Heap.is_empty heap) do
-    let u, du = Heap.pop_min heap in
+    let u = Heap.pop_min heap in
+    let du = dist.(u) in
     if not settled.(u) then begin
       settled.(u) <- true;
       Array.iter
@@ -20,7 +21,7 @@ let run_on neighbors n s =
             if dv < dist.(v) then begin
               dist.(v) <- dv;
               parent.(v) <- u;
-              Heap.insert_or_decrease heap v dv
+              Heap.insert_or_decrease heap v
             end
           end)
         (neighbors u)

@@ -72,8 +72,15 @@ let frame ~cache ~cache_mode ~dist ~policy ~guard_label ~domains ~seed ~queries 
         metrics;
         guards;
         (* quality is judged on the served queries only; the rejected
-           ones are accounted for in [guards] *)
-        served = Array.of_list (List.filter_map Result.to_option (Array.to_list outcomes));
+           ones are accounted for in [guards], whose [ok] counts the
+           served ones *)
+        served =
+          (let q = ref (-1) in
+           let rec next () =
+             incr q;
+             match outcomes.(!q) with Ok r -> r | Error _ -> next ()
+           in
+           Array.init guards.Engine.ok (fun _ -> next ()));
         guard_label =
           (if guard_label <> "" then guard_label
            else if Guard.Policy.is_off policy then "off"

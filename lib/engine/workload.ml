@@ -52,8 +52,10 @@ let make_sampler dist ~n =
       { n; cdf = Some cdf }
 
 (* first index with cdf.(i) >= u; cdf.(n-1) is pinned to 1.0 so every
-   u <= 1.0 lands in range *)
-let search_cdf cdf u =
+   u <= 1.0 lands in range.  The annotation makes each probe a float
+   comparison: left polymorphic, it boxes the cell and calls the
+   generic compare. *)
+let search_cdf (cdf : float array) (u : float) =
   let lo = ref 0 and hi = ref (Array.length cdf - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -75,20 +77,19 @@ let rank_of dist ~n u =
 
 exception Sample_exhausted
 
-let draw_pair ?connected_in sampler rng =
-  let ok s d =
+(* A top-level recursion: local closures here would be allocated for
+   every pair. *)
+let rec draw_pair connected_in sampler rng tries =
+  if tries > 10_000 then raise Sample_exhausted;
+  let s = draw sampler rng and d = draw sampler rng in
+  let ok =
     s <> d
     &&
     match connected_in with
     | None -> true
     | Some apsp -> Apsp.distance apsp s d < infinity
   in
-  let rec go tries =
-    if tries > 10_000 then raise Sample_exhausted;
-    let s = draw sampler rng and d = draw sampler rng in
-    if ok s d then (s, d) else go (tries + 1)
-  in
-  go 0
+  if ok then (s, d) else draw_pair connected_in sampler rng (tries + 1)
 
 let () =
   Printexc.register_printer (function
@@ -108,7 +109,7 @@ let generate ?pool ?connected_in dist ~seed ~n ~count =
     let rng = block_rng ~seed b in
     let hi = min count ((b + 1) * block_size) in
     for q = b * block_size to hi - 1 do
-      out.(q) <- draw_pair ?connected_in sampler rng
+      out.(q) <- draw_pair connected_in sampler rng 0
     done
   in
   (match pool with

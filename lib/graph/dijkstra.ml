@@ -20,10 +20,11 @@ type work = {
 type scratch = { graph : Graph.t; work : work }
 
 let work n =
+  let w_dist = Array.make n infinity in
   {
-    w_dist = Array.make n infinity;
+    w_dist;
     w_parent = Array.make n (-1);
-    heap = Heap.create n;
+    heap = Heap.create w_dist;
     settled = Array.make (max n 1) 0;
     count = 0;
   }
@@ -68,15 +69,15 @@ let search wk g ~allowed ~max_edge ~bound s =
     parent.(v) <- -1
   done;
   while not (Heap.is_empty heap) do
-    let v = Heap.pop heap in
+    let v = Heap.pop_min heap in
     dist.(v) <- infinity;
     parent.(v) <- -1
   done;
   wk.count <- 0;
   dist.(s) <- 0.0;
-  Heap.insert heap s 0.0;
+  Heap.insert heap s;
   while not (Heap.is_empty heap) do
-    let u = Heap.pop heap in
+    let u = Heap.pop_min heap in
     let du = dist.(u) in
     settled.(wk.count) <- u;
     wk.count <- wk.count + 1;
@@ -98,7 +99,7 @@ let search wk g ~allowed ~max_edge ~bound s =
         if dv <= bound && dv < dist.(v) then begin
           dist.(v) <- dv;
           parent.(v) <- u;
-          Heap.insert_or_decrease heap v dv
+          Heap.insert_or_decrease heap v
         end
       end
     done

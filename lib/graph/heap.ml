@@ -1,12 +1,13 @@
 type t = {
+  keys : float array; (* element -> priority; the caller's array *)
   mutable size : int;
   elts : int array; (* heap slots -> element *)
-  prio : float array; (* heap slots -> priority *)
   pos : int array; (* element -> heap slot, or -1 *)
 }
 
-let create n =
-  { size = 0; elts = Array.make (max n 1) (-1); prio = Array.make (max n 1) 0.0; pos = Array.make (max n 1) (-1) }
+let create (keys : float array) =
+  let n = max (Array.length keys) 1 in
+  { keys; size = 0; elts = Array.make n (-1); pos = Array.make n (-1) }
 
 let is_empty h = h.size = 0
 
@@ -16,11 +17,8 @@ let mem h x = x >= 0 && x < Array.length h.pos && h.pos.(x) >= 0
 
 let swap h i j =
   let ei = h.elts.(i) and ej = h.elts.(j) in
-  let pi = h.prio.(i) and pj = h.prio.(j) in
   h.elts.(i) <- ej;
   h.elts.(j) <- ei;
-  h.prio.(i) <- pj;
-  h.prio.(j) <- pi;
   h.pos.(ej) <- i;
   h.pos.(ei) <- j
 
@@ -29,8 +27,14 @@ let swap h i j =
    element makes [pop_min] return the unique minimum of the current
    contents no matter what insertion order shaped the layout, so the
    pop sequence is a pure function of what was inserted — the property
-   [Apsp.repair] needs to share untouched sources across mutations. *)
-let lt h i j = h.prio.(i) < h.prio.(j) || (h.prio.(i) = h.prio.(j) && h.elts.(i) < h.elts.(j))
+   [Apsp.repair] needs to share untouched sources across mutations.
+   The keys are annotated: a comparison the compiler cannot see is on
+   floats is the polymorphic one, which boxes both. *)
+let before (keys : float array) x y =
+  let kx = keys.(x) and ky = keys.(y) in
+  kx < ky || (kx = ky && x < y)
+
+let lt h i j = before h.keys h.elts.(i) h.elts.(j)
 
 let rec sift_up h i =
   if i > 0 then begin
@@ -51,30 +55,18 @@ let rec sift_down h i =
     sift_down h !smallest
   end
 
-let insert h x p =
-  if x < 0 || x >= Array.length h.pos then invalid_arg "Heap.insert: out of range";
+let insert h x =
+  if x < 0 || x >= Array.length h.keys then invalid_arg "Heap.insert: out of range";
   if h.pos.(x) >= 0 then invalid_arg "Heap.insert: already present";
   let i = h.size in
   h.size <- i + 1;
   h.elts.(i) <- x;
-  h.prio.(i) <- p;
   h.pos.(x) <- i;
   sift_up h i
 
-let decrease h x p =
-  if not (mem h x) then invalid_arg "Heap.decrease: absent element";
-  let i = h.pos.(x) in
-  if p > h.prio.(i) then invalid_arg "Heap.decrease: priority increase";
-  h.prio.(i) <- p;
-  sift_up h i
+let insert_or_decrease h x = if mem h x then sift_up h h.pos.(x) else insert h x
 
-let insert_or_decrease h x p =
-  if mem h x then begin
-    if p < h.prio.(h.pos.(x)) then decrease h x p
-  end
-  else insert h x p
-
-let pop h =
+let pop_min h =
   if h.size = 0 then raise Not_found;
   let x = h.elts.(0) in
   let last = h.size - 1 in
@@ -83,11 +75,3 @@ let pop h =
   h.pos.(x) <- -1;
   if last > 0 then sift_down h 0;
   x
-
-let pop_min h =
-  if h.size = 0 then raise Not_found;
-  let p = h.prio.(0) in
-  let x = pop h in
-  (x, p)
-
-let priority h x = if mem h x then h.prio.(h.pos.(x)) else raise Not_found

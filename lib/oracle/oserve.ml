@@ -132,10 +132,17 @@ let run ?(cache = 0) ?cache_mode ?(dist = Workload.Zipf 1.1) ?(policy = Guard.Po
   in
   let m = f.Serve.metrics in
   let stretches =
-    Array.of_list
-      (List.filter_map
-         (fun (r : omeasured) -> if r.ok then Some r.stretch else None)
-         (Array.to_list f.Serve.served))
+    let served = f.Serve.served in
+    let ok = Array.fold_left (fun c (r : omeasured) -> if r.ok then c + 1 else c) 0 served in
+    let a = Array.make ok 0.0 and j = ref 0 in
+    Array.iter
+      (fun (r : omeasured) ->
+        if r.ok then begin
+          a.(!j) <- r.stretch;
+          incr j
+        end)
+      served;
+    a
   in
   let s = if Array.length stretches = 0 then Stats.empty_summary else Stats.summarize stretches in
   {

@@ -1,40 +1,47 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: an [int64] record
+   field would box a fresh state on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let copy = Bytes.copy
 
-let split t =
-  let s = bits64 t in
-  { state = mix64 s }
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let bits64 t = next t
+
+let split t = of_state (mix64 (next t))
+
+(* Rejection sampling over the top 62 bits to avoid modulo bias. *)
+let rec below t bound =
+  let r = Int64.to_int (next t) land max_int in
+  let v = r mod bound in
+  if r - v > max_int - bound + 1 then below t bound else v
 
 let int t bound =
   assert (bound > 0);
-  (* Rejection sampling over the top 62 bits to avoid modulo bias. *)
-  let mask = max_int in
-  let rec draw () =
-    let r = Int64.to_int (bits64 t) land mask in
-    let v = r mod bound in
-    if r - v > mask - bound + 1 then draw () else v
-  in
-  draw ()
+  below t bound
 
 let float t bound =
-  let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+  let r = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t p =
   if p <= 0.0 then false

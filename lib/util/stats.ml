@@ -15,18 +15,30 @@ let empty_summary =
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
-let mean xs =
+(* Loops, not folds: a fold boxes every element it reads and every
+   partial sum.  Both sum left to right. *)
+let mean (xs : float array) =
   let n = Array.length xs in
   if n = 0 then 0.0
-  else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
+  else begin
+    let acc = ref 0.0 in
+    for i = 0 to n - 1 do
+      acc := !acc +. xs.(i)
+    done;
+    !acc /. float_of_int n
+  end
 
-let stddev xs =
+let stddev (xs : float array) =
   let n = Array.length xs in
   if n < 2 then 0.0
   else begin
     let m = mean xs in
-    let acc = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs in
-    sqrt (acc /. float_of_int n)
+    let acc = ref 0.0 in
+    for i = 0 to n - 1 do
+      let d = xs.(i) -. m in
+      acc := !acc +. (d *. d)
+    done;
+    sqrt (!acc /. float_of_int n)
   end
 
 let percentile sorted q =
@@ -41,11 +53,81 @@ let percentile sorted q =
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
   end
 
+(* the largest of [i]'s up to three sons in a heap of [l], or -1 when
+   [i] has none: [Array.sort]'s [maxson], whose [Bottom i] is -1 *)
+let[@inline] maxson (a : float array) l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+    if Float.compare a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+  end
+  else if i31 + 1 < l && Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+(* [Array.sort Float.compare a], step for step: the stdlib's ternary
+   heap sort with the comparison inlined, so it moves equal elements
+   (-0.0 and 0.0, NaNs) exactly as that call does.  Handed to
+   [Array.sort] as a closure, [Float.compare] boxes every element it
+   reads.  The recursions are loops and the floats in flight are local
+   variables, since a float passed to a function is boxed. *)
+let sort_floats (a : float array) =
+  let l = Array.length a in
+  for i0 = ((l + 1) / 3) - 1 downto 0 do
+    (* trickle: sink a.(i0) below every larger son *)
+    let e = a.(i0) in
+    let i = ref i0 and sinking = ref true in
+    while !sinking do
+      let j = maxson a l !i in
+      if j >= 0 && Float.compare a.(j) e > 0 then begin
+        a.(!i) <- a.(j);
+        i := j
+      end
+      else begin
+        a.(!i) <- e;
+        sinking := false
+      end
+    done
+  done;
+  for top = l - 1 downto 2 do
+    let e = a.(top) in
+    a.(top) <- a.(0);
+    (* bubble: pull the larger son up from the root to a leaf *)
+    let i = ref 0 and j = ref (maxson a top 0) in
+    while !j >= 0 do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson a top !i
+    done;
+    (* trickle up: lift e from that leaf *)
+    let rising = ref true in
+    while !rising do
+      let father = (!i - 1) / 3 in
+      if Float.compare a.(father) e < 0 then begin
+        a.(!i) <- a.(father);
+        if father > 0 then i := father
+        else begin
+          a.(0) <- e;
+          rising := false
+        end
+      end
+      else begin
+        a.(!i) <- e;
+        rising := false
+      end
+    done
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
 let summarize xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.summarize: empty sample";
   let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
+  sort_floats sorted;
   {
     count = n;
     mean = mean xs;

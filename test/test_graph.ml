@@ -128,57 +128,77 @@ let test_graph_induced () =
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
+(* The heap reads each element's priority from the array it was
+   created over; a caller lowers a key there, then calls
+   [insert_or_decrease]. *)
 let test_heap_order () =
-  let h = Heap.create 10 in
-  List.iter (fun (x, p) -> Heap.insert h x p) [ (3, 5.0); (1, 2.0); (7, 8.0); (4, 1.0) ];
+  let keys = Array.make 10 infinity in
+  let h = Heap.create keys in
+  List.iter
+    (fun (x, p) ->
+      keys.(x) <- p;
+      Heap.insert h x)
+    [ (3, 5.0); (1, 2.0); (7, 8.0); (4, 1.0) ];
   checki "size" 4 (Heap.size h);
-  let x1, p1 = Heap.pop_min h in
+  let x1 = Heap.pop_min h in
   checki "first elt" 4 x1;
-  checkf "first prio" 1.0 p1;
-  let x2, _ = Heap.pop_min h in
-  checki "second" 1 x2;
-  let x3, _ = Heap.pop_min h in
-  checki "third" 3 x3;
-  let x4, _ = Heap.pop_min h in
-  checki "fourth" 7 x4;
+  checkf "first prio" 1.0 keys.(x1);
+  checki "second" 1 (Heap.pop_min h);
+  checki "third" 3 (Heap.pop_min h);
+  checki "fourth" 7 (Heap.pop_min h);
   checkb "empty" true (Heap.is_empty h)
 
 let test_heap_decrease () =
-  let h = Heap.create 5 in
-  Heap.insert h 0 10.0;
-  Heap.insert h 1 20.0;
-  Heap.decrease h 1 5.0;
-  let x, p = Heap.pop_min h in
+  let keys = [| 10.0; 20.0; 15.0; infinity; infinity |] in
+  let h = Heap.create keys in
+  List.iter (Heap.insert h) [ 0; 1; 2 ];
+  keys.(1) <- 5.0;
+  Heap.insert_or_decrease h 1;
+  let x = Heap.pop_min h in
   checki "decreased wins" 1 x;
-  checkf "new prio" 5.0 p
+  checkf "new prio" 5.0 keys.(x);
+  (* a key lowered to a tie with a smaller element pops after it *)
+  keys.(2) <- 10.0;
+  Heap.insert_or_decrease h 2;
+  checki "tie breaks by index" 0 (Heap.pop_min h);
+  checki "then the tied larger index" 2 (Heap.pop_min h)
 
 let test_heap_insert_or_decrease () =
-  let h = Heap.create 5 in
-  Heap.insert_or_decrease h 2 9.0;
-  Heap.insert_or_decrease h 2 4.0;
-  Heap.insert_or_decrease h 2 6.0 (* ignored: larger *);
-  checkf "prio" 4.0 (Heap.priority h 2)
+  let keys = Array.make 5 infinity in
+  let h = Heap.create keys in
+  keys.(2) <- 9.0;
+  Heap.insert_or_decrease h 2;
+  checki "inserted when absent" 1 (Heap.size h);
+  keys.(3) <- 6.0;
+  Heap.insert_or_decrease h 3;
+  keys.(2) <- 4.0;
+  Heap.insert_or_decrease h 2;
+  checki "present: no second copy" 2 (Heap.size h);
+  checki "lowered key pops first" 2 (Heap.pop_min h);
+  checki "then the other" 3 (Heap.pop_min h);
+  checkb "empty" true (Heap.is_empty h)
 
 let test_heap_errors () =
-  let h = Heap.create 3 in
+  let keys = [| 1.0; 1.0; 1.0 |] in
+  let h = Heap.create keys in
   checkb "pop empty" true (try ignore (Heap.pop_min h); false with Not_found -> true);
-  Heap.insert h 1 1.0;
-  checkb "double insert" true
-    (try Heap.insert h 1 2.0; false with Invalid_argument _ -> true);
-  checkb "decrease absent" true
-    (try Heap.decrease h 2 0.5; false with Invalid_argument _ -> true);
-  checkb "increase rejected" true
-    (try Heap.decrease h 1 5.0; false with Invalid_argument _ -> true)
+  Heap.insert h 1;
+  checkb "double insert" true (try Heap.insert h 1; false with Invalid_argument _ -> true);
+  checkb "out of range" true (try Heap.insert h 3; false with Invalid_argument _ -> true);
+  checkb "negative" true
+    (try Heap.insert_or_decrease h (-1); false with Invalid_argument _ -> true)
 
 let test_heap_random_sorts () =
   let rng = Rng.create 17 in
   let n = 200 in
-  let h = Heap.create n in
   let prios = Array.init n (fun _ -> Rng.float rng 100.0) in
-  Array.iteri (fun i p -> Heap.insert h i p) prios;
+  let h = Heap.create prios in
+  for i = 0 to n - 1 do
+    Heap.insert h i
+  done;
   let last = ref neg_infinity in
   for _ = 1 to n do
-    let _, p = Heap.pop_min h in
+    let p = prios.(Heap.pop_min h) in
     checkb "nondecreasing" true (p >= !last);
     last := p
   done
@@ -433,6 +453,18 @@ let test_apsp_results_own_arrays () =
   let repaired, recomputed = Apsp.repair_mutation apsp (Graph.Link_down (0, c)) in
   checkb "repair recomputed some sources" true (recomputed > 0);
   owns "repair_mutation" repaired
+
+(* The heap reads its keys from the search's [dist], so no relaxation
+   passes a float to another module, which would box it (about 2 M
+   minor words on this graph): an APSP on pl:1024 allocates its result
+   arrays and little else. *)
+let test_apsp_minor_words () =
+  let rng = Rng.create 1 in
+  let g = Graph.normalize (Graph.relabel rng (Generators.power_law rng ~n:1024 ~exponent:2.5)) in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Apsp.compute g));
+  let words = Gc.minor_words () -. w0 in
+  if words >= 100_000.0 then Alcotest.failf "Apsp.compute allocated %.0f minor words" words
 
 (* ------------------------------------------------------------------ *)
 (* Component *)
@@ -969,6 +1001,7 @@ let () =
           Alcotest.test_case "repair rejects a lost parent edge" `Quick
             test_apsp_repair_rejects_lost_parent_edge;
           Alcotest.test_case "results own their arrays" `Quick test_apsp_results_own_arrays;
+          Alcotest.test_case "minor words" `Quick test_apsp_minor_words;
         ] );
       ( "component",
         [

@@ -156,6 +156,79 @@ let test_stats_summarize_empty () =
   Alcotest.check_raises "empty raises" (Invalid_argument "Stats.summarize: empty sample")
     (fun () -> ignore (Stats.summarize [||]))
 
+(* The summary as [Array.sort Float.compare] and folds compute it:
+   the reference [Stats.summarize] must match field for field. *)
+let reference_summary xs =
+  let n = Array.length xs in
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
+  let mean = Array.fold_left ( +. ) 0.0 xs /. float_of_int n in
+  let stddev =
+    if n < 2 then 0.0
+    else
+      sqrt
+        (Array.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0.0 xs
+        /. float_of_int n)
+  in
+  let pct q =
+    if n = 1 then sorted.(0)
+    else begin
+      let pos = q *. float_of_int (n - 1) in
+      let lo = int_of_float (Float.floor pos) in
+      let hi = min (lo + 1) (n - 1) in
+      sorted.(lo) +. ((pos -. float_of_int lo) *. (sorted.(hi) -. sorted.(lo)))
+    end
+  in
+  [ mean; stddev; sorted.(0); sorted.(n - 1); pct 0.5; pct 0.9; pct 0.95; pct 0.99 ]
+
+(* Samples of 1-5000 values drawn from a small pool (so duplicates are
+   common) holding both zeros, both infinities and NaN, mixed with
+   fresh random floats; every other sample is non-negative, so its
+   minimum is a zero of either sign.  Fields agree under [Float.equal]
+   and, when not NaN, in sign, so -0.0 and 0.0 must also land where the
+   reference puts them.  A NaN's sign bit follows the operand order the
+   compiler picks for [+.], so it is not compared. *)
+let test_stats_summarize_matches_sort () =
+  let rng = Rng.create 2024 in
+  let pool =
+    [| -0.0; 0.0; infinity; neg_infinity; nan; 1.0; -1.0; 2.5; 1e300; -1e-300; 3.0; 3.0 |]
+  in
+  let non_negative = [| -0.0; 0.0; 0.0; -0.0; infinity; 1.0; 2.5; 3.0 |] in
+  let value trial =
+    let pool = if trial mod 2 = 0 then non_negative else pool in
+    match Rng.int rng 3 with
+    | 0 -> pool.(Rng.int rng (Array.length pool))
+    | 1 -> if trial mod 2 = 0 then Rng.float rng 5.0 else Rng.float rng 10.0 -. 5.0
+    | _ -> float_of_int (Rng.int rng 7)
+  in
+  for trial = 1 to 300 do
+    let n = if trial mod 50 = 0 then 1 + Rng.int rng 5000 else 1 + Rng.int rng 200 in
+    let xs = Array.init n (fun _ -> value trial) in
+    let s = Stats.summarize xs in
+    checki "count" n s.Stats.count;
+    List.iter2
+      (fun (field, got) want ->
+        let same =
+          Float.equal got want && (Float.is_nan got || Float.sign_bit got = Float.sign_bit want)
+        in
+        if not same then
+          Alcotest.failf "trial %d (n = %d): %s = %h, reference %h" trial n field got want)
+      [ ("mean", s.Stats.mean); ("stddev", s.Stats.stddev); ("min", s.Stats.min);
+        ("max", s.Stats.max); ("p50", s.Stats.p50); ("p90", s.Stats.p90);
+        ("p95", s.Stats.p95); ("p99", s.Stats.p99) ]
+      (reference_summary xs)
+  done
+
+(* A summary of 10^5 floats sorts in place of one copy: no element or
+   partial sum is boxed. *)
+let test_stats_summarize_allocation () =
+  let rng = Rng.create 7 in
+  let xs = Array.init 100_000 (fun _ -> Rng.float rng 100.0) in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Stats.summarize xs));
+  let words = Gc.minor_words () -. w0 in
+  if words >= 300_000.0 then Alcotest.failf "summarize allocated %.0f minor words" words
+
 let test_stats_histogram () =
   let counts = Stats.histogram ~buckets:[| 1.0; 2.0 |] [| 0.5; 1.0; 1.5; 2.5; 3.0 |] in
   Alcotest.(check (array int)) "buckets" [| 2; 1; 2 |] counts
@@ -676,6 +749,9 @@ let () =
           Alcotest.test_case "percentile edges" `Quick test_stats_percentile_edges;
           Alcotest.test_case "summarize" `Quick test_stats_summarize;
           Alcotest.test_case "summarize empty" `Quick test_stats_summarize_empty;
+          Alcotest.test_case "summarize = sorted reference" `Quick
+            test_stats_summarize_matches_sort;
+          Alcotest.test_case "summarize allocation" `Quick test_stats_summarize_allocation;
           Alcotest.test_case "histogram" `Quick test_stats_histogram;
           Alcotest.test_case "cdf" `Quick test_stats_cdf;
           Alcotest.test_case "linear fit" `Quick test_stats_linear_fit;
