@@ -214,7 +214,7 @@ let run_custom (type r) ?(chaos = Guard.Chaos.none) ?(canon = id_canon) ?(orient
       domains = lanes;
       wall_s = wall;
       routes_per_sec = (if wall > 0.0 then float_of_int nq /. wall else 0.0);
-      latency = (if nq = 0 then Stats.empty_summary else Stats.summarize (Array.sub lat 0 nq));
+      latency = (if nq = 0 then Stats.empty_summary else Stats.summarize lat);
       cache_hits = hits1 - hits0;
       cache_misses = misses1 - misses0;
     }

@@ -123,21 +123,95 @@ let sort_floats (a : float array) =
     a.(0) <- e
   end
 
+(* Without a NaN, and without both signed zeros, any two elements that
+   [Float.compare] calls equal have the same bits, so every correct
+   selection reads, at each rank, the bits the sort puts there. *)
+let ties_share_bits (a : float array) =
+  let nan = ref false and pos_zero = ref false and neg_zero = ref false in
+  for i = 0 to Array.length a - 1 do
+    let x = a.(i) in
+    if x <> x then nan := true
+    else if x = 0.0 then if Float.sign_bit x then neg_zero := true else pos_zero := true
+  done;
+  not (!nan || (!pos_zero && !neg_zero))
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+(* Hoare's FIND as Wirth writes it, with a median-of-three pivot:
+   permutes [a.(l..r)] so that [a.(k)] holds the value it holds sorted,
+   with nothing larger before it and nothing smaller after it.  Both
+   scans stop on an element equal to the pivot, so a sample of few
+   distinct values still splits near the middle.  Gives up, returning
+   false with [a.(l..r)] a permutation of itself, after
+   [2 log2 (r - l + 1)] partitions.  [a] holds no NaN. *)
+let select (a : float array) l r k =
+  let l = ref l and r = ref r and budget = ref (2 * log2 (r - l + 1)) in
+  while !l < !r && !budget > 0 do
+    decr budget;
+    let x0 = a.(!l) and x1 = a.((!l + !r) / 2) and x2 = a.(!r) in
+    let x =
+      if x0 < x1 then if x1 < x2 then x1 else if x0 < x2 then x2 else x0
+      else if x0 < x2 then x0
+      else if x1 < x2 then x2
+      else x1
+    in
+    (* x is in a.(l..r), so each scan stops inside it *)
+    let i = ref !l and j = ref !r in
+    while !i <= !j do
+      while a.(!i) < x do incr i done;
+      while x < a.(!j) do decr j done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    if !j < k then l := !i;
+    if k < !i then r := !j
+  done;
+  !l >= !r
+
+(* Places each of [ranks] (ascending) where the sort puts it, choosing
+   each within the part right of the one before, so the selections sum
+   to O(n); false if one gives up. *)
+let select_ranks a ranks =
+  let last = Array.length a - 1 in
+  let rec go l = function
+    | [] -> true
+    | k :: ks -> if k < l then go l ks else select a l last k && go (k + 1) ks
+  in
+  go 0 ranks
+
+(* The ranks [summarize] reads: the extremes and the two neighbours
+   [percentile] interpolates between for each of its quantiles. *)
+let summary_ranks n =
+  let neighbours q =
+    let lo = int_of_float (Float.floor (q *. float_of_int (n - 1))) in
+    [ lo; min (lo + 1) (n - 1) ]
+  in
+  (0 :: List.concat_map neighbours [ 0.5; 0.9; 0.95; 0.99 ]) @ [ n - 1 ]
+
+(* Every field is bit-identical to reading a copy sorted by
+   [Array.sort Float.compare]: selection runs only where ties share
+   their bits, and [sort_floats], that sort's exact moves, takes the
+   rest and any selection that gives up. *)
 let summarize xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.summarize: empty sample";
-  let sorted = Array.copy xs in
-  sort_floats sorted;
+  let a = Array.copy xs in
+  if not (ties_share_bits a && select_ranks a (summary_ranks n)) then sort_floats a;
   {
     count = n;
     mean = mean xs;
     stddev = stddev xs;
-    min = sorted.(0);
-    max = sorted.(n - 1);
-    p50 = percentile sorted 0.5;
-    p90 = percentile sorted 0.9;
-    p95 = percentile sorted 0.95;
-    p99 = percentile sorted 0.99;
+    min = a.(0);
+    max = a.(n - 1);
+    p50 = percentile a 0.5;
+    p90 = percentile a 0.9;
+    p95 = percentile a 0.95;
+    p99 = percentile a 0.99;
   }
 
 let histogram ~buckets xs =

@@ -187,8 +187,28 @@ let reference_summary xs =
    minimum is a zero of either sign.  Fields agree under [Float.equal]
    and, when not NaN, in sign, so -0.0 and 0.0 must also land where the
    reference puts them.  A NaN's sign bit follows the operand order the
-   compiler picks for [+.], so it is not compared. *)
+   compiler picks for [+.], so it is not compared.
+
+   Then inputs that stress selection, at sizes up to 10^5: sorted,
+   reverse-sorted, all-equal, two-valued, organ-pipe, and Musser's
+   median-of-3 killer.  The last two drive the selection past its depth
+   bound at the larger sizes, so its fallback is checked too. *)
 let test_stats_summarize_matches_sort () =
+  let agree label xs =
+    let n = Array.length xs in
+    let s = Stats.summarize xs in
+    checki "count" n s.Stats.count;
+    List.iter2
+      (fun (field, got) want ->
+        let same =
+          Float.equal got want && (Float.is_nan got || Float.sign_bit got = Float.sign_bit want)
+        in
+        if not same then Alcotest.failf "%s (n = %d): %s = %h, reference %h" label n field got want)
+      [ ("mean", s.Stats.mean); ("stddev", s.Stats.stddev); ("min", s.Stats.min);
+        ("max", s.Stats.max); ("p50", s.Stats.p50); ("p90", s.Stats.p90);
+        ("p95", s.Stats.p95); ("p99", s.Stats.p99) ]
+      (reference_summary xs)
+  in
   let rng = Rng.create 2024 in
   let pool =
     [| -0.0; 0.0; infinity; neg_infinity; nan; 1.0; -1.0; 2.5; 1e300; -1e-300; 3.0; 3.0 |]
@@ -203,21 +223,25 @@ let test_stats_summarize_matches_sort () =
   in
   for trial = 1 to 300 do
     let n = if trial mod 50 = 0 then 1 + Rng.int rng 5000 else 1 + Rng.int rng 200 in
-    let xs = Array.init n (fun _ -> value trial) in
-    let s = Stats.summarize xs in
-    checki "count" n s.Stats.count;
-    List.iter2
-      (fun (field, got) want ->
-        let same =
-          Float.equal got want && (Float.is_nan got || Float.sign_bit got = Float.sign_bit want)
-        in
-        if not same then
-          Alcotest.failf "trial %d (n = %d): %s = %h, reference %h" trial n field got want)
-      [ ("mean", s.Stats.mean); ("stddev", s.Stats.stddev); ("min", s.Stats.min);
-        ("max", s.Stats.max); ("p50", s.Stats.p50); ("p90", s.Stats.p90);
-        ("p95", s.Stats.p95); ("p99", s.Stats.p99) ]
-      (reference_summary xs)
-  done
+    agree (Printf.sprintf "trial %d" trial) (Array.init n (fun _ -> value trial))
+  done;
+  (* 1, 3, 5, ..., k-1 interleaved with k+1, k+3, ..., 2k-1, then
+     2, 4, ..., 2k: each median of first, middle and last is the
+     second smallest of its range (Musser 1997, for n = 2k, k even) *)
+  let killer n i =
+    let k = n / 2 in
+    if i >= k then float_of_int (2 * (i - k + 1))
+    else if i mod 2 = 0 then float_of_int (i + 1)
+    else float_of_int (k + i)
+  in
+  List.iter
+    (fun (family, value) ->
+      List.iter
+        (fun n -> agree family (Array.init n (value n)))
+        [ 1; 2; 3; 4; 7; 64; 1000; 4096; 65_536; 99_999; 100_000 ])
+    [ ("sorted", fun _ i -> float_of_int i); ("reverse-sorted", fun n i -> float_of_int (n - i));
+      ("all-equal", fun _ _ -> 2.5); ("two-valued", fun _ i -> if i mod 3 = 0 then 1.0 else 4.0);
+      ("organ-pipe", fun n i -> float_of_int (min i (n - 1 - i))); ("median-of-3 killer", killer) ]
 
 (* A summary of 10^5 floats sorts in place of one copy: no element or
    partial sum is boxed. *)
