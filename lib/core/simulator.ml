@@ -98,7 +98,6 @@ type aggregate = {
   pairs : int;
   delivered : int;
   stretch_stats : Stats.summary;
-  cost_stats : Stats.summary;
   stretches : float array;
 }
 
@@ -126,21 +125,19 @@ let aggregate_of_measured results =
   in
   (* the last delivered result first: the order every pinned mean was
      summed in *)
-  let stretch_arr = Array.make delivered 0.0 and cost_arr = Array.make delivered 0.0 in
+  let stretch_arr = Array.make delivered 0.0 in
   let j = ref delivered in
   Array.iter
     (fun (m : measured) ->
       if m.delivered then begin
         decr j;
-        stretch_arr.(!j) <- m.stretch;
-        cost_arr.(!j) <- m.cost
+        stretch_arr.(!j) <- m.stretch
       end)
     results;
   {
     pairs = Array.length results;
     delivered;
     stretch_stats = (if Array.length stretch_arr = 0 then Stats.empty_summary else Stats.summarize stretch_arr);
-    cost_stats = (if Array.length cost_arr = 0 then Stats.empty_summary else Stats.summarize cost_arr);
     stretches = stretch_arr;
   }
 

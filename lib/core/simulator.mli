@@ -71,7 +71,6 @@ type aggregate = {
   pairs : int;
   delivered : int;
   stretch_stats : Cr_util.Stats.summary;  (** over delivered pairs *)
-  cost_stats : Cr_util.Stats.summary;
   stretches : float array;  (** raw per-pair stretch values, delivered pairs *)
 }
 
