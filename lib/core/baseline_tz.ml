@@ -18,7 +18,7 @@ let build ?(k = 3) ?(seed = 99) apsp =
         let d = (Apsp.sssp apsp u).Dijkstra.dist in
         let b = Hashtbl.create 16 in
         for w = 0 to n - 1 do
-          if Tz_hierarchy.in_bunch h u w d.(w) then Hashtbl.replace b w ()
+          if Tz_hierarchy.in_bunch h u w d w then Hashtbl.replace b w ()
         done;
         b)
   in

@@ -16,7 +16,7 @@ let build ?(k = 3) ?(seed = 31) apsp =
         let d = (Apsp.sssp apsp u).Dijkstra.dist in
         let b = Hashtbl.create 16 in
         for w = 0 to n - 1 do
-          if Tz_hierarchy.in_bunch h u w d.(w) then Hashtbl.replace b w d.(w)
+          if Tz_hierarchy.in_bunch h u w d w then Hashtbl.replace b w d.(w)
         done;
         b)
   in

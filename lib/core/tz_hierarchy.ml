@@ -52,6 +52,8 @@ let build sampling ~k ~seed apsp =
   done;
   { k; level; pivots; pivot_dist }
 
-let in_bunch t u w d =
+(* the distance is read here, not passed in: a float argument to
+   another module's function is boxed on every call *)
+let in_bunch t u w (row : float array) i =
   let j = t.level.(w) + 1 in
-  d < if j >= t.k then infinity else t.pivot_dist.(u).(j)
+  row.(i) < if j >= t.k then infinity else t.pivot_dist.(u).(j)

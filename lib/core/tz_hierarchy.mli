@@ -36,7 +36,7 @@ type t = private {
 val build : sampling -> k:int -> seed:int -> Cr_graph.Apsp.t -> t
 (** @raise Invalid_argument if [k < 1]. *)
 
-val in_bunch : t -> int -> int -> float -> bool
-(** [in_bunch t u w d] is [w ∈ B(u)], where [d] is the caller's reading
-    of [d(u, w)]: [d < d(u, p_{level(w)+1}(u))].  Never true when [d]
-    is [infinity]. *)
+val in_bunch : t -> int -> int -> float array -> int -> bool
+(** [in_bunch t u w row i] is [w ∈ B(u)], where [row.(i)] is the
+    caller's reading of [d(u, w)]: [row.(i) < d(u, p_{level(w)+1}(u))].
+    Never true when [row.(i)] is [infinity]. *)

@@ -41,7 +41,7 @@ let build ?(k = 3) ?(seed = 31) apsp =
   for w = 0 to n - 1 do
     let sw = Apsp.sssp apsp w in
     for u = 0 to n - 1 do
-      if Tz.in_bunch h u w sw.Dijkstra.dist.(u) then Witness.add bunches sw w u
+      if Tz.in_bunch h u w sw.Dijkstra.dist u then Witness.add bunches sw w u
     done
   done;
   (* constructive closure: base bunch entries, then pivot chains *)

@@ -774,9 +774,9 @@ let tz_hierarchy_matches_definition (seed, n, k, stretch, node_indexed) =
   in
   let bunches_ok = ref true in
   for u = 0 to n - 1 do
+    let row = (Apsp.sssp apsp u).Cr_graph.Dijkstra.dist in
     for w = 0 to n - 1 do
-      if Tz_hierarchy.in_bunch h u w (Apsp.distance apsp u w) <> by_definition u w then
-        bunches_ok := false
+      if Tz_hierarchy.in_bunch h u w row w <> by_definition u w then bunches_ok := false
     done
   done;
   levels_ok && h.Tz_hierarchy.pivots = pivots && h.Tz_hierarchy.pivot_dist = pivot_dist

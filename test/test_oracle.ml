@@ -149,6 +149,18 @@ let test_storage_accounting () =
   checkb "closure counted" true (Po.closure_entries oracle >= 0);
   checkb "bits positive" true (Po.storage_bits oracle > 0)
 
+(* The bunch test reads d(u, w) from the caller's row, so no (u, w)
+   pair passes a float to another module, which would box it (about
+   2 M minor words on this graph). *)
+let test_build_minor_words () =
+  let rng = Rng.create 1 in
+  let g = Graph.normalize (Graph.relabel rng (Generators.power_law rng ~n:1024 ~exponent:2.5)) in
+  let apsp = Apsp.compute g in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Po.build ~k:3 ~seed:31 apsp));
+  let words = Gc.minor_words () -. w0 in
+  if words >= 1_000_000.0 then Alcotest.failf "Path_oracle.build allocated %.0f minor words" words
+
 (* ------------------------------------------------------------------ *)
 (* Trace events *)
 
@@ -436,6 +448,7 @@ let () =
             test_path_never_worse_than_distance_oracle;
           Alcotest.test_case "deterministic" `Quick test_path_deterministic;
           Alcotest.test_case "storage accounting" `Quick test_storage_accounting;
+          Alcotest.test_case "build minor words" `Quick test_build_minor_words;
           Alcotest.test_case "trace events" `Quick test_trace_events;
         ] );
       ("tz hierarchy", [ Alcotest.test_case "frozen TZ digest" `Quick test_frozen_tz_digest ]);

@@ -243,7 +243,7 @@ let test_stats_summarize_matches_sort () =
       ("all-equal", fun _ _ -> 2.5); ("two-valued", fun _ i -> if i mod 3 = 0 then 1.0 else 4.0);
       ("organ-pipe", fun n i -> float_of_int (min i (n - 1 - i))); ("median-of-3 killer", killer) ]
 
-(* A summary of 10^5 floats sorts in place of one copy: no element or
+(* A summary of 10^5 floats works in place in one copy: no element or
    partial sum is boxed. *)
 let test_stats_summarize_allocation () =
   let rng = Rng.create 7 in
