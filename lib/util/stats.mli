@@ -22,7 +22,10 @@ val ratio : int -> int -> float
     so the reports cannot drift in how they treat an empty total. *)
 
 val summarize : float array -> summary
-(** [summarize xs] computes the summary of a non-empty sample.
+(** [summarize xs] computes the summary of a non-empty sample, leaving
+    [xs] as it was.  [min], [max] and the percentiles are bit for bit
+    what {!percentile} reads from a copy sorted by
+    [Array.sort Float.compare].
     @raise Invalid_argument on an empty array. *)
 
 val empty_summary : summary

@@ -196,8 +196,11 @@ let reference_summary xs =
 let test_stats_summarize_matches_sort () =
   let agree label xs =
     let n = Array.length xs in
+    let bits = Array.map Int64.bits_of_float xs in
     let s = Stats.summarize xs in
     checki "count" n s.Stats.count;
+    if Array.map Int64.bits_of_float xs <> bits then
+      Alcotest.failf "%s (n = %d): input changed" label n;
     List.iter2
       (fun (field, got) want ->
         let same =
