@@ -135,17 +135,15 @@ let ties_share_bits (a : float array) =
   done;
   not (!nan || (!pos_zero && !neg_zero))
 
-let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
-
 (* Hoare's FIND as Wirth writes it, with a median-of-three pivot:
    permutes [a.(l..r)] so that [a.(k)] holds the value it holds sorted,
    with nothing larger before it and nothing smaller after it.  Both
    scans stop on an element equal to the pivot, so a sample of few
    distinct values still splits near the middle.  Gives up, returning
    false with [a.(l..r)] a permutation of itself, after
-   [2 log2 (r - l + 1)] partitions.  [a] holds no NaN. *)
+   [2 ceil(log2 (r - l + 1))] partitions.  [a] holds no NaN. *)
 let select (a : float array) l r k =
-  let l = ref l and r = ref r and budget = ref (2 * log2 (r - l + 1)) in
+  let l = ref l and r = ref r and budget = ref (2 * Bits.ceil_log2 (r - l + 1)) in
   while !l < !r && !budget > 0 do
     decr budget;
     let x0 = a.(!l) and x1 = a.((!l + !r) / 2) and x2 = a.(!r) in
