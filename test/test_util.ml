@@ -229,8 +229,8 @@ let test_stats_summarize_matches_sort () =
     agree (Printf.sprintf "trial %d" trial) (Array.init n (fun _ -> value trial))
   done;
   (* 1, 3, 5, ..., k-1 interleaved with k+1, k+3, ..., 2k-1, then
-     2, 4, ..., 2k: each median of first, middle and last is the
-     second smallest of its range (Musser 1997, for n = 2k, k even) *)
+     2, 4, ..., 2k: Musser's (1997) sequence against pivots taken as
+     the median of first, middle and last, for n = 2k with k even *)
   let killer n i =
     let k = n / 2 in
     if i >= k then float_of_int (2 * (i - k + 1))
