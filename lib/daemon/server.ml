@@ -132,7 +132,8 @@ type stats = {
 type conn = {
   cid : int;
   fd : Unix.file_descr;
-  rbuf : Buffer.t;  (* bytes read, complete lines consumed; a partial line stays here *)
+  mutable rbuf : Bytes.t;  (* its first [rlen] bytes: read, not yet consumed as lines *)
+  mutable rlen : int;
   wq : string Queue.t;  (* response bytes not yet written *)
   mutable wq_bytes : int;
   mutable whead_off : int;  (* written prefix of the queue head *)
@@ -169,6 +170,8 @@ type t = {
 let now () = !Cr_obs.Clock.now ()
 
 let tick_s = 0.02  (* select granularity: deadline/chaos timing resolution *)
+
+let read_chunk = 4096  (* bytes asked of one read *)
 
 let create ?(config = default_config) daemon address =
   if config.max_conns < 1 then invalid_arg "Server.create: max_conns must be >= 1";
@@ -336,40 +339,44 @@ let refuse_long_line t c =
   t.stats.oversized <- t.stats.oversized + 1;
   c.lineno <- c.lineno + 1;
   enqueue t c (Printf.sprintf "err line %d too long max=%d\n" c.lineno t.cfg.max_line);
-  Buffer.clear c.rbuf;
   finish t c Disconnected
 
-let rec process_lines t c =
-  if (not c.dead) && (not c.waiting_sync) && c.ending = None then begin
-    let buf = Buffer.contents c.rbuf in
-    match String.index_opt buf '\n' with
-    | None -> if Buffer.length c.rbuf > t.cfg.max_line then refuse_long_line t c
-    | Some nl ->
-        let line = String.sub buf 0 nl in
-        let line =
-          (* tolerate CRLF clients (telnet, nc -C) *)
-          if String.length line > 0 && line.[String.length line - 1] = '\r' then
-            String.sub line 0 (String.length line - 1)
-          else line
-        in
-        Buffer.clear c.rbuf;
-        Buffer.add_substring c.rbuf buf (nl + 1) (String.length buf - nl - 1);
-        if String.length line > t.cfg.max_line then refuse_long_line t c
-        else begin
-          handle_one t c line;
-          process_lines t c
-        end
-  end
+(* the first newline in [b] at or after [i] and before [stop], or -1 *)
+let rec newline b i stop =
+  if i >= stop then -1 else if Bytes.get b i = '\n' then i else newline b (i + 1) stop
 
-let poll_parked_sync t c =
-  if (not c.dead) && c.waiting_sync then
-    match Daemon.poll_sync t.daemon with
-    | None -> ()
-    | Some r ->
-        c.waiting_sync <- false;
-        enqueue t c (Daemon.sync_response r ^ "\n");
-        apply_netchaos t c ~req:c.sync_req;
-        process_lines t c
+(* Handles the buffered complete lines until the session parks on a
+   [sync] or ends, reading them in place by offset; what is left, a
+   partial line or lines behind the park, moves to the front once.  A
+   refused line consumes the whole buffer. *)
+let process_lines t c =
+  let rec go pos =
+    if c.dead || c.waiting_sync || c.ending <> None then pos
+    else
+      let nl = newline c.rbuf pos c.rlen in
+      if nl < 0 then
+        if c.rlen - pos > t.cfg.max_line then begin
+          refuse_long_line t c;
+          c.rlen
+        end
+        else pos
+      else
+        (* tolerate CRLF clients (telnet, nc -C) *)
+        let stop = if nl > pos && Bytes.get c.rbuf (nl - 1) = '\r' then nl - 1 else nl in
+        if stop - pos > t.cfg.max_line then begin
+          refuse_long_line t c;
+          c.rlen
+        end
+        else begin
+          handle_one t c (Bytes.sub_string c.rbuf pos (stop - pos));
+          go (nl + 1)
+        end
+  in
+  let pos = go 0 in
+  if pos > 0 then begin
+    Bytes.blit c.rbuf pos c.rbuf 0 (c.rlen - pos);
+    c.rlen <- c.rlen - pos
+  end
 
 (* ---- I/O edges --------------------------------------------------------- *)
 
@@ -405,7 +412,8 @@ let service_accept t =
           {
             cid;
             fd;
-            rbuf = Buffer.create 256;
+            rbuf = Bytes.create (2 * read_chunk);
+            rlen = 0;
             wq = Queue.create ();
             wq_bytes = 0;
             whead_off = 0;
@@ -425,25 +433,33 @@ let service_accept t =
         in
         t.conns <- c :: t.conns
 
-let service_read t scratch c =
-  if not c.dead then
-    match Unix.read c.fd scratch 0 (Bytes.length scratch) with
+let service_read t c =
+  if not c.dead then begin
+    if Bytes.length c.rbuf - c.rlen < read_chunk then begin
+      (* a partial line longer than the buffer: [process_lines] refuses
+         it past [max_line], which bounds this growth *)
+      let b = Bytes.create (2 * Bytes.length c.rbuf) in
+      Bytes.blit c.rbuf 0 b 0 c.rlen;
+      c.rbuf <- b
+    end;
+    match Unix.read c.fd c.rbuf c.rlen read_chunk with
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn t c Disconnected
     | 0 ->
-        if Buffer.length c.rbuf > 0 then begin
+        if c.rlen > 0 then begin
           (* the client died mid-line: torn input.  The partial line is
              dropped, queued responses still flush, the outcome is
              honest *)
           t.stats.torn <- t.stats.torn + 1;
-          Buffer.clear c.rbuf;
+          c.rlen <- 0;
           finish t c Disconnected
         end
         else finish t c Served
     | n ->
         c.last_activity <- now ();
-        Buffer.add_subbytes c.rbuf scratch 0 n;
+        c.rlen <- c.rlen + n;
         process_lines t c
+  end
 
 let service_write t c tnow =
   if (not c.dead) && c.wq_bytes > 0 && tnow >= c.no_write_before then begin
@@ -466,6 +482,32 @@ let service_write t c tnow =
           (* keep the dribble torn over time, not just split once *)
           c.no_write_before <- tnow +. (tick_s /. 4.0)
   end
+
+(* Writes the queue in the loop pass that filled it, until it is empty
+   or the socket refuses more; the rest waits for [select].  A
+   connection under a netchaos decision (a delay not yet passed, a
+   dribble, a pending cut) is left to the ticks, which play that
+   decision out as they always have. *)
+let rec flush_now t c =
+  if (not c.dead) && c.wq_bytes > 0 && c.chunk = None && c.drop_at = None then begin
+    let tnow = now () in
+    if tnow >= c.no_write_before then begin
+      let before = c.wq_bytes in
+      service_write t c tnow;
+      if c.wq_bytes < before then flush_now t c
+    end
+  end
+
+let poll_parked_sync t c =
+  if (not c.dead) && c.waiting_sync then
+    match Daemon.poll_sync t.daemon with
+    | None -> ()
+    | Some r ->
+        c.waiting_sync <- false;
+        enqueue t c (Daemon.sync_response r ^ "\n");
+        apply_netchaos t c ~req:c.sync_req;
+        process_lines t c;
+        flush_now t c
 
 (* ---- deadlines, drains, sweeps ---------------------------------------- *)
 
@@ -524,7 +566,6 @@ let begin_drain t tnow =
 (* ---- the loop ---------------------------------------------------------- *)
 
 let run t =
-  let scratch = Bytes.create 4096 in
   let rec tick () =
     let tnow = now () in
     if Atomic.get t.stop_flag then begin_drain t tnow;
@@ -560,7 +601,13 @@ let run t =
           if t.listen_open && List.memq t.listen_fd rd then service_accept t;
           let snapshot = t.conns in
           List.iter (fun c -> if List.memq c.fd wr then service_write t c (now ())) snapshot;
-          List.iter (fun c -> if List.memq c.fd rd then service_read t scratch c) snapshot;
+          List.iter
+            (fun c ->
+              if List.memq c.fd rd then begin
+                service_read t c;
+                flush_now t c
+              end)
+            snapshot;
           tick ()
     end
   in

@@ -263,6 +263,99 @@ let test_socket_byte_identity () =
       checki "one connection, served" 1 st.Server.served;
       checkb "counters reconcile" true (reconciles st))
 
+(* What the stdin transport answers to [lines] on a fresh daemon over
+   the harness's graph. *)
+let stdin_transcript lines =
+  let d = Daemon.create ~policy:Guard.Policy.off ~staleness_every:0 ~params (mk_graph 11) in
+  let out =
+    String.concat ""
+      (List.concat_map (fun l -> List.map (fun r -> r ^ "\n") (Daemon.handle d l)) lines)
+  in
+  Daemon.close d;
+  out
+
+let query_line i =
+  Printf.sprintf "%s %d %d" (if i mod 2 = 0 then "route" else "dist") (i mod 48) (i * 7 mod 48)
+
+(* 500 lines in one write span several reads, so some straddle a read
+   boundary; every reply comes back, in order, as over stdin. *)
+let test_pipelined_burst_byte_identity () =
+  in_temp_dir (fun dir ->
+      let lines = List.init 500 query_line in
+      let expect = stdin_transcript lines in
+      let h = start dir in
+      let got =
+        Fun.protect
+          ~finally:(fun () -> shutdown h)
+          (fun () ->
+            let fd = connect h.sock in
+            send fd (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+            let got = String.concat "" (List.init 500 (fun _ -> recv_line fd ^ "\n")) in
+            send fd "quit\n";
+            ignore (recv_all fd);
+            close_quiet fd;
+            got)
+      in
+      checks "500 pipelined replies, in order, byte-identical to stdin" expect got;
+      let st = Server.stats h.srv in
+      checki "every line handled" 501 st.Server.lines;
+      checkb "counters reconcile" true (reconciles st))
+
+(* A client that writes without reading fills its socket: the server's
+   writes hit EAGAIN, its queue passes the bound and it stops reading,
+   until the client's own writes stall too.  Once the client reads,
+   every reply arrives, in order. *)
+let test_slow_reader_gets_every_reply () =
+  in_temp_dir (fun dir ->
+      let config = { Server.default_config with Server.write_queue_max = 16 * 1024 } in
+      let h = start ~config dir in
+      let per_chunk = 64 in
+      let chunk k =
+        String.concat ""
+          (List.init per_chunk (fun j -> query_line ((k * per_chunk) + j) ^ "\n"))
+      in
+      let handled () = (Server.stats h.srv).Server.lines in
+      let chunks, got =
+        Fun.protect
+          ~finally:(fun () -> shutdown h)
+          (fun () ->
+            let fd = connect h.sock in
+            Unix.set_nonblock fd;
+            (* whole chunks until a write stalls while the server handles
+               no more lines; [k] is the chunk in flight, [off] its
+               bytes written *)
+            let rec fill k s off =
+              match Unix.single_write_substring fd s off (String.length s - off) with
+              | n when off + n = String.length s -> fill (k + 1) (chunk (k + 1)) 0
+              | n -> fill k s (off + n)
+              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                  let before = handled () in
+                  Unix.sleepf 0.05;
+                  if handled () = before then (k, s, off) else fill k s off
+            in
+            let k, s, off = fill 0 (chunk 0) 0 in
+            Unix.clear_nonblock fd;
+            let reader = Domain.spawn (fun () -> recv_all fd) in
+            send fd (String.sub s off (String.length s - off));
+            send fd "quit\n";
+            let got = Domain.join reader in
+            close_quiet fd;
+            (k + 1, got))
+      in
+      let lines = List.init (chunks * per_chunk) query_line in
+      checkb
+        (Printf.sprintf "the server stopped reading only past its bound (%d lines)"
+           (List.length lines))
+        true
+        (List.length lines > 16 * 1024 / 100);
+      checks "every reply, in order, byte-identical to stdin"
+        (stdin_transcript (lines @ [ "quit" ]))
+        got;
+      let st = Server.stats h.srv in
+      checki "one connection, served" 1 st.Server.served;
+      checki "every line handled" (List.length lines + 1) st.Server.lines;
+      checkb "counters reconcile" true (reconciles st))
+
 (* ------------------------------------------------------------------ *)
 (* Hostile clients *)
 
@@ -616,6 +709,8 @@ let () =
           Alcotest.test_case "addresses and netchaos parse" `Quick test_addr_parsing;
           Alcotest.test_case "socket session byte-identical to stdin" `Quick
             test_socket_byte_identity;
+          Alcotest.test_case "pipelined burst byte-identical to stdin" `Quick
+            test_pipelined_burst_byte_identity;
         ] );
       ( "hostile clients",
         [
@@ -633,6 +728,8 @@ let () =
         [
           Alcotest.test_case "parked sync never blocks other clients" `Quick
             test_parked_sync_does_not_block_others;
+          Alcotest.test_case "a reader that falls behind gets every reply" `Quick
+            test_slow_reader_gets_every_reply;
         ] );
       ( "drain",
         [
