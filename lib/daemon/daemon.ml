@@ -175,12 +175,15 @@ let repair_batch t base batch =
      time; the scheme is then rebuilt once, deterministically, from the
      repaired ground truth — which is exactly what makes the repaired
      epoch bit-equivalent to a from-scratch build at the final graph
-     (the repair-equivalence property test pins this). *)
+     (the repair-equivalence property test pins this).  The dirty
+     sources are recomputed on every core but one, which is left to the
+     serving loop: on two cores the worker recomputes them alone. *)
+  let domains = max 1 (Cr_util.Domain_pool.default_domains () - 1) in
   let apsp = ref base.apsp and sources = ref 0 and impact = ref Dirty.no_impact in
   List.iter
     (fun mu ->
       impact := merge_impact !impact (Dirty.assess base.agm !apsp mu);
-      let apsp', n = Apsp.repair_mutation !apsp mu in
+      let apsp', n = Apsp.repair_mutation ~domains !apsp mu in
       apsp := apsp';
       sources := !sources + n)
     batch;

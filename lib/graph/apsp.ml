@@ -18,9 +18,11 @@ let parallel_for ~domains ~chunk ~n f =
   let pool = Pool.create ~domains in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> Pool.parallel_for ~chunk pool ~n f)
 
+let width = function Some d -> max 1 d | None -> Pool.default_domains ()
+
 let compute_parallel ?domains g =
   let n = Graph.n g in
-  let domains = match domains with Some d -> max 1 d | None -> Pool.default_domains () in
+  let domains = width domains in
   if domains <= 1 || n < 2 * domains then compute g
   else begin
     (* every placeholder slot is overwritten below.  Each Dijkstra only
@@ -110,8 +112,9 @@ let removed_edges g = function
   | Graph.Node_down u -> Array.to_list (Array.map (fun (v, _) -> (u, v)) (Graph.neighbors g u))
   | Graph.Set_weight _ | Graph.Link_up _ | Graph.Node_up _ -> []
 
-(* [repair] over [g'], the graph [mu] makes of [t]'s *)
-let repair_on t g' mu ~dirty =
+(* [repair] over [g'], the graph [mu] makes of [t]'s, on [domains]
+   lanes *)
+let repair_on ~domains t g' mu ~dirty =
   let n = Graph.n t.graph in
   if Array.length dirty <> n then invalid_arg "Apsp.repair: dirty array length mismatch";
   let removed = removed_edges t.graph mu in
@@ -127,20 +130,20 @@ let repair_on t g' mu ~dirty =
   let results = Array.copy t.results in
   let todo = Array.of_list !todo in
   let nd = Array.length todo in
-  if nd < 2 * Pool.default_domains () then
+  if domains <= 1 || nd < 2 * domains then
     Array.iter (fun s -> results.(s) <- Dijkstra.run g' s) todo
   else
-    parallel_for ~domains:(Pool.default_domains ()) ~chunk:4 ~n:nd (fun i ->
-        results.(todo.(i)) <- Dijkstra.run g' todo.(i));
+    parallel_for ~domains ~chunk:4 ~n:nd (fun i -> results.(todo.(i)) <- Dijkstra.run g' todo.(i));
   { graph = g'; results }
 
-let repair t mu ~dirty = repair_on t (Graph.apply t.graph mu) mu ~dirty
+let repair t mu ~dirty =
+  repair_on ~domains:(Pool.default_domains ()) t (Graph.apply t.graph mu) mu ~dirty
 
-let repair_mutation t mu =
+let repair_mutation ?domains t mu =
   let g' = Graph.apply t.graph mu in
   let dirty = dirty_sources t mu in
   let count = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 dirty in
-  (repair_on t g' mu ~dirty, count)
+  (repair_on ~domains:(width domains) t g' mu ~dirty, count)
 
 let sssp t u = t.results.(u)
 

@@ -55,13 +55,20 @@ val repair : t -> Graph.mutation -> dirty:bool array -> t
     [Link_down] edge or a [Node_down]'s edges): [dirty]
     under-approximated.  The check costs O(n) per removed edge. *)
 
-val repair_mutation : t -> Graph.mutation -> t * int
+val repair_mutation : ?domains:int -> t -> Graph.mutation -> t * int
 (** Applies one mutation end to end:
     [Graph.apply] + {!dirty_sources} + {!repair}, returning the
     repaired ground truth and the number of recomputed sources.
     Chained per mutation by the daemon's repair worker (affectedness
     tests are only valid against the immediately preceding ground
     truth, so batches must be folded one mutation at a time).
+    The dirty sources are recomputed on [domains] lanes (default
+    {!Cr_util.Domain_pool.default_domains}) as in {!compute_parallel}:
+    [domains <= 1], or fewer than [2 * domains] dirty sources, runs
+    them in the caller and spawns no domain.  The result is
+    bit-identical at any width.  The daemon passes one lane fewer than
+    the default, so that its repair leaves a core to the queries it
+    serves meanwhile.
     @raise Invalid_argument as {!Graph.apply}. *)
 
 val sssp : t -> int -> Dijkstra.result

@@ -912,6 +912,27 @@ let qcheck_tests =
           if not (sssp_equal (Apsp.sssp apsp s) (Apsp.sssp fresh s)) then ok := false
         done;
         !ok);
+    Test.make ~name:"repair on one and two lanes equals fresh compute" ~count:25
+      arb_script (fun (g0, mus) ->
+        (* one lane recomputes the dirty sources in the caller, two on a
+           pool of their own: the daemon's width on two cores, and the
+           default there *)
+        let chained domains =
+          List.fold_left
+            (fun a mu -> fst (Apsp.repair_mutation ~domains a mu))
+            (Apsp.compute g0) mus
+        in
+        let one = chained 1 and two = chained 2 in
+        let fresh = Apsp.compute (Apsp.graph one) in
+        let ok = ref true in
+        for s = 0 to Graph.n g0 - 1 do
+          if
+            not
+              (sssp_equal (Apsp.sssp one s) (Apsp.sssp fresh s)
+              && sssp_equal (Apsp.sssp two s) (Apsp.sssp fresh s))
+          then ok := false
+        done;
+        !ok);
     Test.make ~name:"ball queries equal a sorted brute force (er, geo)" ~count:20
       (pair (int_range 0 100000) (int_range 10 60))
       (fun (seed, n) ->
