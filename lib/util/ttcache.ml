@@ -85,29 +85,29 @@ let pack fp gen = (fp lsl tag_shift) lor ((gen land (gen_mod - 1)) lsl 1) lor 1
 (* keep the fingerprint small enough that [pack] never drops its bits *)
 let fp_of h = h lsr (tag_shift + 1)
 
+(* The probe of [find], at window offset [i]: a top-level recursion, so
+   a probe allocates no closure. *)
+let rec probe t ~gen ~key tag base i =
+  if i >= probe_len then begin
+    Atomic.incr t.n_misses;
+    None
+  end
+  else
+    let idx = (base + i) land t.mask in
+    if Atomic.get t.tags.(idx) = tag then
+      (* tag published after the slot, so the slot is already visible;
+         the exact (key, gen) check below rejects fingerprint
+         collisions and lost races alike *)
+      match Atomic.get t.slots.(idx) with
+      | Some (k, g, v) when k = key && g = gen ->
+          Atomic.incr t.n_hits;
+          Some v
+      | _ -> probe t ~gen ~key tag base (i + 1)
+    else probe t ~gen ~key tag base (i + 1)
+
 let find t ~gen ~key =
   let h = fingerprint t key in
-  let base = h land t.mask in
-  let tag = pack (fp_of h) gen in
-  let rec go i =
-    if i >= probe_len then begin
-      Atomic.incr t.n_misses;
-      None
-    end
-    else
-      let idx = (base + i) land t.mask in
-      if Atomic.get t.tags.(idx) = tag then
-        (* tag published after the slot, so the slot is already visible;
-           the exact (key, gen) check below rejects fingerprint
-           collisions and lost races alike *)
-        match Atomic.get t.slots.(idx) with
-        | Some (k, g, v) when k = key && g = gen ->
-            Atomic.incr t.n_hits;
-            Some v
-        | _ -> go (i + 1)
-      else go (i + 1)
-  in
-  go 0
+  probe t ~gen ~key (pack (fp_of h) gen) (h land t.mask) 0
 
 let add t ~gen ~key v =
   let h = fingerprint t key in

@@ -334,6 +334,29 @@ let test_ttcache_salt_spreads () =
       | None, None -> true)
   done
 
+(* A probe allocates no closure: a miss allocates nothing, a hit only
+   the [Some] it returns, and a [memo] miss only that and the entry it
+   stores. *)
+let test_ttcache_probe_allocation () =
+  let t = Ttcache.create ~capacity:4096 () in
+  for key = 0 to 999 do
+    Ttcache.add t ~gen:0 ~key key
+  done;
+  let words_per_call f =
+    let w0 = Gc.minor_words () in
+    for key = 0 to 9_999 do
+      ignore (Sys.opaque_identity (f key))
+    done;
+    (Gc.minor_words () -. w0) /. 10_000.0
+  in
+  let compute = Sys.opaque_identity (fun () -> 0) in
+  let hit = words_per_call (fun key -> Ttcache.find t ~gen:0 ~key:(key mod 1000)) in
+  let miss = words_per_call (fun key -> Ttcache.find t ~gen:1 ~key) in
+  let memo_miss = words_per_call (fun key -> Ttcache.memo t ~gen:2 ~key compute) in
+  (* exactly 2, 0 and 6 words here; a closure per probe costs 8 *)
+  if hit > 3.0 || miss > 1.0 || memo_miss > 8.0 then
+    Alcotest.failf "words per probe: hit %.2f, miss %.2f, memo miss %.2f" hit miss memo_miss
+
 (* N domains hammer one table with overlapping keys while marching
    through generations.  Every stored value encodes its (key, gen), so
    a single counter catches torn entries, cross-key mixups and
@@ -789,6 +812,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_ttcache_basics;
           Alcotest.test_case "generation invalidates" `Quick test_ttcache_generation_invalidates;
           Alcotest.test_case "salt spreads" `Quick test_ttcache_salt_spreads;
+          Alcotest.test_case "probe allocation" `Quick test_ttcache_probe_allocation;
           Alcotest.test_case "concurrent stress" `Slow test_ttcache_concurrent_stress;
         ] );
       ( "jsonl",
