@@ -15,14 +15,24 @@ module Dijkstra = Cr_graph.Dijkstra
 
 type entry = { dist : float; next : int }
 
-type t = (int, entry) Hashtbl.t array
+(* Keys are node indices, so they hash to themselves: no call into the
+   runtime's generic hash or compare per probe.  Nothing reads a
+   table's iteration order. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
 
-let create n = Array.init n (fun _ -> Hashtbl.create 16)
+  let equal (a : int) b = a = b
+  let hash (x : int) = x land max_int
+end)
+
+type t = entry Tbl.t array
+
+let create n = Array.init n (fun _ -> Tbl.create 16)
 
 let add t sw w u =
-  Hashtbl.replace t.(u) w { dist = sw.Dijkstra.dist.(u); next = sw.Dijkstra.parent.(u) }
+  Tbl.replace t.(u) w { dist = sw.Dijkstra.dist.(u); next = sw.Dijkstra.parent.(u) }
 
-let find t u w = Hashtbl.find_opt t.(u) w
+let find t u w = Tbl.find_opt t.(u) w
 
 let close_chain t sw w u =
   let added = ref 0 in
@@ -34,14 +44,14 @@ let close_chain t sw w u =
     incr steps;
     let nx = sw.Dijkstra.parent.(!x) in
     if nx < 0 then invalid_arg "Witness: broken parent chain";
-    if not (Hashtbl.mem t.(!x) w) then begin
-      Hashtbl.replace t.(!x) w { dist = sw.Dijkstra.dist.(!x); next = nx };
+    if not (Tbl.mem t.(!x) w) then begin
+      Tbl.replace t.(!x) w { dist = sw.Dijkstra.dist.(!x); next = nx };
       incr added
     end;
     x := nx
   done;
-  if not (Hashtbl.mem t.(w) w) then begin
-    Hashtbl.replace t.(w) w { dist = 0.0; next = -1 };
+  if not (Tbl.mem t.(w) w) then begin
+    Tbl.replace t.(w) w { dist = 0.0; next = -1 };
     incr added
   end;
   !added
@@ -51,7 +61,7 @@ let close t apsp =
   for w = 0 to Array.length t - 1 do
     let sw = Apsp.sssp apsp w in
     for u = 0 to Array.length t - 1 do
-      if Hashtbl.mem t.(u) w then closed := !closed + close_chain t sw w u
+      if Tbl.mem t.(u) w then closed := !closed + close_chain t sw w u
     done
   done;
   !closed
@@ -61,12 +71,12 @@ let chain t x w =
     if steps > Array.length t then invalid_arg "Witness: cyclic witness chain";
     if x = w then List.rev (w :: acc)
     else
-      match Hashtbl.find_opt t.(x) w with
+      match Tbl.find_opt t.(x) w with
       | None -> invalid_arg "Witness: closure invariant broken"
       | Some e -> go e.next (x :: acc) (steps + 1)
   in
   go x [] 0
 
-let entries t = Array.fold_left (fun acc b -> acc + Hashtbl.length b) 0 t
+let entries t = Array.fold_left (fun acc b -> acc + Tbl.length b) 0 t
 
-let node_entries t u = Hashtbl.length t.(u)
+let node_entries t u = Tbl.length t.(u)
