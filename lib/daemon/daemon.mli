@@ -17,10 +17,13 @@
     against the live post-mutation graph, off the reply path).
 
     Thread model: {!handle} is called from one client thread; the
-    repair worker is one background domain.  If the worker dies, the
-    daemon is {e poisoned}: queries keep being served from the
-    last-good epoch and [sync] reports the failure instead of
-    hanging. *)
+    repair worker is one background domain.  It recomputes a batch's
+    dirty sources on one lane fewer than
+    {!Cr_util.Domain_pool.default_domains}, so a repair leaves a core
+    to the queries: on two cores it spawns no domain and recomputes
+    them itself.  If the worker dies, the daemon is {e poisoned}:
+    queries keep being served from the last-good epoch and [sync]
+    reports the failure instead of hanging. *)
 
 type t
 

@@ -12,10 +12,12 @@
       1 and owns its [quit] (closing one session never affects another);
     - {b slow-loris defense}: a connection idle longer than
       [idle_timeout_s] is told [err idle] and closed;
-    - {b backpressure}: responses queue per connection, bounded by
-      [write_queue_max] bytes — a slow reader stops being read from
-      (stalling only itself) until its queue drains; the accept loop and
-      other clients never block on it;
+    - {b backpressure}: a response is written in the loop pass that
+      read its request; what the socket refuses, or netchaos holds
+      back, queues per connection, bounded by [write_queue_max] bytes —
+      a slow reader stops being read from (stalling only itself) until
+      its queue drains; the accept loop and other clients never block
+      on it;
     - {b torn input}: a client dying mid-line is closed as
       [disconnected]; the partial line is discarded, the daemon and the
       other sessions are untouched;

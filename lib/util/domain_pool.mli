@@ -90,7 +90,9 @@ val shared : unit -> t
     worker stops for every minor collection of the domains still
     running, so [Apsp.compute_parallel] and [Apsp.repair], which are
     followed by long single-domain builds, join a pool of their own
-    instead. *)
+    instead.  The route daemon's repair asks that pool for one lane
+    fewer than {!default_domains}, leaving a core to its serving loop:
+    on two cores it spawns none. *)
 
 val shutdown_shared : unit -> unit
 (** Joins the shared pool's workers and clears the singleton.
