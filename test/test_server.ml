@@ -290,11 +290,14 @@ let test_pipelined_burst_byte_identity () =
           (fun () ->
             let fd = connect h.sock in
             send fd (String.concat "" (List.map (fun l -> l ^ "\n") lines));
-            let got = String.concat "" (List.init 500 (fun _ -> recv_line fd ^ "\n")) in
+            let got = Buffer.create 4096 in
+            for _ = 1 to 500 do
+              Buffer.add_string got (recv_line fd ^ "\n")
+            done;
             send fd "quit\n";
             ignore (recv_all fd);
             close_quiet fd;
-            got)
+            Buffer.contents got)
       in
       checks "500 pipelined replies, in order, byte-identical to stdin" expect got;
       let st = Server.stats h.srv in
@@ -323,8 +326,10 @@ let test_slow_reader_gets_every_reply () =
             Unix.set_nonblock fd;
             (* whole chunks until a write stalls while the server handles
                no more lines; [k] is the chunk in flight, [off] its
-               bytes written *)
+               bytes written.  About 8k lines stall it; a server that
+               never stops reading fails the test instead of hanging it *)
             let rec fill k s off =
+              if k > 2000 then Alcotest.fail "the server never stopped reading";
               match Unix.single_write_substring fd s off (String.length s - off) with
               | n when off + n = String.length s -> fill (k + 1) (chunk (k + 1)) 0
               | n -> fill k s (off + n)
@@ -343,8 +348,10 @@ let test_slow_reader_gets_every_reply () =
             (k + 1, got))
       in
       let lines = List.init (chunks * per_chunk) query_line in
+      (* replies run under 100 bytes, so fewer lines could not have
+         filled the server's queue past its bound *)
       checkb
-        (Printf.sprintf "the server stopped reading only past its bound (%d lines)"
+        (Printf.sprintf "the client stalled only past the server's bound (%d lines)"
            (List.length lines))
         true
         (List.length lines > 16 * 1024 / 100);
