@@ -436,8 +436,9 @@ let service_accept t =
 let service_read t c =
   if not c.dead then begin
     if Bytes.length c.rbuf - c.rlen < read_chunk then begin
-      (* a partial line longer than the buffer: [process_lines] refuses
-         it past [max_line], which bounds this growth *)
+      (* less than one read's room: only a long partial line leaves
+         that, and [process_lines] refuses one past [max_line], which
+         bounds the growth *)
       let b = Bytes.create (2 * Bytes.length c.rbuf) in
       Bytes.blit c.rbuf 0 b 0 c.rlen;
       c.rbuf <- b
